@@ -21,8 +21,12 @@ print("message :", "".join(map(str, message)))
 print("codeword:", "".join(map(str, codeword)))
 print("received:", np.array2string(received.r, precision=2, suppress_small=True))
 
+# One pipeline call decodes the frame with both decoders: phase 1 runs once,
+# phase 2 only if phase 1 could not settle the frame.
+decoded = tb.decode_frame(ctx.ridx, weights, ("two-phase-L1", "exact-ml"))
+
 # Phase 1: one Viterbi-style sweep seeded from every boundary state at once.
-p1 = tb.phase1(ctx.ridx, weights)
+p1 = decoded.p1
 print("\nper-final first-sweep costs:", np.array2string(p1.delta_finals, precision=3))
 best = int(np.argmin(p1.delta_finals))
 own = int(p1.surv_finals[best]) == best
@@ -30,13 +34,13 @@ print(f"cheapest final: {best}  survivor came from its own start: {own}")
 if not own:
     print("-> the winning path crossed, so a second restricted sweep runs")
 
-# The full decoder wraps both sweeps, traceback, and the early-stop test.
-out = tb.decode_two_phase(ctx.ridx, weights)
+# The two-phase decision: both sweeps, traceback, and the early-stop test.
+out = decoded.outcomes["two-phase-L1"]
 print(f"\ndecoded  : {''.join(map(str, out.codeword))}  stage={out.stage}")
 print(f"weight={out.weight:.4f} comparisons={out.comparisons}")
 
 # Compare against the exact decoder (one restricted sweep per subtrellis).
-exact = tb.decode_exact_ml(ctx.ridx, weights)
+exact = decoded.outcomes["exact-ml"]
 print(f"exact ML : {''.join(map(str, exact.codeword))}  weight={exact.weight:.4f}")
 print("two-phase found the ML word:", bool(np.array_equal(out.codeword, exact.codeword)))
 print("frame decoded correctly   :", bool(np.array_equal(out.codeword, codeword)))

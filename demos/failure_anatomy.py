@@ -30,8 +30,8 @@ for frame in range(FRAMES):
     received = tb.awgn_transmit(tb.bpsk_modulate(codeword), params, noise_stream)
     weights = tb.edge_weights(ctx.ridx.trellis, received)
 
-    out = tb.decode_two_phase(ctx.ridx, weights)
-    exact = tb.decode_exact_ml(ctx.ridx, weights)
+    decoded = tb.decode_frame(ctx.ridx, weights, ("two-phase-L1", "exact-ml"))
+    out, exact = decoded.outcomes["two-phase-L1"], decoded.outcomes["exact-ml"]
     if np.array_equal(out.codeword, exact.codeword):
         continue
     mismatches += 1
@@ -43,9 +43,10 @@ for frame in range(FRAMES):
     print(f"  two-phase: {''.join(map(str, out.codeword))}  w={out.weight:.4f} stage={out.stage}")
     print(f"  exact ML : {''.join(map(str, exact.codeword))}  w={exact.weight:.4f}")
 
-    # Certificate 1: the full start-to-final distance table.  A miss needs a
-    # crossing entry d[k, j] at or below the diagonal ML entry d[i, i].
-    table = tb.all_pairs_start_final_distances(ctx.ridx, weights)
+    # Certificate 1: the full start-to-final distance table, which exact ML
+    # built.  A miss needs a crossing entry d[k, j] at or below the diagonal
+    # ML entry d[i, i].
+    table = decoded.table
     print("  distance table:")
     for k in range(table.d.shape[0]):
         print("   ", np.array2string(table.d[k], precision=3))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError
+from .errors import LengthMismatchError, ToolkitError
 
 __all__ = [
     "ChannelParams",
@@ -113,6 +113,8 @@ def edge_weights(trellis, received: ReceivedVector) -> WeightAssignment:
         raise LengthMismatchError(
             f"received vector has {received.r.shape[0]} samples, trellis needs {n_bits}"
         )
+    if not np.isfinite(received.r).all():
+        raise ToolkitError("received vector has NaN or infinite samples")
     r = received.r.reshape(trellis.n_sections, width)
     # table[p, v] = weight of label value v in section p+1
     signs = 1.0 - 2.0 * (

@@ -8,11 +8,10 @@ import sys
 from .catalog import list_codes
 from .channel import ChannelParams, edge_weights
 from .codes import ConvCodeSpec, GeneratorSpec, bits_to_int, enumerate_codewords, parse_generator_file
-from .decoder import decode_exact_ml, final_decision, phase1, phase1_decision, phase2
+from .decoder import DECODER_NAMES, decode_frame
 from .diagnostics import audit_decode_invariants, verify_semi_codeword_space
 from .errors import ToolkitError
 from .montecarlo import (
-    DECODER_NAMES,
     SimConfig,
     build_context,
     emit_results,
@@ -197,13 +196,10 @@ def _cmd_check_lemmas(args: argparse.Namespace) -> int:
     for frame in range(args.frames):
         _, _, received = _make_frame(ctx, params, 0, frame, False)
         weights = edge_weights(ridx.trellis, received)
-        p1 = phase1(ridx, weights)
-        stopped = phase1_decision(ridx, p1, weights)
-        p2 = None if stopped is not None else phase2(ridx, weights, p1, True)
-        audit = audit_decode_invariants(ridx, weights, p1, p2)
+        decoded = decode_frame(ridx, weights, ("two-phase-L1", "exact-ml"))
+        audit = audit_decode_invariants(ridx, weights, decoded.p1, decoded.p2)
         violations += len(audit.violations)
-        outcome = stopped if stopped is not None else final_decision(ridx, weights, p1, p2)
-        exact = decode_exact_ml(ridx, weights)
+        outcome, exact = decoded.outcomes["two-phase-L1"], decoded.outcomes["exact-ml"]
         if outcome.weight < exact.weight - 1e-9 * max(1.0, abs(exact.weight)):
             dominance_ok = False
         if outcome.comparisons > 2 * ridx.trellis.num_edges:

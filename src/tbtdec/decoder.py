@@ -21,16 +21,21 @@ that pass membership), so the comparison count is at most twice that of a
 single full-trellis Viterbi sweep.  The exhaustive alternative — one
 restricted Viterbi sweep per subtrellis — is implemented as
 ``decode_exact_ml`` and doubles as the maximum-likelihood oracle.
+
+``decode_frame`` runs each phase at most once per frame and derives every
+requested decoder's decision from that shared state; the ``decode_*``
+functions are single-decoder calls into it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ReceivedVector, WeightAssignment
-from .errors import LengthMismatchError, NoPathError
+from .errors import CatalogError, LengthMismatchError, NoPathError
 from .trellis import ReachIndex, label_bits
 
 __all__ = [
@@ -40,10 +45,14 @@ __all__ = [
     "DecodeOutcome",
     "SubtrellisResult",
     "DistanceTable",
+    "FrameDecode",
+    "DECODER_NAMES",
     "phase1",
     "phase1_decision",
     "phase2",
     "final_decision",
+    "decode_frame",
+    "two_phase_name",
     "decode_two_phase",
     "decode_phase1_only",
     "viterbi_subtrellis",
@@ -125,6 +134,16 @@ class DistanceTable:
     d: np.ndarray
 
 
+@dataclass
+class FrameDecode:
+    """One frame's decisions by decoder name, plus the state they came from."""
+
+    outcomes: dict[str, DecodeOutcome]
+    p1: Phase1State | None  # None if only exact ML ran
+    p2: Phase2State | None  # None if phase 1 settled the frame or no two-phase decoder ran
+    table: DistanceTable | None  # None unless exact ML ran
+
+
 # ---------------------------------------------------------------------------
 # Shared sweep machinery
 
@@ -147,8 +166,13 @@ def _traceback(
     pred_edge: list[np.ndarray],
     final_vertex: int,
     weights: WeightAssignment,
+    pred_rank: list[np.ndarray] | None = None,
+    rank: int = 0,
 ):
     """Walk pred edges from a final back to index 0: path, labels, true weight.
+
+    List sweeps pass ``pred_rank`` (indexed [rank, vertex]) and the starting
+    ``rank``; single-candidate sweeps are the rank-0 case.
 
     The weight is re-accumulated left to right over the traced edges — the
     same float additions the sweep performed — so it is the exact path sum
@@ -159,11 +183,15 @@ def _traceback(
     path = np.zeros(n + 1, dtype=np.int32)
     bits = np.zeros(n * width, dtype=np.uint8)
     edges = np.zeros(n, dtype=np.int64)
-    v = int(final_vertex)
+    v, r = int(final_vertex), int(rank)
     path[n] = v
     for p in range(n - 1, -1, -1):
         sec = trellis.sections[p]
-        e = int(pred_edge[p][v])
+        if pred_rank is None:
+            e = int(pred_edge[p][v])
+        else:
+            e = int(pred_edge[p][r, v])
+            r = int(pred_rank[p][r, v])
         edges[p] = e
         bits[p * width : (p + 1) * width] = label_bits(int(sec.labels[e]), width)
         v = int(sec.frm[e])
@@ -172,6 +200,56 @@ def _traceback(
     for p in range(n):
         weight += float(weights.sections[p][edges[p]])
     return path, bits, weight
+
+
+def _outcome(
+    ridx: ReachIndex,
+    weights: WeightAssignment,
+    stage: str,
+    i: int,
+    comparisons: int,
+    edge_visits: int,
+    pred_edge: list[np.ndarray] | None = None,
+    pred_rank: list[np.ndarray] | None = None,
+    rank: int = 0,
+) -> DecodeOutcome:
+    """The decision for subtrellis ``i``; every DecodeOutcome is built here.
+
+    With ``pred_edge`` the codeword is traced back from final i.  Without, a
+    restricted Viterbi sweep of subtrellis i finds it (exact ML, fallback);
+    a fallback reports that sweep's comparisons as ``fallback_comparisons``.
+    """
+    if pred_edge is None:
+        sub = viterbi_subtrellis(ridx, weights, i)
+        path, bits, weight = sub.path, sub.codeword, sub.weight
+        extra = sub.comparisons if stage == "fallback" else 0
+    else:
+        path, bits, weight = _traceback(
+            ridx, pred_edge, ridx.trellis.finals[i], weights, pred_rank, rank
+        )
+        extra = 0
+    return DecodeOutcome(
+        codeword=bits,
+        path=path,
+        weight=weight,
+        stage=stage,
+        subtrellis=int(i),
+        comparisons=comparisons,
+        edge_visits=edge_visits,
+        fallback_comparisons=extra,
+    )
+
+
+def _fallback(
+    ridx: ReachIndex,
+    weights: WeightAssignment,
+    p1: Phase1State,
+    comparisons: int,
+    edge_visits: int,
+) -> DecodeOutcome:
+    """No codeword to trace: one restricted sweep on the most promising subtrellis."""
+    i_star = int(np.argmin(p1.delta_finals))
+    return _outcome(ridx, weights, "fallback", i_star, comparisons, edge_visits)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +296,7 @@ def phase1_decision(
     j = int(np.argmin(p1.delta_finals))
     if int(p1.surv_finals[j]) != j:
         return None
-    path, bits, weight = _traceback(ridx, p1.pred_edge, ridx.trellis.finals[j], weights)
-    return DecodeOutcome(
-        codeword=bits,
-        path=path,
-        weight=weight,
-        stage="phase1",
-        subtrellis=j,
-        comparisons=p1.comparisons,
-        edge_visits=p1.edge_visits,
-    )
+    return _outcome(ridx, weights, "phase1", j, p1.comparisons, p1.edge_visits, p1.pred_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -313,51 +382,16 @@ def final_decision(
     membership starves every participant — run a single restricted Viterbi
     sweep on the most promising subtrellis so a codeword is always returned.
     """
-    t = ridx.t
-    own = p1.surv_finals == np.arange(t)
-    best: tuple | None = None
-    for i in range(t):
-        if own[i]:
-            key = (float(p1.delta_finals[i]), 0, i)
-            if best is None or key < best:
-                best = key
-    for i in range(t):
-        m = float(p2.metric_finals[i])
-        if np.isfinite(m):
-            key = (m, 1, i)
-            if best is None or key < best:
-                best = key
+    own = p1.surv_finals == np.arange(ridx.t)
+    pool = [(float(p1.delta_finals[i]), 0, i) for i in range(ridx.t) if own[i]]
+    pool += [(float(m), 1, i) for i, m in enumerate(p2.metric_finals) if np.isfinite(m)]
     comparisons = p1.comparisons + p2.comparisons
     edge_visits = p1.edge_visits + p2.edge_visits
-    if best is None:
-        i_star = int(np.argmin(p1.delta_finals))
-        sub = viterbi_subtrellis(ridx, weights, i_star)
-        return DecodeOutcome(
-            codeword=sub.codeword,
-            path=sub.path,
-            weight=sub.weight,
-            stage="fallback",
-            subtrellis=i_star,
-            comparisons=comparisons,
-            edge_visits=edge_visits,
-            fallback_comparisons=sub.comparisons,
-        )
-    _, stage_code, i = best
-    if stage_code == 0:
-        path, bits, weight = _traceback(ridx, p1.pred_edge, ridx.trellis.finals[i], weights)
-        stage = "phase1"
-    else:
-        path, bits, weight = _traceback(ridx, p2.pred_edge, ridx.trellis.finals[i], weights)
-        stage = "phase2"
-    return DecodeOutcome(
-        codeword=bits,
-        path=path,
-        weight=weight,
-        stage=stage,
-        subtrellis=i,
-        comparisons=comparisons,
-        edge_visits=edge_visits,
-    )
+    if not pool:
+        return _fallback(ridx, weights, p1, comparisons, edge_visits)
+    _, stage_code, i = min(pool)
+    stage, pred_edge = ("phase1", p1.pred_edge) if stage_code == 0 else ("phase2", p2.pred_edge)
+    return _outcome(ridx, weights, stage, i, comparisons, edge_visits, pred_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -447,32 +481,105 @@ def _phase2_list(
     )
 
 
-def _traceback_list(
+def _list_decision(
     ridx: ReachIndex,
-    ls: ListState,
-    final_vertex: int,
-    rank: int,
     weights: WeightAssignment,
-):
-    trellis = ridx.trellis
-    n, width = trellis.n_sections, trellis.label_width
-    path = np.zeros(n + 1, dtype=np.int32)
-    bits = np.zeros(n * width, dtype=np.uint8)
-    edges = np.zeros(n, dtype=np.int64)
-    v, r = int(final_vertex), int(rank)
-    path[n] = v
-    for p in range(n - 1, -1, -1):
-        sec = trellis.sections[p]
-        e = int(ls.pred_edge[p][r, v])
-        r = int(ls.pred_rank[p][r, v])
-        edges[p] = e
-        bits[p * width : (p + 1) * width] = label_bits(int(sec.labels[e]), width)
-        v = int(sec.frm[e])
-        path[p] = v
-    weight = 0.0
-    for p in range(n):
-        weight += float(weights.sections[p][edges[p]])
-    return path, bits, weight
+    p1: Phase1State,
+    p2: Phase2State,
+    scalar: DecodeOutcome,
+    list_size: int,
+) -> DecodeOutcome:
+    """Pool the list sweep's finals with the single-candidate decision."""
+    ls = _phase2_list(ridx, weights, p1, list_size, p2.participants)
+    final_metrics = ls.metric[-1][:, ridx.trellis.finals]  # (L, t)
+    pool = [
+        (float(final_metrics[r, i]), i, r)
+        for i in range(ridx.t)
+        for r in range(list_size)
+        if np.isfinite(final_metrics[r, i])
+    ]
+    comparisons = scalar.comparisons + ls.comparisons
+    if pool:
+        _, i, r = min(pool)
+        out = _outcome(
+            ridx, weights, "phase2", i, comparisons, scalar.edge_visits,
+            ls.pred_edge, ls.pred_rank, r,
+        )
+        # Compare true path weights; the single-candidate result wins ties so
+        # a larger list can only strictly improve the decision.
+        if scalar.stage == "fallback" or out.weight < scalar.weight:
+            return out
+    return replace(scalar, comparisons=comparisons)
+
+
+def _phase1_only(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State) -> DecodeOutcome:
+    """Cheapest final that closed its loop in phase 1, else a fallback sweep."""
+    own = p1.surv_finals == np.arange(ridx.t)
+    if not own.any():
+        return _fallback(ridx, weights, p1, p1.comparisons, p1.edge_visits)
+    i = int(np.argmin(np.where(own, p1.delta_finals, np.inf)))
+    return _outcome(ridx, weights, "phase1", i, p1.comparisons, p1.edge_visits, p1.pred_edge)
+
+
+# ---------------------------------------------------------------------------
+# The per-frame pipeline
+
+DECODER_NAMES = ("two-phase-L1", "two-phase-L2", "exact-ml", "phase1-only")
+_TWO_PHASE = re.compile(r"two-phase-L([1-9][0-9]*)")
+
+
+def two_phase_name(list_size: int) -> str:
+    """Decoder name of the two-phase decoder with this list size (<= 1: plain)."""
+    return f"two-phase-L{max(list_size, 1)}"
+
+
+def decode_frame(
+    ridx: ReachIndex,
+    weights: WeightAssignment,
+    decoders: tuple[str, ...],
+    participation_prune: bool = True,
+) -> FrameDecode:
+    """Decode one frame with every named decoder from one shared state.
+
+    Names are those of ``DECODER_NAMES``, or "two-phase-L<k>" for any list
+    size k.  Phase 1 runs once for all decoders but exact ML; phase 2 runs at
+    most once, only when phase 1 did not settle the frame, and every list
+    size reuses it.  Exact ML builds the start-to-final distance table, which
+    is returned for the witness searches.
+    """
+    p1 = p2 = table = stopped = scalar = None
+    if any(name != "exact-ml" for name in decoders):
+        p1 = phase1(ridx, weights)
+        stopped = phase1_decision(ridx, p1, weights)
+    outcomes: dict[str, DecodeOutcome] = {}
+    for name in decoders:
+        two_phase = _TWO_PHASE.fullmatch(name)
+        if name == "exact-ml":
+            table = all_pairs_start_final_distances(ridx, weights)
+            diag = np.diagonal(table.d)
+            i_star = int(np.argmin(diag))
+            if not np.isfinite(diag[i_star]):
+                raise NoPathError("no subtrellis contains a start-to-final path")
+            outcomes[name] = _outcome(
+                ridx, weights, "exact", i_star,
+                int(ridx.member_counts.sum()), ridx.t * ridx.trellis.num_edges,
+            )
+        elif name == "phase1-only":
+            # a phase-1 stop is on the cheapest final, so also on the cheapest closed one
+            outcomes[name] = stopped if stopped is not None else _phase1_only(ridx, weights, p1)
+        elif two_phase is None:
+            raise CatalogError(f"unknown decoder {name!r}; available: {', '.join(DECODER_NAMES)}")
+        elif stopped is not None:
+            outcomes[name] = stopped
+        else:
+            if p2 is None:
+                p2 = phase2(ridx, weights, p1, participation_prune)
+                scalar = final_decision(ridx, weights, p1, p2)
+            list_size = int(two_phase.group(1))
+            outcomes[name] = (
+                scalar if list_size == 1 else _list_decision(ridx, weights, p1, p2, scalar, list_size)
+            )
+    return FrameDecode(outcomes=outcomes, p1=p1, p2=p2, table=table)
 
 
 def decode_two_phase(
@@ -487,53 +594,8 @@ def decode_two_phase(
     pools the finals of both, so enlarging the list can only improve (or tie)
     the returned weight, frame by frame.
     """
-    p1 = phase1(ridx, weights)
-    stopped = phase1_decision(ridx, p1, weights)
-    if stopped is not None:
-        return stopped
-    p2 = phase2(ridx, weights, p1, participation_prune)
-    scalar = final_decision(ridx, weights, p1, p2)
-    if list_size <= 1:
-        return scalar
-    ls = _phase2_list(ridx, weights, p1, list_size, p2.participants)
-    best: tuple | None = None
-    final_metrics = ls.metric[-1][:, ridx.trellis.finals]  # (L, t)
-    for i in range(ridx.t):
-        for r in range(list_size):
-            m = float(final_metrics[r, i])
-            if np.isfinite(m):
-                key = (m, i, r)
-                if best is None or key < best:
-                    best = key
-    comparisons = scalar.comparisons + ls.comparisons
-    if best is not None:
-        _, i, r = best
-        path, bits, weight = _traceback_list(
-            ridx, ls, ridx.trellis.finals[i], r, weights
-        )
-        # Compare true path weights; the single-candidate result wins ties so
-        # a larger list can only strictly improve the decision.
-        if scalar.stage == "fallback" or weight < scalar.weight:
-            return DecodeOutcome(
-                codeword=bits,
-                path=path,
-                weight=weight,
-                stage="phase2",
-                subtrellis=i,
-                comparisons=comparisons,
-                edge_visits=scalar.edge_visits,
-            )
-    out = DecodeOutcome(
-        codeword=scalar.codeword,
-        path=scalar.path,
-        weight=scalar.weight,
-        stage=scalar.stage,
-        subtrellis=scalar.subtrellis,
-        comparisons=comparisons,
-        edge_visits=scalar.edge_visits,
-        fallback_comparisons=scalar.fallback_comparisons,
-    )
-    return out
+    name = two_phase_name(list_size)
+    return decode_frame(ridx, weights, (name,), participation_prune).outcomes[name]
 
 
 def decode_phase1_only(ridx: ReachIndex, weights: WeightAssignment) -> DecodeOutcome:
@@ -544,33 +606,7 @@ def decode_phase1_only(ridx: ReachIndex, weights: WeightAssignment) -> DecodeOut
     so a single restricted sweep on the most promising subtrellis stands in
     (stage "fallback").
     """
-    p1 = phase1(ridx, weights)
-    own = p1.surv_finals == np.arange(ridx.t)
-    if own.any():
-        candidates = np.where(own, p1.delta_finals, np.inf)
-        i = int(np.argmin(candidates))
-        path, bits, weight = _traceback(ridx, p1.pred_edge, ridx.trellis.finals[i], weights)
-        return DecodeOutcome(
-            codeword=bits,
-            path=path,
-            weight=weight,
-            stage="phase1",
-            subtrellis=i,
-            comparisons=p1.comparisons,
-            edge_visits=p1.edge_visits,
-        )
-    i_star = int(np.argmin(p1.delta_finals))
-    sub = viterbi_subtrellis(ridx, weights, i_star)
-    return DecodeOutcome(
-        codeword=sub.codeword,
-        path=sub.path,
-        weight=sub.weight,
-        stage="fallback",
-        subtrellis=i_star,
-        comparisons=p1.comparisons,
-        edge_visits=p1.edge_visits,
-        fallback_comparisons=sub.comparisons,
-    )
+    return decode_frame(ridx, weights, ("phase1-only",)).outcomes["phase1-only"]
 
 
 # ---------------------------------------------------------------------------
@@ -628,21 +664,7 @@ def decode_exact_ml(ridx: ReachIndex, weights: WeightAssignment) -> DecodeOutcom
     Comparison counts reflect the t restricted sweeps this is equivalent to
     (the joint sweep plus one traceback pass is just the fast realization).
     """
-    table = all_pairs_start_final_distances(ridx, weights)
-    diag = np.diagonal(table.d)
-    i_star = int(np.argmin(diag))
-    if not np.isfinite(diag[i_star]):
-        raise NoPathError("no subtrellis contains a start-to-final path")
-    sub = viterbi_subtrellis(ridx, weights, i_star)
-    return DecodeOutcome(
-        codeword=sub.codeword,
-        path=sub.path,
-        weight=sub.weight,
-        stage="exact",
-        subtrellis=i_star,
-        comparisons=int(ridx.member_counts.sum()),
-        edge_visits=ridx.t * ridx.trellis.num_edges,
-    )
+    return decode_frame(ridx, weights, ("exact-ml",)).outcomes["exact-ml"]
 
 
 def euclidean_weight(received: ReceivedVector, codeword: np.ndarray) -> float:

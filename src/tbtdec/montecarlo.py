@@ -26,18 +26,7 @@ from .codes import (
     encode_conv_tailbiting,
     semi_codeword_basis,
 )
-from .decoder import (
-    DecodeOutcome,
-    all_pairs_start_final_distances,
-    decode_exact_ml,
-    decode_phase1_only,
-    decode_two_phase,
-    parallel_start_costs,
-    phase1,
-    phase1_decision,
-    phase2,
-    final_decision,
-)
+from .decoder import DECODER_NAMES, DecodeOutcome, decode_frame, two_phase_name
 from .diagnostics import (
     MismatchReport,
     audit_decode_invariants,
@@ -45,8 +34,8 @@ from .diagnostics import (
     semi_codeword_witness,
     write_mismatch_reports,
 )
-from .errors import CatalogError, LengthMismatchError
-from .trellis import ReachIndex, Trellis, build_reach_index, build_tbt_conv, build_tbt_product
+from .errors import CatalogError, LengthMismatchError, ToolkitError
+from .trellis import ReachIndex, build_reach_index, build_tbt_conv, build_tbt_product
 
 __all__ = [
     "SimConfig",
@@ -59,14 +48,13 @@ __all__ = [
     "trace_frame",
     "frame_streams",
     "CSV_HEADER",
-    "DECODER_NAMES",
 ]
 
 CSV_HEADER = (
     "ebn0_db,decoder,frames,bit_errors,frame_errors,ber,fer,"
     "ml_mismatches,phase1_stops,fallbacks,avg_comparisons"
 )
-DECODER_NAMES = ("two-phase-L1", "two-phase-L2", "exact-ml", "phase1-only")
+_FRAME_LIMIT = 1 << 32  # frame numbers fill 32 bits of a stream id
 
 CodeLike = Union[str, GeneratorSpec, ConvCodeSpec]
 
@@ -155,6 +143,9 @@ def build_context(code: CodeLike) -> SimContext:
 
 def frame_streams(point_idx: int, frame: int) -> tuple[int, int]:
     """Noise and message stream ids for one frame of one Eb/N0 point."""
+    if not 0 <= frame < _FRAME_LIMIT:
+        # a larger number would reach into the point bits and share streams
+        raise ToolkitError(f"frame number {frame} outside [0, 2**32)")
     base = (point_idx << 33) | (frame << 1)
     return base, base | 1
 
@@ -177,18 +168,6 @@ def _make_frame(ctx: SimContext, params: ChannelParams, point_idx: int, frame: i
 def _conv_message_from_path(path: np.ndarray) -> np.ndarray:
     """Input bits of a convolutional trellis path: newest state bit per step."""
     return (path[1:] & 1).astype(np.uint8)
-
-
-def _run_decoder(name: str, ctx: SimContext, weights, prune: bool) -> DecodeOutcome:
-    if name == "two-phase-L1":
-        return decode_two_phase(ctx.ridx, weights, 1, prune)
-    if name == "two-phase-L2":
-        return decode_two_phase(ctx.ridx, weights, 2, prune)
-    if name == "exact-ml":
-        return decode_exact_ml(ctx.ridx, weights)
-    if name == "phase1-only":
-        return decode_phase1_only(ctx.ridx, weights)
-    raise CatalogError(f"unknown decoder {name!r}; available: {', '.join(DECODER_NAMES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +211,9 @@ def _run_chunk(config: SimConfig, point_idx: int, lo: int, hi: int):
     for frame in range(lo, hi):
         msg, codeword, received = _make_frame(ctx, params, point_idx, frame, config.genie_zero)
         weights = edge_weights(ctx.ridx.trellis, received)
-        outcomes = {
-            name: _run_decoder(name, ctx, weights, config.participation_prune)
-            for name in config.decoders
-        }
-        exact = outcomes.get("exact-ml")
-        table = None
-        for name, outcome in outcomes.items():
+        decoded = decode_frame(ctx.ridx, weights, config.decoders, config.participation_prune)
+        exact = decoded.outcomes.get("exact-ml")
+        for name, outcome in decoded.outcomes.items():
             tally = tallies[name]
             tally.frames += 1
             tally.bit_errors += _bit_errors(ctx, outcome, msg, codeword)
@@ -251,9 +226,7 @@ def _run_chunk(config: SimConfig, point_idx: int, lo: int, hi: int):
             tally.comparisons += outcome.comparisons + outcome.fallback_comparisons
             if want_exact and name != "exact-ml" and not np.array_equal(outcome.codeword, exact.codeword):
                 tally.ml_mismatches += 1
-                if table is None:
-                    table = all_pairs_start_final_distances(ctx.ridx, weights)
-                witness = crossing_pair_witness(table, exact.subtrellis)
+                witness = crossing_pair_witness(decoded.table, exact.subtrellis)
                 report = MismatchReport(
                     frame=frame,
                     ebn0_db=ebn0,
@@ -292,10 +265,10 @@ def run_monte_carlo(config: SimConfig) -> list[SimResultRow]:
 
     Tallies are integer sums, so how frames are split across workers cannot
     change any output; mismatch reports are gathered and written in frame
-    order at the end.
+    order at the end, replacing any earlier log at that path.
     """
-    if config.frames < 1:
-        raise LengthMismatchError("frames must be >= 1")
+    if not 1 <= config.frames <= _FRAME_LIMIT:
+        raise LengthMismatchError("frames must be between 1 and 2**32")
     if not config.ebn0_db:
         raise LengthMismatchError("at least one Eb/N0 point required")
     if not config.decoders:
@@ -305,25 +278,25 @@ def run_monte_carlo(config: SimConfig) -> list[SimResultRow]:
             raise CatalogError(f"unknown decoder {name!r}; available: {', '.join(DECODER_NAMES)}")
     ctx = build_context(config.code)
 
-    rows: list[SimResultRow] = []
-    all_reports: list[tuple[int, MismatchReport]] = []
     bounds = _chunk_bounds(config.frames, config.workers)
-    for point_idx, ebn0 in enumerate(config.ebn0_db):
-        tallies = {name: _Tally() for name in config.decoders}
-        if config.workers > 1 and len(bounds) > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                futures = [
-                    pool.submit(_run_chunk, config, point_idx, lo, hi) for lo, hi in bounds
-                ]
-                chunk_results = [f.result() for f in futures]
-        else:
-            chunk_results = [_run_chunk(config, point_idx, lo, hi) for lo, hi in bounds]
-        for chunk_tallies, chunk_reports in chunk_results:
-            for name in config.decoders:
-                tallies[name].merge(chunk_tallies[name])
-            all_reports.extend((point_idx, r) for r in chunk_reports)
+    jobs = [(point_idx, lo, hi) for point_idx in range(len(config.ebn0_db)) for lo, hi in bounds]
+    if config.workers > 1 and len(bounds) > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            futures = [pool.submit(_run_chunk, config, *job) for job in jobs]
+            chunk_results = [f.result() for f in futures]
+    else:
+        chunk_results = [_run_chunk(config, *job) for job in jobs]
+    tallies = [{name: _Tally() for name in config.decoders} for _ in config.ebn0_db]
+    all_reports: list[tuple[int, MismatchReport]] = []
+    for (point_idx, _, _), (chunk_tallies, chunk_reports) in zip(jobs, chunk_results):
         for name in config.decoders:
-            tally = tallies[name]
+            tallies[point_idx][name].merge(chunk_tallies[name])
+        all_reports.extend((point_idx, r) for r in chunk_reports)
+
+    rows: list[SimResultRow] = []
+    for point_idx, ebn0 in enumerate(config.ebn0_db):
+        for name in config.decoders:
+            tally = tallies[point_idx][name]
             denom = tally.frames * ctx.bits_per_frame
             rows.append(
                 SimResultRow(
@@ -340,7 +313,8 @@ def run_monte_carlo(config: SimConfig) -> list[SimResultRow]:
                     avg_comparisons=tally.comparisons / tally.frames,
                 )
             )
-    if config.mismatch_log and all_reports:
+    if config.mismatch_log:
+        open(config.mismatch_log, "w", encoding="utf-8").close()  # the writer appends
         all_reports.sort(key=lambda item: (item[0], item[1].frame, item[1].decoder))
         write_mismatch_reports(config.mismatch_log, [r for _, r in all_reports])
     return rows
@@ -423,45 +397,36 @@ def trace_frame(
     msg, codeword, received = _make_frame(ctx, params, point_idx, frame, config.genie_zero)
     weights = edge_weights(trellis, received)
 
+    name = two_phase_name(list_size)
+    decoded = decode_frame(ridx, weights, (name,), config.participation_prune)
+    p1, p2, outcome = decoded.p1, decoded.p2, decoded.outcomes[name]
+
+    def pred(pred_edge: list[np.ndarray], p: int, v: int) -> int:
+        """Global id of the survivor's predecessor of vertex v at index p (-1 at index 0)."""
+        if p == 0:
+            return -1
+        return ridx.global_vertex(p - 1, int(trellis.sections[p - 1].frm[pred_edge[p - 1][v]]))
+
     lines = [f"frame={frame} ebn0_db={_trace_float(ebn0)} seed={config.seed} code={ctx.name}"]
-    p1 = phase1(ridx, weights)
     for p in range(trellis.n_sections + 1):
         for v in range(trellis.v_counts[p]):
             gid = ridx.global_vertex(p, v)
-            if p == 0:
-                pred = -1
-            else:
-                sec = trellis.sections[p - 1]
-                pred = ridx.global_vertex(p - 1, int(sec.frm[p1.pred_edge[p - 1][v]]))
             lines.append(
                 f"phase=1 v={gid} cost={_trace_float(p1.cost[p][v])}"
-                f" surv={int(p1.surv[p][v])} pred={pred}"
+                f" surv={int(p1.surv[p][v])} pred={pred(p1.pred_edge, p, v)}"
             )
-    stopped = phase1_decision(ridx, p1, weights)
-    p2 = None
-    if stopped is not None:
-        outcome = stopped
-    else:
-        p2 = phase2(ridx, weights, p1, config.participation_prune)
+    if p2 is not None:
         for p in range(trellis.n_sections + 1):
             for v in range(trellis.v_counts[p]):
                 gid = ridx.global_vertex(p, v)
                 if np.isfinite(p2.metric[p][v]):
-                    if p == 0:
-                        pred = -1
-                    else:
-                        sec = trellis.sections[p - 1]
-                        pred = ridx.global_vertex(p - 1, int(sec.frm[p2.pred_edge[p - 1][v]]))
                     lines.append(
                         f"phase=2 v={gid} metric={_trace_float(p2.metric[p][v])}"
                         f" trellis={int(p2.trellis[p][v])}"
-                        f" dist={_trace_float(p2.dist[p][v])} pred={pred}"
+                        f" dist={_trace_float(p2.dist[p][v])} pred={pred(p2.pred_edge, p, v)}"
                     )
                 else:
                     lines.append(f"phase=2 v={gid} metric=inf trellis=-1 dist=inf pred=-1")
-        outcome = final_decision(ridx, weights, p1, p2)
-        if list_size > 1:
-            outcome = decode_two_phase(ridx, weights, list_size, config.participation_prune)
     bits = "".join(str(int(b)) for b in outcome.codeword)
     lines.append(
         f"outcome stage={outcome.stage} subtrellis={outcome.subtrellis}"

@@ -134,6 +134,16 @@ def test_edge_weights_length_mismatch(ridx_block4):
         tb.edge_weights(ridx_block4.trellis, rec)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_edge_weights_reject_non_finite_samples(bad):
+    # a NaN sample used to reach phase 1 and fail there with an IndexError
+    trellis = tb.build_context("mem4-circle20").ridx.trellis
+    r = np.zeros(trellis.n_sections * trellis.label_width)
+    r[5] = bad
+    with pytest.raises(tb.ToolkitError, match="NaN or infinite"):
+        tb.edge_weights(trellis, tb.ReceivedVector(r=r))
+
+
 def test_transmit_codeword_helper(block4, ridx_block4):
     c = tb.encode_block(block4, np.array([1, 0], dtype=np.uint8))
     rec = transmit_codeword(ridx_block4, c, ebn0_db=60.0, rate=0.5, seed=1, stream=0)

@@ -1,12 +1,14 @@
 """Monte-Carlo driver, serialization, tracing, and CLI tests."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tbtdec as tb
-from tbtdec import cli
+from tbtdec import cli, montecarlo
 from tbtdec.montecarlo import CSV_HEADER, build_context, frame_streams
 
 
@@ -137,6 +139,65 @@ def test_frame_streams_disjoint():
             assert noise not in seen and msg not in seen
             seen.add(noise)
             seen.add(msg)
+
+
+def test_frame_streams_reject_frames_outside_32_bits():
+    # 2**32 would collide with frame 0 of the next Eb/N0 point
+    assert frame_streams(0, 2**32 - 1) != frame_streams(1, 0)
+    for frame in (-1, 2**32):
+        with pytest.raises(tb.ToolkitError):
+            frame_streams(0, frame)
+    with pytest.raises(tb.ToolkitError):
+        tb.run_monte_carlo(_config(frames=2**32 + 1))
+
+
+def test_rerun_replaces_mismatch_log(tmp_path):
+    log = tmp_path / "mismatch.jsonl"
+    config = _config(ebn0_db=(1.0,), frames=60, decoders=("phase1-only", "exact-ml"),
+                     mismatch_log=str(log))
+    rows = tb.run_monte_carlo(config)
+    first = log.read_text()
+    assert len(first.splitlines()) == rows[0].ml_mismatches > 0
+    tb.run_monte_carlo(config)
+    assert log.read_text() == first
+    # a run without mismatches leaves an empty log, not the old one
+    tb.run_monte_carlo(_config(ebn0_db=(40.0,), frames=5, mismatch_log=str(log)))
+    assert log.read_text() == ""
+
+
+def test_weight_tie_with_exact_ml_counts_as_mismatch(monkeypatch, tmp_path):
+    # r = (-1, 0, 0, 0) gives the codewords 1100 and 1001 the same weight 3;
+    # two-phase and exact ML break that tie differently, and the decoder's
+    # different codeword is counted and logged although it is no heavier.
+    received = tb.ReceivedVector(r=np.array([-1.0, 0.0, 0.0, 0.0]))
+
+    def tied_frame(ctx, params, point_idx, frame, genie_zero):
+        msg = np.zeros(ctx.spec.k, dtype=np.uint8)
+        return msg, np.zeros(ctx.spec.n, dtype=np.uint8), received
+
+    monkeypatch.setattr(montecarlo, "_make_frame", tied_frame)
+    log = tmp_path / "mismatch.jsonl"
+    rows = tb.run_monte_carlo(_config(code="toy-block-n4-k2-c1", ebn0_db=(2.0,), frames=1,
+                                      decoders=("two-phase-L1", "exact-ml"), mismatch_log=str(log)))
+    assert rows[0].ml_mismatches == 1
+    report = tb.MismatchReport.from_json(log.read_text())
+    assert report.out_weight == report.ml_weight == 3.0
+    assert report.out_subtrellis != report.ml_subtrellis
+
+
+def test_one_process_pool_per_run(monkeypatch):
+    opened = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    config = _config(ebn0_db=(1.0, 2.0, 3.0), frames=10, decoders=("two-phase-L1",))
+    rows = tb.run_monte_carlo(replace(config, workers=2))
+    assert opened == [2]
+    assert tb.emit_results(rows) == tb.emit_results(tb.run_monte_carlo(config))
 
 
 def test_config_validation():
