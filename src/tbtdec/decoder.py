@@ -153,8 +153,29 @@ def _check_weights(ridx: ReachIndex, weights: WeightAssignment) -> None:
             raise LengthMismatchError(f"weights for section {p + 1} do not match edge count")
 
 
-def _grouped_first_min(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
-    """Per-group minimum plus the first edge attaining it (ties: lowest edge id)."""
+def _group_min(cand: np.ndarray, ridx: ReachIndex, p: int) -> np.ndarray:
+    """Minimum over each vertex's in-edges of section p, along the last axis.
+
+    When every vertex has the same number g of in-edges (convolutional
+    trellises), the groups are the strided slices k::g and g - 1 elementwise
+    minima replace the much slower reduceat.
+    """
+    g = ridx.group_width[p]
+    if not g:
+        return np.minimum.reduceat(cand, ridx.group_starts[p], axis=-1)
+    best = cand[..., 0::g]
+    for k in range(1, g):
+        best = np.minimum(best, cand[..., k::g])
+    return best
+
+
+def _grouped_first_min(values: np.ndarray, ridx: ReachIndex, p: int):
+    """Per-vertex minimum plus the first edge attaining it (ties: lowest edge id)."""
+    starts, g = ridx.group_starts[p], ridx.group_width[p]
+    if g:
+        win = values.reshape(-1, g).argmin(axis=1) + starts
+        return values[win], win
+    sizes = ridx.group_sizes[p]
     best = np.minimum.reduceat(values, starts)
     tie = values == np.repeat(best, sizes)
     pos = np.where(tie, np.arange(len(values)), len(values))
@@ -216,13 +237,13 @@ def _outcome(
     """The decision for subtrellis ``i``; every DecodeOutcome is built here.
 
     With ``pred_edge`` the codeword is traced back from final i.  Without, a
-    restricted Viterbi sweep of subtrellis i finds it (exact ML, fallback);
-    a fallback reports that sweep's comparisons as ``fallback_comparisons``.
+    restricted Viterbi sweep of subtrellis i finds it; only a fallback does
+    that, and it reports the sweep's comparisons as ``fallback_comparisons``.
     """
     if pred_edge is None:
         sub = viterbi_subtrellis(ridx, weights, i)
         path, bits, weight = sub.path, sub.codeword, sub.weight
-        extra = sub.comparisons if stage == "fallback" else 0
+        extra = sub.comparisons
     else:
         path, bits, weight = _traceback(
             ridx, pred_edge, ridx.trellis.finals[i], weights, pred_rank, rank
@@ -273,7 +294,7 @@ def phase1(ridx: ReachIndex, weights: WeightAssignment) -> Phase1State:
     comparisons = 0
     for p, sec in enumerate(trellis.sections):
         cand = cost[p][sec.frm] + weights.sections[p]
-        best, win = _grouped_first_min(cand, ridx.group_starts[p], ridx.group_sizes[p])
+        best, win = _grouped_first_min(cand, ridx, p)
         cost[p + 1] = best
         surv[p + 1] = surv[p][sec.frm[win]]
         pred_edge.append(win.astype(np.int32))
@@ -348,7 +369,7 @@ def phase2(
         ok = np.isfinite(metric[p][sec.frm]) & ridx.member_bit(p, tr_u)
         step = dist[p][sec.frm] + weights.sections[p]
         cand = np.where(ok, (step + d_final[tr_u]) - p1.cost[p + 1][sec.to], np.inf)
-        best, win = _grouped_first_min(cand, ridx.group_starts[p], ridx.group_sizes[p])
+        best, win = _grouped_first_min(cand, ridx, p)
         metric[p + 1] = best
         tr[p + 1] = tr_u[win]
         dist[p + 1] = step[win]
@@ -439,11 +460,10 @@ def _phase2_list(
         if len(alive) == 0:
             continue
         c_met = flat[alive]
-        c_to = np.tile(sec.to, L)[alive]
+        c_rank, c_edge = np.divmod(alive, E)  # flat index = rank * E + edge
+        c_to = sec.to[c_edge]
         c_tr = tr_u.ravel()[alive]
         c_step = step.ravel()[alive]
-        c_edge = np.tile(np.arange(E, dtype=np.int32), L)[alive]
-        c_rank = np.repeat(np.arange(L, dtype=np.int32), E)[alive]
         order_id = np.arange(len(alive))
         # Cheapest candidate of each (vertex, subtrellis) pair gets priority.
         by_pair = np.lexsort((order_id, c_met, c_tr, c_to))
@@ -555,7 +575,8 @@ def decode_frame(
     for name in decoders:
         two_phase = _TWO_PHASE.fullmatch(name)
         if name == "exact-ml":
-            table = all_pairs_start_final_distances(ridx, weights)
+            costs = parallel_start_costs(ridx, weights)
+            table = DistanceTable(d=costs[-1][:, ridx.trellis.finals])
             diag = np.diagonal(table.d)
             i_star = int(np.argmin(diag))
             if not np.isfinite(diag[i_star]):
@@ -563,6 +584,7 @@ def decode_frame(
             outcomes[name] = _outcome(
                 ridx, weights, "exact", i_star,
                 int(ridx.member_counts.sum()), ridx.t * ridx.trellis.num_edges,
+                _start_pred_edges(ridx, weights, costs, i_star),
             )
         elif name == "phase1-only":
             # a phase-1 stop is on the cheapest final, so also on the cheapest closed one
@@ -623,7 +645,7 @@ def viterbi_subtrellis(ridx: ReachIndex, weights: WeightAssignment, i: int) -> S
     for p, sec in enumerate(trellis.sections):
         ok = ridx.member_bit(p, np.full(sec.num_edges, i, dtype=np.int64))
         cand = np.where(ok, cost[sec.frm] + weights.sections[p], np.inf)
-        cost, win = _grouped_first_min(cand, ridx.group_starts[p], ridx.group_sizes[p])
+        cost, win = _grouped_first_min(cand, ridx, p)
         preds.append(win.astype(np.int32))
         comparisons += int(ok.sum())
     if not np.isfinite(cost[trellis.finals[i]]):
@@ -646,8 +668,23 @@ def parallel_start_costs(ridx: ReachIndex, weights: WeightAssignment) -> list[np
     costs[0][np.arange(t), trellis.starts] = 0.0
     for p, sec in enumerate(trellis.sections):
         cand = costs[p][:, sec.frm] + weights.sections[p][None, :]
-        costs[p + 1] = np.minimum.reduceat(cand, ridx.group_starts[p], axis=1)
+        costs[p + 1] = _group_min(cand, ridx, p)
     return costs
+
+
+def _start_pred_edges(
+    ridx: ReachIndex, weights: WeightAssignment, costs: list[np.ndarray], i: int
+) -> list[np.ndarray]:
+    """Survivor edges of the sweep from start i, recomputed from its costs.
+
+    Along any start-i..final-i path every in-edge with a finite candidate is
+    a member edge of subtrellis i, so tracing these back from final i gives
+    the same path as ``viterbi_subtrellis(ridx, weights, i)``.
+    """
+    return [
+        _grouped_first_min(costs[p][i, sec.frm] + weights.sections[p], ridx, p)[1]
+        for p, sec in enumerate(ridx.trellis.sections)
+    ]
 
 
 def all_pairs_start_final_distances(

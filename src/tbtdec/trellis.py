@@ -257,6 +257,7 @@ class ReachIndex:
         self.edge_masks = []
         self.group_starts = []
         self.group_sizes = []
+        self.group_width = []  # in-edges per vertex when equal for all, else 0
         for p, sec in enumerate(trellis.sections):
             self.edge_masks.append(fwd[p][sec.frm] & bwd[p + 1][sec.to])
             v_next = trellis.v_counts[p + 1]
@@ -268,6 +269,7 @@ class ReachIndex:
             self.group_starts.append(starts_.astype(np.int64))
             sizes = np.diff(np.concatenate([starts_, [sec.num_edges]]))
             self.group_sizes.append(sizes.astype(np.int64))
+            self.group_width.append(int(sizes[0]) if np.all(sizes == sizes[0]) else 0)
         counts = np.zeros(self.t, dtype=np.int64)
         for masks in self.edge_masks:
             for i in range(self.t):

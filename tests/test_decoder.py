@@ -1,5 +1,7 @@
 """Two-phase decoder tests: exactness, dominance, lists, fallback."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -237,6 +239,56 @@ def test_viterbi_subtrellis_matches_enumeration(ridx_block6):
         sub = tb.viterbi_subtrellis(ridx, weights, i)
         assert sub.weight == pytest.approx(best, rel=1e-12)
         assert float(table.d[i, i]) == pytest.approx(best, rel=1e-12)
+
+
+def test_exact_ml_traces_the_restricted_viterbi_path(ridx_block6, ridx_conv_m2):
+    # exact ML traces its codeword back through the joint sweep's costs
+    # instead of rerunning the restricted sweep; both must find the same path
+    for ridx in (ridx_block6, ridx_conv_m2):
+        for frame in range(40):
+            _, weights = _weights_of(ridx, seed=71, frame=frame)
+            out = tb.decode_exact_ml(ridx, weights)
+            sub = tb.viterbi_subtrellis(ridx, weights, out.subtrellis)
+            assert np.array_equal(out.path, sub.path)
+            assert np.array_equal(out.codeword, sub.codeword)
+            assert out.weight == sub.weight
+
+
+def test_equal_in_degree_fast_path_matches_reduceat(ridx_conv_m2):
+    # every conv vertex has two in-edges, so the sweeps take the strided fast
+    # path; with that path switched off they use reduceat, and both must give
+    # the same costs, survivors and decisions bit for bit, ties included
+    ridx = ridx_conv_m2
+    assert ridx.group_width == [2] * ridx.trellis.n_sections
+    generic = copy.copy(ridx)
+    generic.group_width = [0] * ridx.trellis.n_sections
+
+    def same(a, b):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    for frame in range(30):
+        rec = random_received(ridx, seed=73, frame=frame)
+        if frame % 2:
+            rec = tb.ReceivedVector(r=np.round(rec.r))  # coarse samples: many equal costs
+        weights = tb.edge_weights(ridx.trellis, rec)
+        same(tb.parallel_start_costs(ridx, weights), tb.parallel_start_costs(generic, weights))
+        fast, slow = tb.decode_frame(ridx, weights, tb.DECODER_NAMES), tb.decode_frame(
+            generic, weights, tb.DECODER_NAMES
+        )
+        for name in ("cost", "surv", "pred_edge"):
+            same(getattr(fast.p1, name), getattr(slow.p1, name))
+        assert (fast.p2 is None) == (slow.p2 is None)
+        if fast.p2 is not None:
+            for name in ("metric", "dist", "trellis", "pred_edge"):
+                same(getattr(fast.p2, name), getattr(slow.p2, name))
+        for name in tb.DECODER_NAMES:
+            a, b = fast.outcomes[name], slow.outcomes[name]
+            assert np.array_equal(a.path, b.path)
+            assert (a.weight, a.stage, a.subtrellis, a.comparisons) == (
+                b.weight, b.stage, b.subtrellis, b.comparisons
+            )
 
 
 # ---------------------------------------------------------------------------
