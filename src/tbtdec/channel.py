@@ -44,7 +44,7 @@ class ChannelParams:
 class ReceivedVector:
     """Channel output with the derived views decoders and diagnostics need."""
 
-    r: np.ndarray  # float64 (n,)
+    r: np.ndarray  # float64 (n,), or (F, n) for a batch of frames
 
     @property
     def magnitudes(self) -> np.ndarray:
@@ -56,17 +56,26 @@ class ReceivedVector:
 
 
 class WeightAssignment:
-    """Squared-Euclidean edge weights for one received frame.
+    """Squared-Euclidean edge weights for one received frame or a batch of frames.
 
-    One float64 array per section, aligned with that section's edge order.
+    One float64 array per section, aligned with that section's edge order:
+    (E_p,) for one frame, (F, E_p) for a batch of F frames.  ``table``, when
+    given, holds every section's weights side by side, (E,) or (F, E), with
+    ``sections`` as its views; tracebacks gather path weights from it.
     """
 
-    def __init__(self, sections: list[np.ndarray]):
+    def __init__(self, sections: list[np.ndarray], table: np.ndarray | None = None):
         self.sections = sections
+        self.table = table
 
     @property
     def total_edges(self) -> int:
-        return sum(len(w) for w in self.sections)
+        return sum(w.shape[-1] for w in self.sections)
+
+    def frame(self, f: int) -> "WeightAssignment":
+        """Frame f of a batch as a single-frame assignment (views, no copies)."""
+        table = None if self.table is None else self.table[f]
+        return WeightAssignment([w[f] for w in self.sections], table)
 
 
 def bpsk_modulate(bits) -> np.ndarray:
@@ -104,23 +113,28 @@ def awgn_transmit(signal: np.ndarray, params: ChannelParams, stream: int) -> Rec
 def edge_weights(trellis, received: ReceivedVector) -> WeightAssignment:
     """Per-edge weights: sum over the edge's bits of (r_l - s(bit))^2.
 
-    Computed once per frame via a per-section lookup table over the 2^width
-    possible labels, then gathered per edge.
+    ``received.r`` is one frame, (n,), or a batch of F frames, (F, n), which
+    gives (F, E_p) weights per section.  A per-section lookup table over the
+    2^width possible labels is built once per frame, and one gather over
+    ``trellis.label_index`` reads every edge's weight from it.
     """
     width = trellis.label_width
     n_bits = trellis.n_sections * width
-    if received.r.shape != (n_bits,):
+    r = received.r
+    if r.ndim not in (1, 2) or r.shape[-1] != n_bits:
         raise LengthMismatchError(
-            f"received vector has {received.r.shape[0]} samples, trellis needs {n_bits}"
+            f"received vector has {r.shape[-1]} samples, trellis needs {n_bits}"
         )
-    if not np.isfinite(received.r).all():
+    if not np.isfinite(r).all():
         raise ToolkitError("received vector has NaN or infinite samples")
-    r = received.r.reshape(trellis.n_sections, width)
-    # table[p, v] = weight of label value v in section p+1
+    r = r.reshape(*r.shape[:-1], trellis.n_sections, width)
+    # table[..., p, v] = weight of label value v in section p+1
     signs = 1.0 - 2.0 * (
         (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)[None, :]) & 1
     )
-    table = ((r[:, None, :] - signs[None, :, :]) ** 2).sum(axis=2)
+    table = ((r[..., None, :] - signs) ** 2).sum(axis=-1)
+    flat = table.reshape(*table.shape[:-2], -1)[..., trellis.label_index]
+    bounds = trellis.edge_offsets
     return WeightAssignment(
-        [table[p, sec.labels] for p, sec in enumerate(trellis.sections)]
+        [flat[..., a:b] for a, b in zip(bounds[:-1], bounds[1:])], table=flat
     )

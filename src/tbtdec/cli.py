@@ -197,7 +197,7 @@ def _cmd_check_lemmas(args: argparse.Namespace) -> int:
         _, _, received = _make_frame(ctx, params, 0, frame, False)
         weights = edge_weights(ridx.trellis, received)
         decoded = decode_frame(ridx, weights, ("two-phase-L1", "exact-ml"))
-        audit = audit_decode_invariants(ridx, weights, decoded.p1, decoded.p2)
+        audit = audit_decode_invariants(ridx, weights, decoded.p1, decoded.p2, decoded.costs)
         violations += len(audit.violations)
         outcome, exact = decoded.outcomes["two-phase-L1"], decoded.outcomes["exact-ml"]
         if outcome.weight < exact.weight - 1e-9 * max(1.0, abs(exact.weight)):

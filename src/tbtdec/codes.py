@@ -10,6 +10,7 @@ are what make the corresponding trellis tail-biting rather than conventional.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -254,14 +255,29 @@ def encode_conv_tailbiting(spec: ConvCodeSpec, message) -> np.ndarray:
     msg = np.asarray(message, dtype=np.uint8)
     if msg.shape != (spec.circle,):
         raise LengthMismatchError(f"message length {msg.shape} != circle={spec.circle}")
-    out = np.zeros((2, spec.circle), dtype=np.uint8)
-    for stream, taps in enumerate((spec.taps0, spec.taps1)):
-        acc = np.zeros(spec.circle, dtype=np.uint8)
-        for delay, coeff in enumerate(taps):
-            if coeff:
-                acc ^= np.roll(msg, delay)
-        out[stream] = acc
-    return out.T.reshape(-1)
+    out = np.empty((spec.circle, 2), dtype=np.uint8)
+    for stream, gather in enumerate(_conv_gathers(spec)):
+        out[:, stream] = np.bitwise_xor.reduce(msg[gather], axis=0)
+    return out.reshape(-1)
+
+
+@lru_cache(maxsize=32)
+def _conv_gathers(spec: ConvCodeSpec) -> tuple[np.ndarray, ...]:
+    """Per stream, the circular gather of its taps: row i reads msg[(j - d_i) % circle].
+
+    d_i runs over the delays with a nonzero coefficient, and np.roll(msg,
+    d)[j] == msg[(j - d) % circle], so XOR over the rows is the circular
+    convolution.
+    """
+    j = np.arange(spec.circle)
+    gathers = tuple(
+        (j - np.array([d for d, coeff in enumerate(taps) if coeff], dtype=np.intp)[:, None])
+        % spec.circle
+        for taps in (spec.taps0, spec.taps1)
+    )
+    for gather in gathers:
+        gather.flags.writeable = False  # shared by every caller through the cache
+    return gathers
 
 
 def conv_initial_state(spec: ConvCodeSpec, message) -> int:

@@ -22,21 +22,26 @@ single full-trellis Viterbi sweep.  The exhaustive alternative — one
 restricted Viterbi sweep per subtrellis — is implemented as
 ``decode_exact_ml`` and doubles as the maximum-likelihood oracle.
 
-``decode_frame`` runs each phase at most once per frame and derives every
-requested decoder's decision from that shared state; the ``decode_*``
-functions are single-decoder calls into it.
+``decode_frames`` runs each phase at most once per frame and derives every
+requested decoder's decision from that shared state.  Phase 1, its stop test
+and the traceback of the frames it settles run over a whole batch of frames
+at once; ``decode_frame`` is the batch of one, and the ``decode_*`` functions
+are single-decoder calls into it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from math import prod
+from typing import Iterator
 
 import numpy as np
 
 from .channel import ReceivedVector, WeightAssignment
 from .errors import CatalogError, LengthMismatchError, NoPathError
-from .trellis import ReachIndex, label_bits
+from .trellis import ReachIndex
 
 __all__ = [
     "Phase1State",
@@ -52,6 +57,7 @@ __all__ = [
     "phase2",
     "final_decision",
     "decode_frame",
+    "decode_frames",
     "two_phase_name",
     "decode_two_phase",
     "decode_phase1_only",
@@ -69,7 +75,12 @@ __all__ = [
 
 @dataclass
 class Phase1State:
-    """Multi-source sweep results: per-index cost / survivor-start / pred arrays."""
+    """Multi-source sweep results: per-index cost / survivor-start / pred arrays.
+
+    Arrays of one frame's sweep are (V,) per index; a batch of F frames swept
+    together has (F, V) arrays whose row f is frame f's state.  ``comparisons``
+    and ``edge_visits`` count one frame's work.
+    """
 
     cost: list[np.ndarray]
     surv: list[np.ndarray]
@@ -78,6 +89,20 @@ class Phase1State:
     edge_visits: int
     delta_finals: np.ndarray  # (t,) cost at final i
     surv_finals: np.ndarray  # (t,) survivor start at final i
+
+    def frame(self, f: int) -> "Phase1State":
+        """Frame f of a batched sweep as row views; one frame's state is itself."""
+        if self.delta_finals.ndim == 1:
+            return self
+        return Phase1State(
+            cost=[a[f] for a in self.cost],
+            surv=[a[f] for a in self.surv],
+            pred_edge=[a[f] for a in self.pred_edge],
+            comparisons=self.comparisons,
+            edge_visits=self.edge_visits,
+            delta_finals=self.delta_finals[f],
+            surv_finals=self.surv_finals[f],
+        )
 
 
 @dataclass
@@ -138,10 +163,17 @@ class DistanceTable:
 class FrameDecode:
     """One frame's decisions by decoder name, plus the state they came from."""
 
-    outcomes: dict[str, DecodeOutcome]
-    p1: Phase1State | None  # None if only exact ML ran
-    p2: Phase2State | None  # None if phase 1 settled the frame or no two-phase decoder ran
-    table: DistanceTable | None  # None unless exact ML ran
+    outcomes: dict[str, DecodeOutcome] = field(default_factory=dict)
+    p2: Phase2State | None = None  # None if phase 1 settled the frame or no two-phase decoder ran
+    table: DistanceTable | None = None  # None unless exact ML ran
+    costs: list[np.ndarray] | None = None  # exact ML's per-start costs, (t, V) per index
+    sweep: Phase1State | None = field(default=None, repr=False)  # the phase-1 sweep, maybe batched
+    row: int = 0  # this frame's row in ``sweep``
+
+    @cached_property
+    def p1(self) -> Phase1State | None:
+        """This frame's phase-1 state; None if only exact ML ran."""
+        return None if self.sweep is None else self.sweep.frame(self.row)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +181,7 @@ class FrameDecode:
 
 def _check_weights(ridx: ReachIndex, weights: WeightAssignment) -> None:
     for p, sec in enumerate(ridx.trellis.sections):
-        if len(weights.sections[p]) != sec.num_edges:
+        if weights.sections[p].shape[-1] != sec.num_edges:
             raise LengthMismatchError(f"weights for section {p + 1} do not match edge count")
 
 
@@ -169,58 +201,128 @@ def _group_min(cand: np.ndarray, ridx: ReachIndex, p: int) -> np.ndarray:
     return best
 
 
-def _grouped_first_min(values: np.ndarray, ridx: ReachIndex, p: int):
-    """Per-vertex minimum plus the first edge attaining it (ties: lowest edge id)."""
-    starts, g = ridx.group_starts[p], ridx.group_width[p]
+def _grouped_first_min(values: np.ndarray, ridx: ReachIndex, p: int, starts=None):
+    """Per-vertex minimum plus the first edge attaining it (ties: lowest edge id).
+
+    ``values`` holds section p's candidates of one frame, or of several frames
+    one after another with ``starts`` the first edge of every frame's vertex
+    groups; the returned edges index ``values``.  When every vertex has the
+    same number g of in-edges, the g strided slices are compared in turn, a
+    later edge winning only when strictly cheaper.
+    """
+    g = ridx.group_width[p]
+    if starts is None:
+        starts = ridx.group_starts[p]
     if g:
-        win = values.reshape(-1, g).argmin(axis=1) + starts
-        return values[win], win
-    sizes = ridx.group_sizes[p]
-    best = np.minimum.reduceat(values, starts)
-    tie = values == np.repeat(best, sizes)
-    pos = np.where(tie, np.arange(len(values)), len(values))
-    return best, np.minimum.reduceat(pos, starts)
+        best, off = values[0::g], 0
+        for k in range(1, g):
+            cand = values[k::g]
+            better = cand < best
+            off = better if k == 1 else np.where(better, k, off)
+            if k + 1 < g:
+                best = np.minimum(best, cand)
+        win = starts + off
+    else:
+        best = np.minimum.reduceat(values, starts)
+        tie = values == np.repeat(best, np.diff(starts, append=len(values)))
+        pos = np.where(tie, np.arange(len(values)), len(values))
+        win = np.minimum.reduceat(pos, starts)
+    return values[win], win
 
 
 def _traceback(
     ridx: ReachIndex,
     pred_edge: list[np.ndarray],
-    final_vertex: int,
+    final_vertices,
     weights: WeightAssignment,
+    frames: np.ndarray | None = None,
     pred_rank: list[np.ndarray] | None = None,
-    rank: int = 0,
+    ranks=None,
 ):
-    """Walk pred edges from a final back to index 0: path, labels, true weight.
+    """Walk pred edges from final vertices back to index 0: paths, labels, true weights.
 
-    List sweeps pass ``pred_rank`` (indexed [rank, vertex]) and the starting
-    ``rank``; single-candidate sweeps are the rank-0 case.
+    There is one walk per final vertex, all taken together, and row k of each
+    result belongs to walk k.  ``pred_edge[p]`` is one sweep's (V,) array, or
+    a batch's (F, V) with ``frames`` naming each walk's frame (``weights`` is
+    then the batch's too), or a list sweep's (L, V) with ``pred_rank`` and
+    each walk's starting rank in ``ranks``.
 
     The weight is re-accumulated left to right over the traced edges — the
     same float additions the sweep performed — so it is the exact path sum
     rather than a metric that went through a telescoping correction.
     """
     trellis = ridx.trellis
-    n, width = trellis.n_sections, trellis.label_width
-    path = np.zeros(n + 1, dtype=np.int32)
-    bits = np.zeros(n * width, dtype=np.uint8)
-    edges = np.zeros(n, dtype=np.int64)
-    v, r = int(final_vertex), int(rank)
-    path[n] = v
+    n = trellis.n_sections
+    v = np.asarray(final_vertices, dtype=np.intp)
+    rows = frames if pred_rank is None else np.asarray(ranks, dtype=np.intp)
+    if rows is not None:  # index the flattened rows at row * V + v
+        pred_edge = [a.reshape(-1) for a in pred_edge]
+        if pred_rank is not None:
+            pred_rank = [a.reshape(-1) for a in pred_rank]
+    walk = [v]
+    edges = []
     for p in range(n - 1, -1, -1):
-        sec = trellis.sections[p]
-        if pred_rank is None:
-            e = int(pred_edge[p][v])
-        else:
-            e = int(pred_edge[p][r, v])
-            r = int(pred_rank[p][r, v])
-        edges[p] = e
-        bits[p * width : (p + 1) * width] = label_bits(int(sec.labels[e]), width)
-        v = int(sec.frm[e])
-        path[p] = v
-    weight = 0.0
-    for p in range(n):
-        weight += float(weights.sections[p][edges[p]])
-    return path, bits, weight
+        at = v if rows is None else rows * trellis.v_counts[p + 1] + v
+        e = pred_edge[p][at].astype(np.intp)  # int32 indices gather slowly
+        if pred_rank is not None:
+            rows = pred_rank[p][at]
+        v = ridx.frm[p][e]
+        walk.append(v)
+        edges.append(e)
+    paths = np.concatenate(walk[::-1]).reshape(n + 1, -1).T.astype(np.int32, order="C")
+    edges = np.concatenate(edges[::-1]).reshape(n, -1).T + trellis.edge_offsets[:-1]
+    bits = ridx.label_bit_table[edges].reshape(len(paths), -1)
+    table = weights.table
+    if table is None:
+        table = np.concatenate(weights.sections, axis=-1)
+    steps = np.zeros((len(paths), n + 1))
+    steps[:, 1:] = table[edges] if frames is None else table[frames[:, None], edges]
+    return paths, bits, np.cumsum(steps, axis=1)[:, -1]
+
+
+def _outcomes(
+    ridx: ReachIndex,
+    weights: WeightAssignment,
+    stage: str,
+    subtrellises,
+    comparisons: int,
+    edge_visits: int,
+    pred_edge: list[np.ndarray] | None = None,
+    frames: np.ndarray | None = None,
+    pred_rank: list[np.ndarray] | None = None,
+    ranks=None,
+) -> list[DecodeOutcome]:
+    """The decisions for subtrellises ``subtrellises``; every DecodeOutcome is built here.
+
+    With ``pred_edge`` each codeword is traced back from its final, all in
+    one walk (``frames``, ``pred_rank`` and ``ranks`` as in ``_traceback``).
+    Without, a restricted Viterbi sweep of the one subtrellis finds it; only a
+    fallback does that, and it reports the sweep's comparisons as
+    ``fallback_comparisons``.
+    """
+    if pred_edge is None:
+        (i,) = subtrellises
+        sub = viterbi_subtrellis(ridx, weights, i)
+        traced, extra = [(sub.path, sub.codeword, sub.weight)], sub.comparisons
+    elif len(subtrellises):
+        finals = ridx.trellis.finals[np.asarray(subtrellises, dtype=np.intp)]
+        paths, bits, weight = _traceback(ridx, pred_edge, finals, weights, frames, pred_rank, ranks)
+        traced, extra = zip(paths, bits, weight.tolist()), 0
+    else:
+        return []
+    return [
+        DecodeOutcome(
+            codeword=bits,
+            path=path,
+            weight=weight,
+            stage=stage,
+            subtrellis=int(i),
+            comparisons=comparisons,
+            edge_visits=edge_visits,
+            fallback_comparisons=extra,
+        )
+        for i, (path, bits, weight) in zip(subtrellises, traced)
+    ]
 
 
 def _outcome(
@@ -234,31 +336,11 @@ def _outcome(
     pred_rank: list[np.ndarray] | None = None,
     rank: int = 0,
 ) -> DecodeOutcome:
-    """The decision for subtrellis ``i``; every DecodeOutcome is built here.
-
-    With ``pred_edge`` the codeword is traced back from final i.  Without, a
-    restricted Viterbi sweep of subtrellis i finds it; only a fallback does
-    that, and it reports the sweep's comparisons as ``fallback_comparisons``.
-    """
-    if pred_edge is None:
-        sub = viterbi_subtrellis(ridx, weights, i)
-        path, bits, weight = sub.path, sub.codeword, sub.weight
-        extra = sub.comparisons
-    else:
-        path, bits, weight = _traceback(
-            ridx, pred_edge, ridx.trellis.finals[i], weights, pred_rank, rank
-        )
-        extra = 0
-    return DecodeOutcome(
-        codeword=bits,
-        path=path,
-        weight=weight,
-        stage=stage,
-        subtrellis=int(i),
-        comparisons=comparisons,
-        edge_visits=edge_visits,
-        fallback_comparisons=extra,
-    )
+    """The decision for subtrellis ``i`` of one frame (see ``_outcomes``)."""
+    ranks = None if pred_rank is None else [rank]
+    return _outcomes(
+        ridx, weights, stage, [i], comparisons, edge_visits, pred_edge, None, pred_rank, ranks
+    )[0]
 
 
 def _fallback(
@@ -276,48 +358,102 @@ def _fallback(
 # ---------------------------------------------------------------------------
 # Phase 1
 
+PHASE1_BATCH_BYTES = 1 << 20  # phase-1 state of the frames one batch sweeps together
+
+
+def batch_frames(ridx: ReachIndex) -> int:
+    """Frames per batch: as many as keep their phase-1 state within PHASE1_BATCH_BYTES.
+
+    A frame's state is a float64 cost and an int32 survivor per vertex, plus
+    an int32 pred edge per vertex past index 0; the batch's (F, E) edge
+    weights take about as much again.
+    """
+    v = ridx.trellis.v_counts
+    per_frame = 12 * sum(v) + 4 * sum(v[1:])
+    return max(1, PHASE1_BATCH_BYTES // per_frame)
+
+
 def phase1(ridx: ReachIndex, weights: WeightAssignment) -> Phase1State:
     """One forward sweep with every start seeded at zero cost.
 
     Ties between equal-cost candidates go to the earliest edge in the
     section's canonical order, so results are deterministic and match a
     scalar edge-by-edge relaxation with strict-improvement updates.
+
+    Batched weights, (F, E_p) per section, sweep F frames at once and give a
+    batched state; row f is bit for bit the sweep of frame f alone, because
+    the frames share no arithmetic.  The sweep runs on flat arrays holding
+    the frames one after another, with each frame's indices shifted into its
+    own block.
     """
     _check_weights(ridx, weights)
     trellis = ridx.trellis
     t = ridx.t
-    cost = [np.full(v, np.inf) for v in trellis.v_counts]
-    surv = [np.zeros(v, dtype=np.int32) for v in trellis.v_counts]
+    batch = weights.sections[0].shape[:-1]
+    n_frames = prod(batch)
+    shift = np.arange(n_frames)[:, None]
+    v0 = trellis.v_counts[0]
+    cost = [np.full(n_frames * v0, np.inf)]
+    surv = [np.zeros(n_frames * v0, dtype=np.int32)]
     pred_edge: list[np.ndarray] = []
-    cost[0][trellis.starts] = 0.0
-    surv[0][trellis.starts] = np.arange(t, dtype=np.int32)
-    comparisons = 0
-    for p, sec in enumerate(trellis.sections):
-        cand = cost[p][sec.frm] + weights.sections[p]
-        best, win = _grouped_first_min(cand, ridx, p)
-        cost[p + 1] = best
-        surv[p + 1] = surv[p][sec.frm[win]]
+    starts = (trellis.starts + v0 * shift).ravel()
+    cost[0][starts] = 0.0
+    surv[0][starts] = np.tile(np.arange(t, dtype=np.int32), n_frames)
+    for p in range(trellis.n_sections):
+        frm, groups = ridx.frm[p], ridx.group_starts[p]
+        if n_frames > 1:
+            frm = (frm + trellis.v_counts[p] * shift).ravel()
+            groups = (groups + len(ridx.frm[p]) * shift).ravel()
+        cand = cost[p][frm]
+        cand += weights.sections[p].reshape(-1)
+        best, win = _grouped_first_min(cand, ridx, p, groups)
+        cost.append(best)
+        surv.append(surv[p][frm[win]])
+        if n_frames > 1:  # back to edge ids within each frame's section
+            win = (win.reshape(n_frames, -1) - len(ridx.frm[p]) * shift).ravel()
         pred_edge.append(win.astype(np.int32))
-        comparisons += sec.num_edges
+    if batch:
+        cost, surv, pred_edge = (
+            [a.reshape(*batch, -1) for a in arrays] for arrays in (cost, surv, pred_edge)
+        )
+    num_edges = trellis.num_edges
     return Phase1State(
         cost=cost,
         surv=surv,
         pred_edge=pred_edge,
-        comparisons=comparisons,
-        edge_visits=comparisons,
-        delta_finals=cost[-1][trellis.finals],
-        surv_finals=surv[-1][trellis.finals],
+        comparisons=num_edges,
+        edge_visits=num_edges,
+        delta_finals=cost[-1][..., trellis.finals],
+        surv_finals=surv[-1][..., trellis.finals],
     )
+
+
+def _phase1_stops(
+    ridx: ReachIndex, p1: Phase1State, weights: WeightAssignment
+) -> list[DecodeOutcome | None]:
+    """The stop test on every frame of a sweep, with one traceback for all that stop.
+
+    A frame stops when the cheapest final's survivor closed its own
+    subtrellis; its entry is that codeword's outcome, the others' are None.
+    """
+    delta = p1.delta_finals.reshape(-1, ridx.t)
+    j = delta.argmin(axis=1)
+    stopped = np.flatnonzero(p1.surv_finals.reshape(-1, ridx.t)[np.arange(len(j)), j] == j)
+    frames = stopped if p1.delta_finals.ndim == 2 else None
+    traced = _outcomes(
+        ridx, weights, "phase1", j[stopped], p1.comparisons, p1.edge_visits, p1.pred_edge, frames
+    )
+    decisions: list[DecodeOutcome | None] = [None] * len(j)
+    for f, outcome in zip(stopped, traced):
+        decisions[f] = outcome
+    return decisions
 
 
 def phase1_decision(
     ridx: ReachIndex, p1: Phase1State, weights: WeightAssignment
 ) -> DecodeOutcome | None:
-    """Stop if the cheapest final's survivor closed its own subtrellis."""
-    j = int(np.argmin(p1.delta_finals))
-    if int(p1.surv_finals[j]) != j:
-        return None
-    return _outcome(ridx, weights, "phase1", j, p1.comparisons, p1.edge_visits, p1.pred_edge)
+    """Stop if the cheapest final's survivor closed its own subtrellis (one frame)."""
+    return _phase1_stops(ridx, p1, weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +501,10 @@ def phase2(
     comparisons = 0
     edge_visits = 0
     for p, sec in enumerate(trellis.sections):
-        tr_u = tr[p][sec.frm]
-        ok = np.isfinite(metric[p][sec.frm]) & ridx.member_bit(p, tr_u)
-        step = dist[p][sec.frm] + weights.sections[p]
+        frm = ridx.frm[p]
+        tr_u = tr[p][frm]
+        ok = np.isfinite(metric[p][frm]) & ridx.member_bit(p, tr_u)
+        step = dist[p][frm] + weights.sections[p]
         cand = np.where(ok, (step + d_final[tr_u]) - p1.cost[p + 1][sec.to], np.inf)
         best, win = _grouped_first_min(cand, ridx, p)
         metric[p + 1] = best
@@ -448,9 +585,10 @@ def _phase2_list(
     comparisons = 0
     for p, sec in enumerate(trellis.sections):
         E = sec.num_edges
-        tr_u = tr[p][:, sec.frm]  # (L, E)
-        ok = np.isfinite(metric[p][:, sec.frm]) & ridx.member_bit(p, tr_u)
-        step = dist[p][:, sec.frm] + weights.sections[p][None, :]
+        frm = ridx.frm[p]
+        tr_u = tr[p][:, frm]  # (L, E)
+        ok = np.isfinite(metric[p][:, frm]) & ridx.member_bit(p, tr_u)
+        step = dist[p][:, frm] + weights.sections[p][None, :]
         cand = np.where(
             ok, (step + d_final[tr_u]) - p1.cost[p + 1][sec.to][None, :], np.inf
         )
@@ -553,55 +691,91 @@ def two_phase_name(list_size: int) -> str:
     return f"two-phase-L{max(list_size, 1)}"
 
 
+def decode_frames(
+    ridx: ReachIndex,
+    weights: WeightAssignment,
+    decoders: tuple[str, ...],
+    participation_prune: bool = True,
+) -> Iterator[FrameDecode]:
+    """Decode a batch of frames with every named decoder; yields one FrameDecode per frame.
+
+    ``weights`` holds one frame, or a batch as ``edge_weights`` builds it for
+    (F, n) samples.  Names are those of ``DECODER_NAMES``, or
+    "two-phase-L<k>" for any list size k.  Phase 1 and its stop test run once
+    for the whole batch, for all decoders but exact ML.  A frame phase 1
+    settled takes that outcome for every two-phase decoder; the others go on
+    one at a time as they are reached, so only one frame's exact-ML tables
+    are alive at once.  Phase 2 runs at most once per frame, and every list
+    size reuses it.  Exact ML keeps its per-start costs and the
+    start-to-final distance table for the audit and the witness searches.
+    """
+    for name in decoders:
+        if name not in ("exact-ml", "phase1-only") and not _TWO_PHASE.fullmatch(name):
+            raise CatalogError(f"unknown decoder {name!r}; available: {', '.join(DECODER_NAMES)}")
+    single = weights.sections[0].ndim == 1
+    p1, stops = None, [None] * (1 if single else len(weights.sections[0]))
+    if any(name != "exact-ml" for name in decoders):
+        p1 = phase1(ridx, weights)
+        stops = _phase1_stops(ridx, p1, weights)
+    exact = "exact-ml" in decoders
+    for f, stopped in enumerate(stops):
+        decoded = FrameDecode(sweep=p1, row=f)
+        if stopped is not None and not exact:
+            decoded.outcomes = dict.fromkeys(decoders, stopped)
+        else:
+            frame_weights = weights if single else weights.frame(f)
+            _decode_rest(ridx, frame_weights, decoders, participation_prune, decoded, stopped)
+        yield decoded
+
+
+def _decode_rest(
+    ridx: ReachIndex,
+    weights: WeightAssignment,
+    decoders: tuple[str, ...],
+    participation_prune: bool,
+    decoded: FrameDecode,
+    stopped: DecodeOutcome | None,
+) -> None:
+    """Fill in one frame's outcomes, in request order, after its phase-1 stop test."""
+    scalar = None
+    for name in decoders:
+        if name == "exact-ml":
+            decoded.costs = costs = parallel_start_costs(ridx, weights)
+            decoded.table = DistanceTable(d=costs[-1][:, ridx.trellis.finals])
+            diag = np.diagonal(decoded.table.d)
+            i_star = int(np.argmin(diag))
+            if not np.isfinite(diag[i_star]):
+                raise NoPathError("no subtrellis contains a start-to-final path")
+            outcome = _outcome(
+                ridx, weights, "exact", i_star,
+                int(ridx.member_counts.sum()), ridx.t * ridx.trellis.num_edges,
+                _start_pred_edges(ridx, weights, costs, i_star),
+            )
+        elif stopped is not None:
+            # a phase-1 stop is on the cheapest final, so also on the cheapest closed one
+            outcome = stopped
+        elif name == "phase1-only":
+            outcome = _phase1_only(ridx, weights, decoded.p1)
+        else:
+            if decoded.p2 is None:
+                decoded.p2 = phase2(ridx, weights, decoded.p1, participation_prune)
+                scalar = final_decision(ridx, weights, decoded.p1, decoded.p2)
+            list_size = int(_TWO_PHASE.fullmatch(name).group(1))
+            outcome = (
+                scalar if list_size == 1
+                else _list_decision(ridx, weights, decoded.p1, decoded.p2, scalar, list_size)
+            )
+        decoded.outcomes[name] = outcome
+
+
 def decode_frame(
     ridx: ReachIndex,
     weights: WeightAssignment,
     decoders: tuple[str, ...],
     participation_prune: bool = True,
 ) -> FrameDecode:
-    """Decode one frame with every named decoder from one shared state.
-
-    Names are those of ``DECODER_NAMES``, or "two-phase-L<k>" for any list
-    size k.  Phase 1 runs once for all decoders but exact ML; phase 2 runs at
-    most once, only when phase 1 did not settle the frame, and every list
-    size reuses it.  Exact ML builds the start-to-final distance table, which
-    is returned for the witness searches.
-    """
-    p1 = p2 = table = stopped = scalar = None
-    if any(name != "exact-ml" for name in decoders):
-        p1 = phase1(ridx, weights)
-        stopped = phase1_decision(ridx, p1, weights)
-    outcomes: dict[str, DecodeOutcome] = {}
-    for name in decoders:
-        two_phase = _TWO_PHASE.fullmatch(name)
-        if name == "exact-ml":
-            costs = parallel_start_costs(ridx, weights)
-            table = DistanceTable(d=costs[-1][:, ridx.trellis.finals])
-            diag = np.diagonal(table.d)
-            i_star = int(np.argmin(diag))
-            if not np.isfinite(diag[i_star]):
-                raise NoPathError("no subtrellis contains a start-to-final path")
-            outcomes[name] = _outcome(
-                ridx, weights, "exact", i_star,
-                int(ridx.member_counts.sum()), ridx.t * ridx.trellis.num_edges,
-                _start_pred_edges(ridx, weights, costs, i_star),
-            )
-        elif name == "phase1-only":
-            # a phase-1 stop is on the cheapest final, so also on the cheapest closed one
-            outcomes[name] = stopped if stopped is not None else _phase1_only(ridx, weights, p1)
-        elif two_phase is None:
-            raise CatalogError(f"unknown decoder {name!r}; available: {', '.join(DECODER_NAMES)}")
-        elif stopped is not None:
-            outcomes[name] = stopped
-        else:
-            if p2 is None:
-                p2 = phase2(ridx, weights, p1, participation_prune)
-                scalar = final_decision(ridx, weights, p1, p2)
-            list_size = int(two_phase.group(1))
-            outcomes[name] = (
-                scalar if list_size == 1 else _list_decision(ridx, weights, p1, p2, scalar, list_size)
-            )
-    return FrameDecode(outcomes=outcomes, p1=p1, p2=p2, table=table)
+    """Decode one frame with every named decoder: ``decode_frames`` on a batch of one."""
+    return next(decode_frames(ridx, weights, decoders, participation_prune))
 
 
 def decode_two_phase(
@@ -644,14 +818,16 @@ def viterbi_subtrellis(ridx: ReachIndex, weights: WeightAssignment, i: int) -> S
     comparisons = 0
     for p, sec in enumerate(trellis.sections):
         ok = ridx.member_bit(p, np.full(sec.num_edges, i, dtype=np.int64))
-        cand = np.where(ok, cost[sec.frm] + weights.sections[p], np.inf)
+        cand = np.where(ok, cost[ridx.frm[p]] + weights.sections[p], np.inf)
         cost, win = _grouped_first_min(cand, ridx, p)
         preds.append(win.astype(np.int32))
         comparisons += int(ok.sum())
     if not np.isfinite(cost[trellis.finals[i]]):
         raise NoPathError(f"subtrellis {i} has no start-to-final path")
-    path, bits, weight = _traceback(ridx, preds, trellis.finals[i], weights)
-    return SubtrellisResult(weight=weight, path=path, codeword=bits, comparisons=comparisons)
+    paths, bits, weight = _traceback(ridx, preds, [trellis.finals[i]], weights)
+    return SubtrellisResult(
+        weight=float(weight[0]), path=paths[0], codeword=bits[0], comparisons=comparisons
+    )
 
 
 def parallel_start_costs(ridx: ReachIndex, weights: WeightAssignment) -> list[np.ndarray]:
@@ -666,8 +842,8 @@ def parallel_start_costs(ridx: ReachIndex, weights: WeightAssignment) -> list[np
     t = ridx.t
     costs = [np.full((t, v), np.inf) for v in trellis.v_counts]
     costs[0][np.arange(t), trellis.starts] = 0.0
-    for p, sec in enumerate(trellis.sections):
-        cand = costs[p][:, sec.frm] + weights.sections[p][None, :]
+    for p in range(trellis.n_sections):
+        cand = costs[p][:, ridx.frm[p]] + weights.sections[p][None, :]
         costs[p + 1] = _group_min(cand, ridx, p)
     return costs
 
@@ -682,8 +858,8 @@ def _start_pred_edges(
     the same path as ``viterbi_subtrellis(ridx, weights, i)``.
     """
     return [
-        _grouped_first_min(costs[p][i, sec.frm] + weights.sections[p], ridx, p)[1]
-        for p, sec in enumerate(ridx.trellis.sections)
+        _grouped_first_min(costs[p][i, ridx.frm[p]] + weights.sections[p], ridx, p)[1]
+        for p in range(ridx.trellis.n_sections)
     ]
 
 

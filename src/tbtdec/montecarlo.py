@@ -17,7 +17,14 @@ from typing import Union
 import numpy as np
 
 from .catalog import get_code
-from .channel import ChannelParams, awgn_transmit, bpsk_modulate, edge_weights, random_bits
+from .channel import (
+    ChannelParams,
+    ReceivedVector,
+    awgn_transmit,
+    bpsk_modulate,
+    edge_weights,
+    random_bits,
+)
 from .codes import (
     ConvCodeSpec,
     GeneratorSpec,
@@ -26,7 +33,14 @@ from .codes import (
     encode_conv_tailbiting,
     semi_codeword_basis,
 )
-from .decoder import DECODER_NAMES, DecodeOutcome, decode_frame, two_phase_name
+from .decoder import (
+    DECODER_NAMES,
+    DecodeOutcome,
+    batch_frames,
+    decode_frame,
+    decode_frames,
+    two_phase_name,
+)
 from .diagnostics import (
     MismatchReport,
     audit_decode_invariants,
@@ -55,6 +69,7 @@ CSV_HEADER = (
     "ml_mismatches,phase1_stops,fallbacks,avg_comparisons"
 )
 _FRAME_LIMIT = 1 << 32  # frame numbers fill 32 bits of a stream id
+_POINT_LIMIT = 1 << 31  # point indices fill the other 31 of its 64 bits
 
 CodeLike = Union[str, GeneratorSpec, ConvCodeSpec]
 
@@ -146,6 +161,9 @@ def frame_streams(point_idx: int, frame: int) -> tuple[int, int]:
     if not 0 <= frame < _FRAME_LIMIT:
         # a larger number would reach into the point bits and share streams
         raise ToolkitError(f"frame number {frame} outside [0, 2**32)")
+    if not 0 <= point_idx < _POINT_LIMIT:
+        # stream ids are keyed as 64 bits, so a larger index would wrap onto another's
+        raise ToolkitError(f"Eb/N0 point index {point_idx} outside [0, 2**31)")
     base = (point_idx << 33) | (frame << 1)
     return base, base | 1
 
@@ -201,17 +219,41 @@ def _bit_errors(ctx: SimContext, outcome: DecodeOutcome, msg: np.ndarray, codewo
 
 
 def _run_chunk(config: SimConfig, point_idx: int, lo: int, hi: int):
-    """Simulate frames [lo, hi) of one Eb/N0 point; returns tallies and reports."""
+    """Simulate frames [lo, hi) of one Eb/N0 point; returns tallies and reports.
+
+    Frames are decoded in batches of ``batch_frames`` through one phase-1
+    sweep; every per-frame result is the same as decoding it alone.
+    """
     ctx = build_context(config.code)
-    ebn0 = config.ebn0_db[point_idx]
-    params = ChannelParams(ebn0_db=ebn0, rate=ctx.rate, seed=config.seed)
+    params = ChannelParams(ebn0_db=config.ebn0_db[point_idx], rate=ctx.rate, seed=config.seed)
     tallies = {name: _Tally() for name in config.decoders}
     reports: list[MismatchReport] = []
+    size = batch_frames(ctx.ridx)
+    for first in range(lo, hi, size):
+        frames = range(first, min(first + size, hi))
+        _run_batch(ctx, config, params, point_idx, frames, tallies, reports)
+    return tallies, reports
+
+
+def _run_batch(
+    ctx: SimContext,
+    config: SimConfig,
+    params: ChannelParams,
+    point_idx: int,
+    frames: range,
+    tallies: dict[str, _Tally],
+    reports: list[MismatchReport],
+) -> None:
+    """Generate and decode one batch of frames, adding to tallies and reports."""
+    made = [_make_frame(ctx, params, point_idx, f, config.genie_zero) for f in frames]
+    batch = ReceivedVector(r=np.stack([received.r for _, _, received in made]))
+    weights = edge_weights(ctx.ridx.trellis, batch)
+    decoded_frames = decode_frames(ctx.ridx, weights, config.decoders, config.participation_prune)
     want_exact = "exact-ml" in config.decoders
-    for frame in range(lo, hi):
-        msg, codeword, received = _make_frame(ctx, params, point_idx, frame, config.genie_zero)
-        weights = edge_weights(ctx.ridx.trellis, received)
-        decoded = decode_frame(ctx.ridx, weights, config.decoders, config.participation_prune)
+    for frame, (msg, codeword, received) in zip(frames, made):
+        # next() rather than zip: zip's result tuple would keep the previous
+        # frame's exact-ML tables alive while the next frame builds its own
+        decoded = next(decoded_frames)
         exact = decoded.outcomes.get("exact-ml")
         for name, outcome in decoded.outcomes.items():
             tally = tallies[name]
@@ -229,7 +271,7 @@ def _run_chunk(config: SimConfig, point_idx: int, lo: int, hi: int):
                 witness = crossing_pair_witness(decoded.table, exact.subtrellis)
                 report = MismatchReport(
                     frame=frame,
-                    ebn0_db=ebn0,
+                    ebn0_db=params.ebn0_db,
                     decoder=name,
                     ml_subtrellis=exact.subtrellis,
                     ml_weight=exact.weight,
@@ -245,7 +287,7 @@ def _run_chunk(config: SimConfig, point_idx: int, lo: int, hi: int):
                         report.semi_witness_start = semi.start
                         report.semi_witness_final = semi.final
                 reports.append(report)
-    return tallies, reports
+        del decoded
 
 
 def _chunk_bounds(frames: int, workers: int) -> list[tuple[int, int]]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,19 @@ class Trellis:
     @property
     def num_vertices(self) -> int:
         return sum(self.v_counts)
+
+    @cached_property
+    def edge_offsets(self) -> np.ndarray:
+        """Where each section's edges begin when all sections' edges sit side by side."""
+        return np.cumsum([0] + [s.num_edges for s in self.sections], dtype=np.intp)
+
+    @cached_property
+    def label_index(self) -> np.ndarray:
+        """Every edge's entry in a flattened (n_sections, 2**label_width) label table."""
+        size = 1 << self.label_width
+        return np.concatenate(
+            [p * size + sec.labels.astype(np.intp) for p, sec in enumerate(self.sections)]
+        )
 
     @classmethod
     def from_edge_lists(cls, label_width, v_counts, edge_lists, starts, finals):
@@ -244,7 +258,11 @@ class ReachIndex:
     i exactly when bit i survives in fwd[u] & bwd[w]; those per-edge masks are
     precomputed, which is what makes the membership test O(1) during decoding.
     Masks are arrays of 64-bit words so more than 64 subtrellises still work
-    (raise the cap via the TBT_MAX_T environment variable).
+    (raise the cap via the TBT_MAX_T environment variable).  ``label_bit_table``
+    unpacks every edge's label once, rows ordered as ``trellis.edge_offsets``,
+    so tracebacks gather codeword bits instead of unpacking them per edge;
+    ``frm`` holds each section's ``frm`` as intp, which numpy gathers with
+    several times faster than int32.
     """
 
     def __init__(self, trellis, fwd, bwd):
@@ -256,7 +274,6 @@ class ReachIndex:
         self.v_offsets = np.concatenate([[0], np.cumsum(trellis.v_counts)]).astype(np.int64)
         self.edge_masks = []
         self.group_starts = []
-        self.group_sizes = []
         self.group_width = []  # in-edges per vertex when equal for all, else 0
         for p, sec in enumerate(trellis.sections):
             self.edge_masks.append(fwd[p][sec.frm] & bwd[p + 1][sec.to])
@@ -268,7 +285,6 @@ class ReachIndex:
             starts_ = np.concatenate([[0], np.flatnonzero(np.diff(sec.to)) + 1])
             self.group_starts.append(starts_.astype(np.int64))
             sizes = np.diff(np.concatenate([starts_, [sec.num_edges]]))
-            self.group_sizes.append(sizes.astype(np.int64))
             self.group_width.append(int(sizes[0]) if np.all(sizes == sizes[0]) else 0)
         counts = np.zeros(self.t, dtype=np.int64)
         for masks in self.edge_masks:
@@ -278,6 +294,10 @@ class ReachIndex:
                     ((masks[:, word] >> np.uint64(bit)) & np.uint64(1)).sum()
                 )
         self.member_counts = counts
+        self.frm = [sec.frm.astype(np.intp) for sec in trellis.sections]
+        labels = np.concatenate([sec.labels for sec in trellis.sections]).astype(np.int64)
+        shifts = np.arange(trellis.label_width - 1, -1, -1)
+        self.label_bit_table = ((labels[:, None] >> shifts) & 1).astype(np.uint8)
 
     def member(self, section: int, edge: int, i: int) -> bool:
         """Does edge `edge` of 0-based `section` lie on some start-i..final-i path?"""

@@ -300,3 +300,27 @@ def test_taps_from_octal_rejects_bad_digits():
         tb.taps_from_octal("9")
     with pytest.raises(tb.ZeroRowError):
         tb.taps_from_octal("0")
+
+
+def _roll_encode(spec: tb.ConvCodeSpec, msg) -> np.ndarray:
+    """The circular convolution written with one np.roll per tap."""
+    msg = np.asarray(msg, dtype=np.uint8)
+    out = np.zeros((2, spec.circle), dtype=np.uint8)
+    for stream, taps in enumerate((spec.taps0, spec.taps1)):
+        for delay, coeff in enumerate(taps):
+            if coeff:
+                out[stream] ^= np.roll(msg, delay)
+    return out.T.reshape(-1)
+
+
+CONV_CODES = [name for name in tb.list_codes() if isinstance(tb.get_code(name).spec(), tb.ConvCodeSpec)]
+
+
+@pytest.mark.parametrize("name", CONV_CODES)
+@given(data=st.data())
+def test_encode_conv_matches_roll_formula(name, data):
+    spec = tb.get_code(name).spec()
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=spec.circle, max_size=spec.circle))
+    out = tb.encode_conv_tailbiting(spec, bits)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, _roll_encode(spec, bits))

@@ -4,12 +4,13 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, assume, find, given, settings, strategies as st
 
 import tbtdec as tb
-from tbtdec.codes import bits_to_int
+from tbtdec.codes import bits_to_int, gf2_rank
+from tbtdec.decoder import _phase1_stops
 
-from conftest import enumerate_paths, random_received
+from conftest import build_block, build_conv, enumerate_paths, random_received
 
 
 def _weights_of(ridx, seed, frame):
@@ -399,3 +400,118 @@ def test_weights_shape_checked(ridx_block4):
     bad = tb.WeightAssignment(sections=[np.zeros(3)] * 4)
     with pytest.raises(tb.LengthMismatchError):
         tb.phase1(ridx_block4, bad)
+
+
+# ---------------------------------------------------------------------------
+# Frame-batched sweep
+
+@st.composite
+def generator_specs(draw):
+    """Random valid generator specs (product trellises, equal in-degree per section)."""
+    n = draw(st.integers(4, 8))
+    k = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(k):
+        lo = draw(st.integers(1, n))
+        hi = draw(st.integers(1, n))
+        span = tb.Span(lo, hi, "linear" if lo <= hi else "circular")
+        bits = [
+            int(pos in (lo, hi) or (span.covers(pos) and draw(st.booleans())))
+            for pos in range(1, n + 1)
+        ]
+        rows.append(tb.GeneratorRow(bits=tuple(bits), span=span))
+    assume(gf2_rank([row.word for row in rows]) == k)
+    return tb.GeneratorSpec(n=n, k=k, rows=tuple(rows))
+
+
+@st.composite
+def mixed_trellises(draw):
+    """Random layered trellises whose vertices have 1-3 in-edges each.
+
+    Vertex i < t is kept at every index with an edge i -> i, so every
+    subtrellis holds a codeword; the other edges are random.
+    """
+    width = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 5))
+    t = draw(st.integers(1, 3))
+    v_counts = [draw(st.integers(t, 4)) for _ in range(n + 1)]
+    label = st.integers(0, (1 << width) - 1)
+    edge_lists = []
+    for p in range(n):
+        edges = [(to, to, draw(label)) for to in range(t)]
+        for to in range(v_counts[p + 1]):
+            for _ in range(draw(st.integers(0 if to < t else 1, 2))):
+                edges.append((draw(st.integers(0, v_counts[p] - 1)), to, draw(label)))
+        edge_lists.append(edges)
+    return tb.build_reach_index(
+        tb.Trellis.from_edge_lists(width, v_counts, edge_lists, range(t), range(t))
+    )
+
+
+def _same_arrays(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
+def _same_outcome(a, b):
+    assert a.codeword.dtype == b.codeword.dtype and np.array_equal(a.codeword, b.codeword)
+    assert a.path.dtype == b.path.dtype and np.array_equal(a.path, b.path)
+    assert (a.weight, a.stage, a.subtrellis, a.comparisons, a.edge_visits, a.fallback_comparisons) == (
+        b.weight, b.stage, b.subtrellis, b.comparisons, b.edge_visits, b.fallback_comparisons
+    )
+
+
+CONV_RIDX = {name: build_conv(tb.get_code(name).spec()) for name in ("toy-conv-m1-l4", "toy-conv-m2-l8")}
+
+
+@given(
+    ridx=st.one_of(
+        generator_specs().map(build_block),
+        mixed_trellises(),
+        st.sampled_from(sorted(CONV_RIDX)).map(CONV_RIDX.get),
+    ),
+    seed=st.integers(0, 10_000),
+    batch=st.sampled_from([1, 2, 3]),
+    rounded=st.booleans(),
+)
+def test_batched_decode_matches_one_frame_calls(ridx, seed, batch, rounded):
+    # 7 frames in batches of 1, 2 or 3 (a non-divisor): every frame's phase-1
+    # state, stop decision and decoder outcomes equal those of decoding it alone
+    received = [random_received(ridx, seed=seed, frame=f) for f in range(7)]
+    if rounded:  # coarse samples: many equal costs, so the tie rule decides
+        received = [tb.ReceivedVector(r=np.round(rec.r)) for rec in received]
+    names = tb.DECODER_NAMES + ("two-phase-L3",)
+    for first in range(0, 7, batch):
+        rows = np.stack([rec.r for rec in received[first : first + batch]])
+        weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=rows))
+        p1 = tb.phase1(ridx, weights)
+        stops = _phase1_stops(ridx, p1, weights)
+        decoded = list(tb.decode_frames(ridx, weights, names))
+        assert len(stops) == len(decoded) == len(rows)
+        for row, rec in enumerate(received[first : first + batch]):
+            alone = tb.edge_weights(ridx.trellis, rec)
+            _same_arrays(weights.frame(row).sections, alone.sections)
+            single = tb.phase1(ridx, alone)
+            for state in (p1.frame(row), decoded[row].p1):
+                for name in ("cost", "surv", "pred_edge"):
+                    _same_arrays(getattr(state, name), getattr(single, name))
+                _same_arrays([state.delta_finals, state.surv_finals],
+                             [single.delta_finals, single.surv_finals])
+                assert (state.comparisons, state.edge_visits) == (single.comparisons, single.edge_visits)
+            stop = tb.phase1_decision(ridx, single, alone)
+            assert (stops[row] is None) == (stop is None)
+            if stop is not None:
+                _same_outcome(stops[row], stop)
+            one = tb.decode_frame(ridx, alone, names)
+            assert list(decoded[row].outcomes) == list(one.outcomes)
+            for name in names:
+                _same_outcome(decoded[row].outcomes[name], one.outcomes[name])
+            assert np.array_equal(decoded[row].table.d, one.table.d)
+
+
+def test_mixed_trellises_reach_the_reduceat_path():
+    # the batched-decode test covers the reduceat sweep only if some drawn
+    # trellis has a section whose vertices differ in in-degree
+    find(mixed_trellises(), lambda ridx: 0 in ridx.group_width,
+         settings=settings(phases=[Phase.generate], database=None))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import tbtdec as tb
-from tbtdec import cli, montecarlo
+from tbtdec import cli, decoder, diagnostics, montecarlo
+from tbtdec.decoder import decode_frames
 from tbtdec.montecarlo import CSV_HEADER, build_context, frame_streams
 
 
@@ -151,6 +152,16 @@ def test_frame_streams_reject_frames_outside_32_bits():
         tb.run_monte_carlo(_config(frames=2**32 + 1))
 
 
+def test_frame_streams_reject_point_indices_outside_31_bits():
+    # stream ids are keyed as 64 bits: point 2**31 would draw point 0's noise
+    # and a negative index would wrap onto another point's streams
+    for point in (2**31, -1):
+        with pytest.raises(tb.ToolkitError):
+            frame_streams(point, 0)
+    noise, msg = frame_streams(2**31 - 1, 2**32 - 1)
+    assert msg == noise + 1 == 2**64 - 1
+
+
 def test_rerun_replaces_mismatch_log(tmp_path):
     log = tmp_path / "mismatch.jsonl"
     config = _config(ebn0_db=(1.0,), frames=60, decoders=("phase1-only", "exact-ml"),
@@ -198,6 +209,48 @@ def test_one_process_pool_per_run(monkeypatch):
     rows = tb.run_monte_carlo(replace(config, workers=2))
     assert opened == [2]
     assert tb.emit_results(rows) == tb.emit_results(tb.run_monte_carlo(config))
+
+
+def test_batch_size_leaves_csv_and_log_unchanged(monkeypatch, tmp_path):
+    # batches of 3 frames (a non-divisor of every chunk) at 1, 2 and 3 workers
+    # give the same bytes as one batch per chunk
+    config = _config(code="toy-block-n6-k3-c2", ebn0_db=(0.5, 2.0), frames=40)
+    runs = {}
+    for cap, workers in ((None, 1), (3, 1), (3, 2), (3, 3)):
+        if cap is not None:
+            monkeypatch.setattr(montecarlo, "batch_frames", lambda ridx: cap)
+        log = tmp_path / f"mismatch-{cap}-{workers}.jsonl"
+        rows = tb.run_monte_carlo(replace(config, workers=workers, mismatch_log=str(log)))
+        runs[cap, workers] = (tb.emit_results(rows), log.read_text())
+    assert sum(r.ml_mismatches for r in tb.parse_results(runs[None, 1][0])) > 0
+    assert all(run == runs[None, 1] for run in runs.values())
+
+
+def test_simulate_decodes_in_batches_of_the_cap(monkeypatch):
+    sizes = []
+
+    def counting(ridx, weights, *args):
+        sizes.append(len(weights.sections[0]))
+        return decode_frames(ridx, weights, *args)
+
+    monkeypatch.setattr(montecarlo, "decode_frames", counting)
+    monkeypatch.setattr(montecarlo, "batch_frames", lambda ridx: 3)
+    tb.run_monte_carlo(_config(ebn0_db=(2.0,), frames=10))
+    assert sizes == [3, 3, 3, 1]
+
+
+def test_check_lemmas_builds_one_cost_table_per_frame(monkeypatch, capsys):
+    calls = []
+
+    def counting(ridx, weights):
+        calls.append(1)
+        return tb.parallel_start_costs(ridx, weights)
+
+    monkeypatch.setattr(decoder, "parallel_start_costs", counting)
+    monkeypatch.setattr(diagnostics, "parallel_start_costs", counting)
+    assert cli.main(["check-lemmas", "--code", "toy-block-n6-k3-c2", "--frames", "20"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(calls) == 20
 
 
 def test_config_validation():
