@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .catalog import list_codes
@@ -54,8 +55,17 @@ def _code_from_args(args: argparse.Namespace):
     )
 
 
-def _parse_ebn0(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+def _parse_ebn0(text: str, single: bool = False) -> tuple[float, ...]:
+    """Comma-separated finite dB values; ``single`` allows exactly one."""
+    try:
+        points = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ToolkitError(f"--ebn0 {text!r}: not a comma-separated list of numbers") from None
+    if not all(math.isfinite(x) for x in points):
+        raise ToolkitError(f"--ebn0 {text!r}: every Eb/N0 point must be finite")
+    if single and len(points) != 1:
+        raise ToolkitError(f"--ebn0 {text!r}: this command takes a single dB value")
+    return points
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +141,7 @@ def _cmd_decode_frame(args: argparse.Namespace) -> int:
     code = _code_from_args(args)
     config = SimConfig(
         code=code,
-        ebn0_db=_parse_ebn0(args.ebn0),
+        ebn0_db=_parse_ebn0(args.ebn0, single=True),
         frames=max(1, args.frame + 1),
         seed=args.seed,
         genie_zero=args.genie_zero,
@@ -163,7 +173,7 @@ def _cmd_check_lemmas(args: argparse.Namespace) -> int:
     code = _code_from_args(args)
     ctx = build_context(code)
     ridx = ctx.ridx
-    ebn0 = _parse_ebn0(args.ebn0)[0]
+    (ebn0,) = _parse_ebn0(args.ebn0, single=True)
     failures = 0
 
     def emit(name: str, ok: bool, detail: str = "") -> None:

@@ -18,9 +18,16 @@ The decoder makes two Viterbi-like passes over the trellis:
 
 Both passes do one cost comparison per scanned edge (phase 2 only for edges
 that pass membership), so the comparison count is at most twice that of a
-single full-trellis Viterbi sweep.  The exhaustive alternative — one
-restricted Viterbi sweep per subtrellis — is implemented as
-``decode_exact_ml`` and doubles as the maximum-likelihood oracle.
+single full-trellis Viterbi sweep.
+
+Exact maximum likelihood (``decode_exact_ml``) needs one restricted Viterbi
+sweep per subtrellis at worst.  It starts from phase 1 instead: the final
+costs bound every subtrellis's codeword weight from below, and a final that
+closed its own loop already is that codeword's weight, so only the
+subtrellises whose bound could still beat the cheapest closed final are
+swept, and a frame phase 1 settled needs no sweep at all.  The full per-start
+sweep (``parallel_start_costs``, ``all_pairs_start_final_distances``) stays
+out of the decode path, as the oracle of the audits, witnesses and tests.
 
 ``decode_frames`` runs each phase at most once per frame and derives every
 requested decoder's decision from that shared state.  Phase 1, its stop test
@@ -165,15 +172,28 @@ class FrameDecode:
 
     outcomes: dict[str, DecodeOutcome] = field(default_factory=dict)
     p2: Phase2State | None = None  # None if phase 1 settled the frame or no two-phase decoder ran
-    table: DistanceTable | None = None  # None unless exact ML ran
-    costs: list[np.ndarray] | None = None  # exact ML's per-start costs, (t, V) per index
     sweep: Phase1State | None = field(default=None, repr=False)  # the phase-1 sweep, maybe batched
-    row: int = 0  # this frame's row in ``sweep``
+    row: int = 0  # this frame's row in ``sweep`` and ``weights``
+    ridx: ReachIndex | None = field(default=None, repr=False)
+    weights: WeightAssignment | None = field(default=None, repr=False)  # maybe batched
 
     @cached_property
-    def p1(self) -> Phase1State | None:
-        """This frame's phase-1 state; None if only exact ML ran."""
-        return None if self.sweep is None else self.sweep.frame(self.row)
+    def p1(self) -> Phase1State:
+        """This frame's phase-1 state."""
+        return self.sweep.frame(self.row)
+
+    @cached_property
+    def costs(self) -> list[np.ndarray]:
+        """Per-start costs, (t, V) per index: the all-pairs oracle, swept on first access."""
+        weights = self.weights
+        if weights.sections[0].ndim > 1:
+            weights = weights.frame(self.row)
+        return parallel_start_costs(self.ridx, weights)
+
+    @cached_property
+    def table(self) -> DistanceTable:
+        """The start-to-final distance table of ``costs``."""
+        return DistanceTable(d=self.costs[-1][:, self.ridx.trellis.finals])
 
 
 # ---------------------------------------------------------------------------
@@ -702,29 +722,29 @@ def decode_frames(
     ``weights`` holds one frame, or a batch as ``edge_weights`` builds it for
     (F, n) samples.  Names are those of ``DECODER_NAMES``, or
     "two-phase-L<k>" for any list size k.  Phase 1 and its stop test run once
-    for the whole batch, for all decoders but exact ML.  A frame phase 1
-    settled takes that outcome for every two-phase decoder; the others go on
-    one at a time as they are reached, so only one frame's exact-ML tables
-    are alive at once.  Phase 2 runs at most once per frame, and every list
-    size reuses it.  Exact ML keeps its per-start costs and the
-    start-to-final distance table for the audit and the witness searches.
+    for the whole batch.  A frame phase 1 settled takes that outcome for
+    every decoder, exact ML included; the others go on one at a time as they
+    are reached.  Phase 2 runs at most once per frame, and every list size
+    reuses it; exact ML sweeps only the subtrellises phase 1's bounds leave
+    in the race (``_exact_ml``).
     """
     for name in decoders:
         if name not in ("exact-ml", "phase1-only") and not _TWO_PHASE.fullmatch(name):
             raise CatalogError(f"unknown decoder {name!r}; available: {', '.join(DECODER_NAMES)}")
     single = weights.sections[0].ndim == 1
-    p1, stops = None, [None] * (1 if single else len(weights.sections[0]))
-    if any(name != "exact-ml" for name in decoders):
-        p1 = phase1(ridx, weights)
-        stops = _phase1_stops(ridx, p1, weights)
-    exact = "exact-ml" in decoders
+    p1 = phase1(ridx, weights)
+    stops = _phase1_stops(ridx, p1, weights)
+    exact_work = _exact_work(ridx) if "exact-ml" in decoders else None
     for f, stopped in enumerate(stops):
-        decoded = FrameDecode(sweep=p1, row=f)
-        if stopped is not None and not exact:
+        decoded = FrameDecode(sweep=p1, row=f, ridx=ridx, weights=weights)
+        if stopped is not None:
             decoded.outcomes = dict.fromkeys(decoders, stopped)
+            if exact_work is not None:
+                # the stop is on the cheapest final, so no subtrellis can beat it
+                decoded.outcomes["exact-ml"] = replace(stopped, stage="exact", **exact_work)
         else:
             frame_weights = weights if single else weights.frame(f)
-            _decode_rest(ridx, frame_weights, decoders, participation_prune, decoded, stopped)
+            _decode_rest(ridx, frame_weights, decoders, participation_prune, decoded)
         yield decoded
 
 
@@ -734,26 +754,12 @@ def _decode_rest(
     decoders: tuple[str, ...],
     participation_prune: bool,
     decoded: FrameDecode,
-    stopped: DecodeOutcome | None,
 ) -> None:
-    """Fill in one frame's outcomes, in request order, after its phase-1 stop test."""
+    """Fill in the outcomes, in request order, of a frame phase 1 did not settle."""
     scalar = None
     for name in decoders:
         if name == "exact-ml":
-            decoded.costs = costs = parallel_start_costs(ridx, weights)
-            decoded.table = DistanceTable(d=costs[-1][:, ridx.trellis.finals])
-            diag = np.diagonal(decoded.table.d)
-            i_star = int(np.argmin(diag))
-            if not np.isfinite(diag[i_star]):
-                raise NoPathError("no subtrellis contains a start-to-final path")
-            outcome = _outcome(
-                ridx, weights, "exact", i_star,
-                int(ridx.member_counts.sum()), ridx.t * ridx.trellis.num_edges,
-                _start_pred_edges(ridx, weights, costs, i_star),
-            )
-        elif stopped is not None:
-            # a phase-1 stop is on the cheapest final, so also on the cheapest closed one
-            outcome = stopped
+            outcome = _exact_ml(ridx, weights, decoded.p1)
         elif name == "phase1-only":
             outcome = _phase1_only(ridx, weights, decoded.p1)
         else:
@@ -838,27 +844,33 @@ def parallel_start_costs(ridx: ReachIndex, weights: WeightAssignment) -> list[np
     per-subtrellis lower bounds in the invariant audits.
     """
     _check_weights(ridx, weights)
+    return _start_costs(ridx, weights, np.arange(ridx.t))
+
+
+def _start_costs(ridx: ReachIndex, weights: WeightAssignment, rows: np.ndarray) -> list[np.ndarray]:
+    """The sweeps from starts ``rows``, row k from start rows[k]; each row is swept alone."""
     trellis = ridx.trellis
-    t = ridx.t
-    costs = [np.full((t, v), np.inf) for v in trellis.v_counts]
-    costs[0][np.arange(t), trellis.starts] = 0.0
+    cost = np.full((len(rows), trellis.v_counts[0]), np.inf)
+    cost[np.arange(len(rows)), trellis.starts[rows]] = 0.0
+    costs = [cost]
     for p in range(trellis.n_sections):
         cand = costs[p][:, ridx.frm[p]] + weights.sections[p][None, :]
-        costs[p + 1] = _group_min(cand, ridx, p)
+        costs.append(_group_min(cand, ridx, p))
     return costs
 
 
 def _start_pred_edges(
-    ridx: ReachIndex, weights: WeightAssignment, costs: list[np.ndarray], i: int
+    ridx: ReachIndex, weights: WeightAssignment, costs: list[np.ndarray], k: int
 ) -> list[np.ndarray]:
-    """Survivor edges of the sweep from start i, recomputed from its costs.
+    """Survivor edges of row k of a start sweep, recomputed from its costs.
 
     Along any start-i..final-i path every in-edge with a finite candidate is
-    a member edge of subtrellis i, so tracing these back from final i gives
-    the same path as ``viterbi_subtrellis(ridx, weights, i)``.
+    a member edge of subtrellis i, so tracing these back from final i, for
+    the row swept from start i, gives the same path as
+    ``viterbi_subtrellis(ridx, weights, i)``.
     """
     return [
-        _grouped_first_min(costs[p][i, ridx.frm[p]] + weights.sections[p], ridx, p)[1]
+        _grouped_first_min(costs[p][k, ridx.frm[p]] + weights.sections[p], ridx, p)[1]
         for p in range(ridx.trellis.n_sections)
     ]
 
@@ -871,11 +883,53 @@ def all_pairs_start_final_distances(
     return DistanceTable(d=costs[-1][:, ridx.trellis.finals])
 
 
+def _exact_ml(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State) -> DecodeOutcome:
+    """Exact ML of one frame from phase 1's lower bounds and as few sweeps as they allow.
+
+    Every final cost ``delta_finals[i]`` bounds subtrellis i's codeword weight
+    from below, and a final whose survivor closed its own loop weighs exactly
+    that, bit for bit: float addition is monotone, so the sweep from start i
+    can never beat phase 1 along phase 1's own path.  With (w*, j) the
+    cheapest closed final, lowest index on ties, a subtrellis can win only if
+    its (bound, index) sorts before (w*, j); those rows are swept jointly.
+    The first argmin over the closed weights and swept diagonals is then the
+    first argmin of the full diagonal, and phase 1's pred edges trace a closed
+    winner along the path its own sweep would pick.
+    """
+    index = np.arange(ridx.t)
+    bound = p1.delta_finals
+    closed = p1.surv_finals == index
+    weight = np.where(closed, bound, np.inf)  # exact for closed finals; the rest inf unless swept
+    j = int(np.argmin(weight))
+    ahead = (bound < weight[j]) | ((bound == weight[j]) & (index < j))
+    rows = np.flatnonzero(ahead & ~closed)
+    if len(rows):
+        costs = _start_costs(ridx, weights, rows)
+        weight[rows] = costs[-1][np.arange(len(rows)), ridx.trellis.finals[rows]]
+    i = int(np.argmin(weight))
+    if not np.isfinite(weight[i]):
+        raise NoPathError("no subtrellis contains a start-to-final path")
+    if closed[i]:
+        pred_edge = p1.pred_edge
+    else:
+        pred_edge = _start_pred_edges(ridx, weights, costs, int(np.searchsorted(rows, i)))
+    return _outcome(ridx, weights, "exact", i, pred_edge=pred_edge, **_exact_work(ridx))
+
+
+def _exact_work(ridx: ReachIndex) -> dict[str, int]:
+    """Exact ML's reported work: that of t restricted sweeps, whatever the bounds saved."""
+    return {"comparisons": int(ridx.member_counts.sum()), "edge_visits": ridx.t * ridx.trellis.num_edges}
+
+
 def decode_exact_ml(ridx: ReachIndex, weights: WeightAssignment) -> DecodeOutcome:
     """Maximum-likelihood decoding: best closed path over every subtrellis.
 
-    Comparison counts reflect the t restricted sweeps this is equivalent to
-    (the joint sweep plus one traceback pass is just the fast realization).
+    Among equally heavy codewords the lowest subtrellis wins.  Phase 1 runs
+    first; its final costs bound every subtrellis from below, so only the
+    subtrellises that could still beat the cheapest closed final get a
+    restricted sweep, jointly, and a frame phase 1 settled needs none.
+    Comparison counts reflect the t restricted sweeps this is equivalent to,
+    whatever the bounds saved.
     """
     return decode_frame(ridx, weights, ("exact-ml",)).outcomes["exact-ml"]
 

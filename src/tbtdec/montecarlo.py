@@ -313,8 +313,13 @@ def run_monte_carlo(config: SimConfig) -> list[SimResultRow]:
         raise LengthMismatchError("frames must be between 1 and 2**32")
     if not config.ebn0_db:
         raise LengthMismatchError("at least one Eb/N0 point required")
+    if not all(np.isfinite(config.ebn0_db)):
+        raise ToolkitError(f"Eb/N0 points must be finite, got {config.ebn0_db}")
     if not config.decoders:
         raise LengthMismatchError("at least one decoder required")
+    if len(set(config.decoders)) != len(config.decoders):
+        # each name keeps one tally, so a repeated name would count its frames twice
+        raise CatalogError(f"decoder names must be distinct, got {', '.join(config.decoders)}")
     for name in config.decoders:
         if name not in DECODER_NAMES:
             raise CatalogError(f"unknown decoder {name!r}; available: {', '.join(DECODER_NAMES)}")

@@ -8,7 +8,8 @@ from hypothesis import Phase, assume, find, given, settings, strategies as st
 
 import tbtdec as tb
 from tbtdec.codes import bits_to_int, gf2_rank
-from tbtdec.decoder import _phase1_stops
+from tbtdec import decoder
+from tbtdec.decoder import _phase1_stops, _start_pred_edges, _traceback
 
 from conftest import build_block, build_conv, enumerate_paths, random_received
 
@@ -255,6 +256,48 @@ def test_exact_ml_traces_the_restricted_viterbi_path(ridx_block6, ridx_conv_m2):
             assert out.weight == sub.weight
 
 
+def _exact_rows(p1):
+    """Subtrellises the bounds leave in the race: (delta, i) before the cheapest closed final."""
+    t = len(p1.delta_finals)
+    closed = [i for i in range(t) if p1.surv_finals[i] == i]
+    best = min(((float(p1.delta_finals[i]), i) for i in closed), default=(np.inf, 0))
+    return [i for i in range(t) if i not in closed and (float(p1.delta_finals[i]), i) < best]
+
+
+def test_exact_ml_sweeps_only_the_rows_its_bounds_leave(monkeypatch, ridx_block6, ridx_conv_m2):
+    # a frame phase 1 settled runs no restricted sweep at all; on the others
+    # exactly the subtrellises whose bound sorts before the cheapest closed
+    # final are swept, in one joint call
+    swept = []
+
+    def counting(ridx, weights, rows):
+        swept.append(rows.tolist())
+        return start_costs(ridx, weights, rows)
+
+    start_costs = decoder._start_costs
+    monkeypatch.setattr(decoder, "_start_costs", counting)
+    settled = open_frames = 0
+    for ridx in (ridx_block6, ridx_conv_m2):
+        for frame in range(60):
+            _, weights = _weights_of(ridx, seed=73, frame=frame)
+            p1 = tb.phase1(ridx, weights)
+            stop = tb.phase1_decision(ridx, p1, weights)
+            swept.clear()
+            out = tb.decode_exact_ml(ridx, weights)
+            assert out.stage == "exact"
+            if stop is not None:
+                settled += 1
+                assert swept == []
+                assert out.subtrellis == stop.subtrellis and np.array_equal(out.path, stop.path)
+            else:
+                rows = _exact_rows(p1)
+                open_frames += bool(rows)
+                assert swept == ([rows] if rows else [])
+            assert out.comparisons == int(ridx.member_counts.sum())
+            assert out.edge_visits == ridx.t * ridx.trellis.num_edges
+    assert settled and open_frames
+
+
 def test_equal_in_degree_fast_path_matches_reduceat(ridx_conv_m2):
     # every conv vertex has two in-edges, so the sweeps take the strided fast
     # path; with that path switched off they use reduceat, and both must give
@@ -474,10 +517,12 @@ CONV_RIDX = {name: build_conv(tb.get_code(name).spec()) for name in ("toy-conv-m
     seed=st.integers(0, 10_000),
     batch=st.sampled_from([1, 2, 3]),
     rounded=st.booleans(),
+    prune=st.booleans(),
 )
-def test_batched_decode_matches_one_frame_calls(ridx, seed, batch, rounded):
+def test_batched_decode_matches_one_frame_calls(ridx, seed, batch, rounded, prune):
     # 7 frames in batches of 1, 2 or 3 (a non-divisor): every frame's phase-1
-    # state, stop decision and decoder outcomes equal those of decoding it alone
+    # state, stop decision and decoder outcomes equal those of decoding it
+    # alone, and exact ML equals the all-pairs oracle's decision
     received = [random_received(ridx, seed=seed, frame=f) for f in range(7)]
     if rounded:  # coarse samples: many equal costs, so the tie rule decides
         received = [tb.ReceivedVector(r=np.round(rec.r)) for rec in received]
@@ -487,7 +532,7 @@ def test_batched_decode_matches_one_frame_calls(ridx, seed, batch, rounded):
         weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=rows))
         p1 = tb.phase1(ridx, weights)
         stops = _phase1_stops(ridx, p1, weights)
-        decoded = list(tb.decode_frames(ridx, weights, names))
+        decoded = list(tb.decode_frames(ridx, weights, names, prune))
         assert len(stops) == len(decoded) == len(rows)
         for row, rec in enumerate(received[first : first + batch]):
             alone = tb.edge_weights(ridx.trellis, rec)
@@ -503,11 +548,26 @@ def test_batched_decode_matches_one_frame_calls(ridx, seed, batch, rounded):
             assert (stops[row] is None) == (stop is None)
             if stop is not None:
                 _same_outcome(stops[row], stop)
-            one = tb.decode_frame(ridx, alone, names)
+            one = tb.decode_frame(ridx, alone, names, prune)
             assert list(decoded[row].outcomes) == list(one.outcomes)
             for name in names:
                 _same_outcome(decoded[row].outcomes[name], one.outcomes[name])
             assert np.array_equal(decoded[row].table.d, one.table.d)
+            _matches_all_pairs_oracle(ridx, alone, decoded[row].outcomes["exact-ml"])
+
+
+def _matches_all_pairs_oracle(ridx, weights, exact):
+    """Exact ML is the first argmin of the all-pairs diagonal, traced along its sweep."""
+    costs = tb.parallel_start_costs(ridx, weights)
+    diag = np.diagonal(tb.all_pairs_start_final_distances(ridx, weights).d)
+    i = int(np.argmin(diag))
+    assert (exact.subtrellis, exact.stage) == (i, "exact")
+    finals = [ridx.trellis.finals[i]]
+    paths, bits, weight = _traceback(ridx, _start_pred_edges(ridx, weights, costs, i), finals, weights)
+    sub = tb.viterbi_subtrellis(ridx, weights, i)
+    for path, codeword, w in ((paths[0], bits[0], float(weight[0])), (sub.path, sub.codeword, sub.weight)):
+        assert np.array_equal(exact.path, path) and np.array_equal(exact.codeword, codeword)
+        assert exact.weight == w
 
 
 def test_mixed_trellises_reach_the_reduceat_path():

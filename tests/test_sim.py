@@ -253,6 +253,61 @@ def test_check_lemmas_builds_one_cost_table_per_frame(monkeypatch, capsys):
     assert len(calls) == 20
 
 
+def test_simulate_builds_cost_tables_only_for_mismatch_frames(monkeypatch, tmp_path):
+    # exact ML decides from phase 1's bounds and a few restricted sweeps; the
+    # all-pairs table is built only for a mismatch's crossing witness
+    calls = []
+
+    def counting(ridx, weights):
+        calls.append(1)
+        return tb.parallel_start_costs(ridx, weights)
+
+    monkeypatch.setattr(decoder, "parallel_start_costs", counting)
+    log = tmp_path / "mismatch.jsonl"
+    config = _config(ebn0_db=(1.0, 2.0), frames=60, mismatch_log=str(log))
+    tb.run_monte_carlo(config)
+    reports = [tb.MismatchReport.from_json(line) for line in log.read_text().splitlines()]
+    mismatch_frames = {(r.ebn0_db, r.frame) for r in reports}
+    assert 0 < len(mismatch_frames) < 120
+    assert len(calls) == len(mismatch_frames)
+
+
+def test_duplicate_decoder_names_rejected(capsys):
+    # one tally per name: a repeated name would count its frames twice
+    with pytest.raises(tb.CatalogError, match="distinct"):
+        tb.run_monte_carlo(_config(decoders=("exact-ml", "exact-ml")))
+    rc = cli.main(["simulate", "--code", "toy-conv-m2-l8", "--decoders", "exact-ml,exact-ml",
+                   "--frames", "2"])
+    assert rc == 2
+    assert "distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_ebn0_rejected(point):
+    with pytest.raises(tb.ToolkitError, match="Eb/N0"):
+        tb.run_monte_carlo(_config(ebn0_db=(1.0, point)))
+
+
+@pytest.mark.parametrize(
+    "command, ebn0, message",
+    [
+        ("simulate", "abc", "not a comma-separated list"),
+        ("simulate", "1,,2", "not a comma-separated list"),
+        ("simulate", "nan", "must be finite"),
+        ("simulate", "1,inf", "must be finite"),
+        ("decode-frame", "abc", "not a comma-separated list"),
+        ("decode-frame", "2,3", "single dB value"),
+        ("check-lemmas", "2,3", "single dB value"),
+        ("check-lemmas", "inf", "must be finite"),
+    ],
+)
+def test_cli_rejects_bad_ebn0(capsys, command, ebn0, message):
+    rc = cli.main([command, "--code", "toy-block-n4-k2-c1", "--ebn0", ebn0, "--frames", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--ebn0" in err and message in err
+
+
 def test_config_validation():
     with pytest.raises(tb.LengthMismatchError):
         tb.run_monte_carlo(_config(frames=0))
