@@ -77,6 +77,14 @@ class WeightAssignment:
         table = None if self.table is None else self.table[f]
         return WeightAssignment([w[f] for w in self.sections], table)
 
+    def take(self, rows) -> "WeightAssignment":
+        """Frames ``rows`` of a batch as a batch of their own (copies)."""
+        if self.table is None:
+            return WeightAssignment([w[rows] for w in self.sections])
+        table = self.table[rows]
+        bounds = np.cumsum([0] + [w.shape[-1] for w in self.sections])
+        return WeightAssignment([table[..., a:b] for a, b in zip(bounds[:-1], bounds[1:])], table)
+
 
 def bpsk_modulate(bits) -> np.ndarray:
     arr = np.asarray(bits, dtype=np.float64)

@@ -32,8 +32,11 @@ out of the decode path, as the oracle of the audits, witnesses and tests.
 ``decode_frames`` runs each phase at most once per frame and derives every
 requested decoder's decision from that shared state.  Phase 1, its stop test
 and the traceback of the frames it settles run over a whole batch of frames
-at once; ``decode_frame`` is the batch of one, and the ``decode_*`` functions
-are single-decoder calls into it.
+at once.  Phase 2, its final decision and the list sweep then run once more,
+batched, over just the frames phase 1 left open; the list sweep gives every
+vertex a fixed number of candidate slots, so one kernel of sorts along that
+axis serves every trellis.  ``decode_frame`` is the batch of one, and the
+``decode_*`` functions are single-decoder calls into it.
 """
 
 from __future__ import annotations
@@ -99,44 +102,72 @@ class Phase1State:
 
     def frame(self, f: int) -> "Phase1State":
         """Frame f of a batched sweep as row views; one frame's state is itself."""
-        if self.delta_finals.ndim == 1:
-            return self
+        return self if self.delta_finals.ndim == 1 else self.take(f)
+
+    def take(self, rows) -> "Phase1State":
+        """Rows ``rows`` of a batched sweep: one frame's state for an int, a batch for an array."""
         return Phase1State(
-            cost=[a[f] for a in self.cost],
-            surv=[a[f] for a in self.surv],
-            pred_edge=[a[f] for a in self.pred_edge],
+            cost=[a[rows] for a in self.cost],
+            surv=[a[rows] for a in self.surv],
+            pred_edge=[a[rows] for a in self.pred_edge],
             comparisons=self.comparisons,
             edge_visits=self.edge_visits,
-            delta_finals=self.delta_finals[f],
-            surv_finals=self.surv_finals[f],
+            delta_finals=self.delta_finals[rows],
+            surv_finals=self.surv_finals[rows],
         )
 
 
 @dataclass
 class Phase2State:
-    """Subtrellis-restricted sweep: metric / trellis id / path dist / pred arrays."""
+    """Subtrellis-restricted sweep: metric / trellis id / path dist / pred arrays.
+
+    Shaped as ``Phase1State``: (V,) per index for one frame, (F, V) for a
+    batch.  ``comparisons`` counts one frame's work, so a batch holds one
+    count per frame, (F,); ``edge_visits`` is the same for every frame.
+    """
 
     metric: list[np.ndarray]
     trellis: list[np.ndarray]
     dist: list[np.ndarray]
     pred_edge: list[np.ndarray]
     participants: np.ndarray  # bool (t,)
-    comparisons: int
+    comparisons: int | np.ndarray
     edge_visits: int
     metric_finals: np.ndarray
     trellis_finals: np.ndarray
 
+    def frame(self, f: int) -> "Phase2State":
+        """Frame f of a batched sweep as row views; one frame's state is itself."""
+        if self.metric_finals.ndim == 1:
+            return self
+        return Phase2State(
+            metric=[a[f] for a in self.metric],
+            trellis=[a[f] for a in self.trellis],
+            dist=[a[f] for a in self.dist],
+            pred_edge=[a[f] for a in self.pred_edge],
+            participants=self.participants[f],
+            comparisons=int(self.comparisons[f]),
+            edge_visits=self.edge_visits,
+            metric_finals=self.metric_finals[f],
+            trellis_finals=self.trellis_finals[f],
+        )
+
 
 @dataclass
 class ListState:
-    """Per-vertex top-L candidate lists kept by the list-decoding variant."""
+    """What the list variant's decision reads: final metrics and the pred arrays to trace.
 
-    metric: list[np.ndarray]  # (L, V) per index
-    trellis: list[np.ndarray]
-    dist: list[np.ndarray]
-    pred_edge: list[np.ndarray]
+    Entry [r, v] of ``pred_edge[p]`` and ``pred_rank[p]`` names the in-edge
+    and the source rank of vertex v's rank-r candidate at index p+1, both 0 in
+    an empty slot; ``metric_finals[r, i]`` is the rank-r metric at final i
+    (inf if empty).  A batch adds a leading frame axis to every array, and
+    ``comparisons`` then holds one count per frame.
+    """
+
+    pred_edge: list[np.ndarray]  # (L, V) per index past 0
     pred_rank: list[np.ndarray]
-    comparisons: int
+    metric_finals: np.ndarray  # (L, t)
+    comparisons: int | np.ndarray
 
 
 @dataclass
@@ -264,8 +295,8 @@ def _traceback(
     There is one walk per final vertex, all taken together, and row k of each
     result belongs to walk k.  ``pred_edge[p]`` is one sweep's (V,) array, or
     a batch's (F, V) with ``frames`` naming each walk's frame (``weights`` is
-    then the batch's too), or a list sweep's (L, V) with ``pred_rank`` and
-    each walk's starting rank in ``ranks``.
+    then the batch's too), or a list sweep's (L, V) or (F, L, V) with
+    ``pred_rank`` and each walk's starting rank in ``ranks``.
 
     The weight is re-accumulated left to right over the traced edges — the
     same float additions the sweep performed — so it is the exact path sum
@@ -274,7 +305,10 @@ def _traceback(
     trellis = ridx.trellis
     n = trellis.n_sections
     v = np.asarray(final_vertices, dtype=np.intp)
-    rows = frames if pred_rank is None else np.asarray(ranks, dtype=np.intp)
+    rows = frames
+    if pred_rank is not None:  # a list's rows are frame * L + rank
+        first = 0 if frames is None else frames * pred_rank[0].shape[-2]
+        rows = first + np.asarray(ranks, dtype=np.intp)
     if rows is not None:  # index the flattened rows at row * V + v
         pred_edge = [a.reshape(-1) for a in pred_edge]
         if pred_rank is not None:
@@ -285,7 +319,7 @@ def _traceback(
         at = v if rows is None else rows * trellis.v_counts[p + 1] + v
         e = pred_edge[p][at].astype(np.intp)  # int32 indices gather slowly
         if pred_rank is not None:
-            rows = pred_rank[p][at]
+            rows = first + pred_rank[p][at]
         v = ridx.frm[p][e]
         walk.append(v)
         edges.append(e)
@@ -318,7 +352,8 @@ def _outcomes(
     one walk (``frames``, ``pred_rank`` and ``ranks`` as in ``_traceback``).
     Without, a restricted Viterbi sweep of the one subtrellis finds it; only a
     fallback does that, and it reports the sweep's comparisons as
-    ``fallback_comparisons``.
+    ``fallback_comparisons``.  ``comparisons`` and ``edge_visits`` are one
+    int for all, or a list of one per subtrellis.
     """
     if pred_edge is None:
         (i,) = subtrellises
@@ -330,6 +365,7 @@ def _outcomes(
         traced, extra = zip(paths, bits, weight.tolist()), 0
     else:
         return []
+    counts, visits = ([c] * len(subtrellises) if isinstance(c, int) else c for c in (comparisons, edge_visits))
     return [
         DecodeOutcome(
             codeword=bits,
@@ -337,11 +373,11 @@ def _outcomes(
             weight=weight,
             stage=stage,
             subtrellis=int(i),
-            comparisons=comparisons,
-            edge_visits=edge_visits,
+            comparisons=c,
+            edge_visits=ev,
             fallback_comparisons=extra,
         )
-        for i, (path, bits, weight) in zip(subtrellises, traced)
+        for i, (path, bits, weight), c, ev in zip(subtrellises, traced, counts, visits)
     ]
 
 
@@ -480,12 +516,11 @@ def phase1_decision(
 # Phase 2
 
 def _participants(p1: Phase1State, prune: bool) -> np.ndarray:
-    t = len(p1.delta_finals)
-    own = p1.surv_finals == np.arange(t)
+    own = p1.surv_finals == np.arange(p1.surv_finals.shape[-1])
     crossed = ~own
     if not prune:
         return crossed
-    threshold = p1.delta_finals[own].min() if own.any() else np.inf
+    threshold = np.where(own, p1.delta_finals, np.inf).min(axis=-1, keepdims=True)
     return crossed & (p1.delta_finals <= threshold)
 
 
@@ -505,44 +540,69 @@ def phase2(
     and corrects the heuristic part: metric = dist + cost(final j) - cost(v).
     At final j the correction telescopes away and metric is the exact weight
     of the traced path.
+
+    Batched weights and phase-1 state, as ``phase1`` takes and gives them,
+    sweep F frames at once on the same flat shifted-block arrays, with the
+    same tie rule; row f is bit for bit the sweep of frame f alone.
     """
     trellis = ridx.trellis
     t = ridx.t
+    batch = weights.sections[0].shape[:-1]
+    n_frames = prod(batch)
+    shift = np.arange(n_frames)[:, None]
     participants = _participants(p1, participation_prune)
-    metric = [np.full(v, np.inf) for v in trellis.v_counts]
-    tr = [np.zeros(v, dtype=np.int32) for v in trellis.v_counts]
-    dist = [np.full(v, np.inf) for v in trellis.v_counts]
+    d_final = p1.delta_finals.reshape(-1)
+    v0 = trellis.v_counts[0]
+    metric = [np.full(n_frames * v0, np.inf)]
+    tr = [np.zeros(n_frames * v0, dtype=np.int32)]
+    dist = [np.full(n_frames * v0, np.inf)]
     pred_edge: list[np.ndarray] = []
-    tr[0][trellis.starts] = np.arange(t, dtype=np.int32)
-    active = trellis.starts[participants]
-    metric[0][active] = p1.delta_finals[participants]
-    dist[0][active] = 0.0
-    d_final = p1.delta_finals
+    starts = (trellis.starts + v0 * shift).ravel()
+    tr[0][starts] = np.tile(np.arange(t, dtype=np.int32), n_frames)
+    active = participants.reshape(-1)
+    metric[0][starts[active]] = d_final[active]
+    dist[0][starts[active]] = 0.0
     comparisons = 0
-    edge_visits = 0
     for p, sec in enumerate(trellis.sections):
-        frm = ridx.frm[p]
+        frm, groups, to = ridx.frm[p], ridx.group_starts[p], sec.to
+        if n_frames > 1:
+            frm = (frm + trellis.v_counts[p] * shift).ravel()
+            groups = (groups + len(to) * shift).ravel()
         tr_u = tr[p][frm]
-        ok = np.isfinite(metric[p][frm]) & ridx.member_bit(p, tr_u)
-        step = dist[p][frm] + weights.sections[p]
-        cand = np.where(ok, (step + d_final[tr_u]) - p1.cost[p + 1][sec.to], np.inf)
-        best, win = _grouped_first_min(cand, ridx, p)
-        metric[p + 1] = best
-        tr[p + 1] = tr_u[win]
-        dist[p + 1] = step[win]
+        if n_frames > 1:  # membership and final costs of each frame's own subtrellises
+            ids = tr_u.reshape(n_frames, -1)
+            member = ridx.member_bit(p, ids).ravel()
+            d_tr = d_final[(ids + t * shift).ravel()]
+            cost_to = p1.cost[p + 1][:, to].ravel()
+        else:
+            member = ridx.member_bit(p, tr_u)
+            d_tr = d_final[tr_u]
+            cost_to = p1.cost[p + 1].reshape(-1)[to]
+        ok = np.isfinite(metric[p][frm]) & member
+        step = dist[p][frm] + weights.sections[p].reshape(-1)
+        cand = np.where(ok, (step + d_tr) - cost_to, np.inf)
+        best, win = _grouped_first_min(cand, ridx, p, groups)
+        metric.append(best)
+        tr.append(tr_u[win])
+        dist.append(step[win])
+        if n_frames > 1:  # back to edge ids within each frame's section
+            win = (win.reshape(n_frames, -1) - len(to) * shift).ravel()
         pred_edge.append(win.astype(np.int32))
-        comparisons += int(ok.sum())
-        edge_visits += sec.num_edges
+        comparisons = comparisons + ok.reshape(*batch, -1).sum(axis=-1)
+    if batch:
+        metric, tr, dist, pred_edge = (
+            [a.reshape(*batch, -1) for a in arrays] for arrays in (metric, tr, dist, pred_edge)
+        )
     return Phase2State(
         metric=metric,
         trellis=tr,
         dist=dist,
         pred_edge=pred_edge,
         participants=participants,
-        comparisons=comparisons,
-        edge_visits=edge_visits,
-        metric_finals=metric[-1][trellis.finals],
-        trellis_finals=tr[-1][trellis.finals],
+        comparisons=comparisons if batch else int(comparisons),
+        edge_visits=trellis.num_edges,
+        metric_finals=metric[-1][..., trellis.finals],
+        trellis_finals=tr[-1][..., trellis.finals],
     )
 
 
@@ -559,21 +619,88 @@ def final_decision(
     lowest subtrellis index.  If the pool is empty — possible only when
     membership starves every participant — run a single restricted Viterbi
     sweep on the most promising subtrellis so a codeword is always returned.
+    This decides one frame; ``_final_decisions`` decides a batch.
     """
-    own = p1.surv_finals == np.arange(ridx.t)
-    pool = [(float(p1.delta_finals[i]), 0, i) for i in range(ridx.t) if own[i]]
-    pool += [(float(m), 1, i) for i, m in enumerate(p2.metric_finals) if np.isfinite(m)]
-    comparisons = p1.comparisons + p2.comparisons
+    return _final_decisions(ridx, weights, p1, p2)[0]
+
+
+def _final_decisions(
+    ridx: ReachIndex,
+    weights: WeightAssignment,
+    p1: Phase1State,
+    p2: Phase2State,
+) -> list[DecodeOutcome]:
+    """``final_decision`` for every frame of a sweep, one batch or one frame.
+
+    Each frame's pool lists its closed phase-1 finals and then its finite
+    phase-2 finals, by index, so the first minimum of the pool is its least
+    (weight, phase, index).  The winners of each phase are traced together.
+    """
+    t = ridx.t
+    valid = np.concatenate([p1.surv_finals == np.arange(t), np.isfinite(p2.metric_finals)], -1)
+    pool = np.where(valid, np.concatenate([p1.delta_finals, p2.metric_finals], -1), np.inf)
+    valid, pool = valid.reshape(-1, 2 * t), pool.reshape(-1, 2 * t)
+    comparisons = (p1.comparisons + np.array(p2.comparisons, ndmin=1)).tolist()
     edge_visits = p1.edge_visits + p2.edge_visits
-    if not pool:
-        return _fallback(ridx, weights, p1, comparisons, edge_visits)
-    _, stage_code, i = min(pool)
-    stage, pred_edge = ("phase1", p1.pred_edge) if stage_code == 0 else ("phase2", p2.pred_edge)
-    return _outcome(ridx, weights, stage, i, comparisons, edge_visits, pred_edge)
+    batched = p1.delta_finals.ndim == 2
+    decisions: list[DecodeOutcome | None] = [None] * len(pool)
+    won: tuple[list, list] = ([], [])  # (frame, subtrellis) won by phase 1, by phase 2
+    for f, k in enumerate(pool.argmin(axis=1).tolist()):
+        if not valid[f, k]:  # every member of the pool weighs inf, or there is none
+            if not valid[f].any():
+                frame_weights = weights.frame(f) if batched else weights
+                decisions[f] = _fallback(ridx, frame_weights, p1.frame(f), comparisons[f], edge_visits)
+                continue
+            k = int(valid[f].argmax())
+        won[k >= t].append((f, k % t))
+    for stage, pred_edge, pairs in (("phase1", p1.pred_edge, won[0]), ("phase2", p2.pred_edge, won[1])):
+        if pairs:
+            frames, finals = (list(x) for x in zip(*pairs))
+            traced = _outcomes(
+                ridx, weights, stage, finals, [comparisons[f] for f in frames], edge_visits,
+                pred_edge, np.array(frames) if batched else None,
+            )
+            for f, outcome in zip(frames, traced):
+                decisions[f] = outcome
+    return decisions
 
 
 # ---------------------------------------------------------------------------
 # List variant
+
+def _list_slots(ridx: ReachIndex, list_size: int) -> list[tuple[np.ndarray, ...]]:
+    """Per section, the fixed-width candidate slots of the list sweep.
+
+    Every vertex has W = L * g slots, g the section's largest in-degree: slot
+    r * g + k holds in-edge k of the vertex (``ReachIndex.in_edges``) fed by
+    rank r of its source, so the slots follow (rank, in-edge) order.  Each
+    entry is (src, edges, pred, real, before, keys): the slot's source in one
+    frame's (V_prev, L) state, its edge, its int32 (edge, rank) flattened,
+    the (V, W) mask of slots that are real in-edges (None if all are), the
+    strict lower triangle of a (W, W) grid, and int16 sort keys 0..W-1 and
+    W..2W-1 for the stage-0 and stage-1 positions, both (W, 1).  They depend
+    only on the trellis, so each list size's are built once and kept in
+    ``ridx``.
+    """
+    if list_size in ridx.list_slots:
+        return ridx.list_slots[list_size]
+    slots = ridx.list_slots[list_size] = []
+    for p, (in_edges, real) in enumerate(zip(ridx.in_edges, ridx.in_real)):
+        g = in_edges.shape[1]
+        edges = np.tile(in_edges, list_size)
+        ranks = np.repeat(np.arange(list_size), g)
+        pred = np.stack(np.broadcast_arrays(edges, ranks)).astype(np.int32).reshape(2, -1)
+        width = edges.shape[1]
+        slots.append((
+            ridx.frm[p][edges] * list_size + ranks,
+            edges,
+            pred,
+            None if real is None else np.tile(real, list_size),
+            np.tri(width, k=-1, dtype=bool)[:, :, None],
+            np.arange(2 * width, dtype=np.int16).reshape(2, width, 1),
+        ))
+    return slots
+
 
 def _phase2_list(
     ridx: ReachIndex,
@@ -588,106 +715,103 @@ def _phase2_list(
     subtrellis's cheapest), then fill remaining slots with the next-best
     leftovers by metric.  Ordering ties follow (metric, source rank, edge io
     order), which reduces to the scalar rule on rank 0.
+
+    Each vertex weighs its W candidate slots (``_list_slots``) at once.  A
+    stable argsort orders them by (metric, slot); a slot is then in stage 1
+    if it is dead (no finite metric) or a slot of the same subtrellis sorts
+    before it, and a stable argsort by stage (one argsort of keys unique to
+    each (stage, metric position)) puts the first L slots in the list.
+    Dead slots leave their entries at the initial values.  Batched
+    weights and phase-1 state sweep F frames at once, each frame's (V, L)
+    state in its own block; only the pred arrays and final metrics are kept.
     """
     trellis = ridx.trellis
     t = ridx.t
-    L = list_size
-    d_final = p1.delta_finals
-    metric = [np.full((L, v), np.inf) for v in trellis.v_counts]
-    tr = [np.zeros((L, v), dtype=np.int32) for v in trellis.v_counts]
-    dist = [np.full((L, v), np.inf) for v in trellis.v_counts]
-    pred_edge = [np.zeros((L, v), dtype=np.int32) for v in trellis.v_counts[1:]]
-    pred_rank = [np.zeros((L, v), dtype=np.int32) for v in trellis.v_counts[1:]]
-    tr[0][0, trellis.starts] = np.arange(t, dtype=np.int32)
-    active = trellis.starts[participants]
-    metric[0][0, active] = d_final[participants]
-    dist[0][0, active] = 0.0
+    batch = weights.sections[0].shape[:-1]
+    n_frames = prod(batch)
+    shift = np.arange(n_frames)[:, None, None]
+    d_final = p1.delta_finals.reshape(-1)
+    v0 = trellis.v_counts[0]
+    metric = np.full((n_frames, v0, list_size), np.inf)
+    tr = np.zeros((n_frames, v0, list_size), dtype=np.int32)
+    dist = np.full((n_frames, v0, list_size), np.inf)
+    tr[:, trellis.starts, 0] = np.arange(t, dtype=np.int32)
+    frames, i = np.nonzero(participants.reshape(n_frames, t))
+    metric[frames, trellis.starts[i], 0] = d_final[frames * t + i]
+    dist[frames, trellis.starts[i], 0] = 0.0
     comparisons = 0
-    for p, sec in enumerate(trellis.sections):
-        E = sec.num_edges
-        frm = ridx.frm[p]
-        tr_u = tr[p][:, frm]  # (L, E)
-        ok = np.isfinite(metric[p][:, frm]) & ridx.member_bit(p, tr_u)
-        step = dist[p][:, frm] + weights.sections[p][None, :]
-        cand = np.where(
-            ok, (step + d_final[tr_u]) - p1.cost[p + 1][sec.to][None, :], np.inf
-        )
-        comparisons += int(ok.sum())
-        flat = cand.ravel()
-        alive = np.flatnonzero(np.isfinite(flat))
-        if len(alive) == 0:
-            continue
-        c_met = flat[alive]
-        c_rank, c_edge = np.divmod(alive, E)  # flat index = rank * E + edge
-        c_to = sec.to[c_edge]
-        c_tr = tr_u.ravel()[alive]
-        c_step = step.ravel()[alive]
-        order_id = np.arange(len(alive))
-        # Cheapest candidate of each (vertex, subtrellis) pair gets priority.
-        by_pair = np.lexsort((order_id, c_met, c_tr, c_to))
-        firsts = np.ones(len(alive), dtype=bool)
-        firsts[1:] = (c_to[by_pair][1:] != c_to[by_pair][:-1]) | (
-            c_tr[by_pair][1:] != c_tr[by_pair][:-1]
-        )
-        stage = np.ones(len(alive), dtype=np.int8)
-        stage[by_pair[firsts]] = 0
-        final_order = np.lexsort((order_id, c_met, stage, c_to))
-        to_sorted = c_to[final_order]
-        new_group = np.ones(len(alive), dtype=bool)
-        new_group[1:] = to_sorted[1:] != to_sorted[:-1]
-        group_anchor = np.repeat(
-            np.flatnonzero(new_group),
-            np.diff(np.append(np.flatnonzero(new_group), len(alive))),
-        )
-        slot = np.arange(len(alive)) - group_anchor
-        take = slot < L
-        sel = final_order[take]
-        rows = slot[take]
-        cols = to_sorted[take]
-        metric[p + 1][rows, cols] = c_met[sel]
-        tr[p + 1][rows, cols] = c_tr[sel]
-        dist[p + 1][rows, cols] = c_step[sel]
-        pred_edge[p][rows, cols] = c_edge[sel]
-        pred_rank[p][rows, cols] = c_rank[sel]
+    pred_edge: list[np.ndarray] = []
+    pred_rank: list[np.ndarray] = []
+    for p, (src, edges, pred, real, before, keys) in enumerate(_list_slots(ridx, list_size)):
+        v, width = edges.shape
+        if n_frames > 1:
+            src = src + trellis.v_counts[p] * list_size * shift
+        tr_u = tr.reshape(-1)[src]
+        ok = np.isfinite(metric.reshape(-1)[src]) & ridx.member_bit(p, tr_u, edges)
+        if real is not None:
+            ok &= real
+        step = dist.reshape(-1)[src] + weights.sections[p][..., edges]
+        d_tr = d_final[tr_u] if n_frames == 1 else d_final[tr_u + t * shift]
+        cand = np.where(ok, (step + d_tr) - p1.cost[p + 1][..., None], np.inf)
+        comparisons = comparisons + ok.reshape(*batch, -1).sum(axis=-1)
+        cand = cand.reshape(-1, width)  # one row of slots per (frame, vertex)
+        base = np.arange(0, cand.size, width)[:, None]
+        by_metric = cand.argsort(axis=1, kind="stable") + base
+        alive = np.isfinite(cand).reshape(-1)
+        order = by_metric.T.copy()  # (W, rows) in C order, so the reductions run along the rows
+        tr_sorted = tr_u.reshape(-1)[order]
+        same = tr_sorted[:, None] == tr_sorted
+        same &= before
+        late = np.logical_or.reduce(same, axis=1) | ~alive[order]
+        # keys are distinct, so this is the stable order by stage without a stable sort
+        first = np.where(late, keys[1], keys[0]).argsort(axis=0)[:list_size]
+        keep = by_metric.reshape(-1)[np.add(first.T, base, order="C")]
+        kept = alive[keep]
+        metric = cand.reshape(-1)[keep]
+        tr = np.where(kept, tr_u.reshape(-1)[keep], 0)
+        dist = np.where(kept, step.reshape(-1)[keep], np.inf)
+        at = keep if n_frames == 1 else keep % (v * width)
+        for out, values in ((pred_edge, pred[0]), (pred_rank, pred[1])):
+            out.append(np.where(kept, values[at], 0).reshape(*batch, v, list_size).swapaxes(-1, -2))
+    finals = metric.reshape(*batch, -1, list_size)[..., trellis.finals, :]
     return ListState(
-        metric=metric,
-        trellis=tr,
-        dist=dist,
         pred_edge=pred_edge,
         pred_rank=pred_rank,
-        comparisons=comparisons,
+        metric_finals=finals.swapaxes(-1, -2),
+        comparisons=comparisons if batch else int(comparisons),
     )
 
 
-def _list_decision(
+def _list_decisions(
     ridx: ReachIndex,
     weights: WeightAssignment,
     p1: Phase1State,
     p2: Phase2State,
-    scalar: DecodeOutcome,
+    scalar: list[DecodeOutcome],
     list_size: int,
-) -> DecodeOutcome:
-    """Pool the list sweep's finals with the single-candidate decision."""
+) -> list[DecodeOutcome]:
+    """Pool each frame's list-sweep finals with its single-candidate decision."""
     ls = _phase2_list(ridx, weights, p1, list_size, p2.participants)
-    final_metrics = ls.metric[-1][:, ridx.trellis.finals]  # (L, t)
-    pool = [
-        (float(final_metrics[r, i]), i, r)
-        for i in range(ridx.t)
-        for r in range(list_size)
-        if np.isfinite(final_metrics[r, i])
-    ]
-    comparisons = scalar.comparisons + ls.comparisons
-    if pool:
-        _, i, r = min(pool)
-        out = _outcome(
-            ridx, weights, "phase2", i, comparisons, scalar.edge_visits,
-            ls.pred_edge, ls.pred_rank, r,
-        )
+    pool = ls.metric_finals.swapaxes(-1, -2).reshape(len(scalar), -1)  # by (final, rank)
+    best = pool.argmin(axis=1)
+    frames = np.flatnonzero(np.isfinite(pool[np.arange(len(pool)), best]))
+    comparisons = np.array([s.comparisons for s in scalar]) + ls.comparisons
+    i, r = np.divmod(best[frames], list_size)
+    traced = _outcomes(
+        ridx, weights, "phase2", i, comparisons[frames].tolist(), [scalar[f].edge_visits for f in frames],
+        ls.pred_edge, frames if p1.delta_finals.ndim == 2 else None, ls.pred_rank, r,
+    )
+    found = dict(zip(frames.tolist(), traced))
+    decisions = []
+    for f, single in enumerate(scalar):
+        out = found.get(f)
         # Compare true path weights; the single-candidate result wins ties so
         # a larger list can only strictly improve the decision.
-        if scalar.stage == "fallback" or out.weight < scalar.weight:
-            return out
-    return replace(scalar, comparisons=comparisons)
+        if out is not None and (single.stage == "fallback" or out.weight < single.weight):
+            decisions.append(out)
+        else:
+            decisions.append(replace(single, comparisons=int(comparisons[f])))
+    return decisions
 
 
 def _phase1_only(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State) -> DecodeOutcome:
@@ -721,20 +845,28 @@ def decode_frames(
 
     ``weights`` holds one frame, or a batch as ``edge_weights`` builds it for
     (F, n) samples.  Names are those of ``DECODER_NAMES``, or
-    "two-phase-L<k>" for any list size k.  Phase 1 and its stop test run once
-    for the whole batch.  A frame phase 1 settled takes that outcome for
-    every decoder, exact ML included; the others go on one at a time as they
-    are reached.  Phase 2 runs at most once per frame, and every list size
-    reuses it; exact ML sweeps only the subtrellises phase 1's bounds leave
-    in the race (``_exact_ml``).
+    "two-phase-L<k>" for any list size k, each at most once.  Phase 1 and its
+    stop test run once for the whole batch.  A frame phase 1 settled takes
+    that outcome for every decoder, exact ML included.  Phase 2, its final
+    decision and one list sweep per list size above 1 then run once over all
+    the frames phase 1 left open (``_decode_open``).  Exact ML and
+    phase1-only go on one open frame at a time as it is reached; exact ML
+    sweeps only the subtrellises phase 1's bounds leave in the race
+    (``_exact_ml``).
     """
     for name in decoders:
         if name not in ("exact-ml", "phase1-only") and not _TWO_PHASE.fullmatch(name):
             raise CatalogError(f"unknown decoder {name!r}; available: {', '.join(DECODER_NAMES)}")
+    if len(set(decoders)) != len(decoders):
+        # outcomes are keyed by name, so a repeated name would be decoded once and reported once
+        raise CatalogError(f"decoder names must be distinct, got {', '.join(decoders)}")
     single = weights.sections[0].ndim == 1
     p1 = phase1(ridx, weights)
     stops = _phase1_stops(ridx, p1, weights)
+    open_frames = [f for f, stopped in enumerate(stops) if stopped is None]
+    p2, two_phase = _decode_open(ridx, weights, p1, open_frames, decoders, participation_prune)
     exact_work = _exact_work(ridx) if "exact-ml" in decoders else None
+    k = 0  # position among the open frames
     for f, stopped in enumerate(stops):
         decoded = FrameDecode(sweep=p1, row=f, ridx=ridx, weights=weights)
         if stopped is not None:
@@ -742,36 +874,50 @@ def decode_frames(
             if exact_work is not None:
                 # the stop is on the cheapest final, so no subtrellis can beat it
                 decoded.outcomes["exact-ml"] = replace(stopped, stage="exact", **exact_work)
-        else:
-            frame_weights = weights if single else weights.frame(f)
-            _decode_rest(ridx, frame_weights, decoders, participation_prune, decoded)
+            yield decoded
+            continue
+        if p2 is not None:
+            decoded.p2 = p2.frame(k)
+        frame_weights = weights if single else weights.frame(f)
+        for name in decoders:
+            if name == "exact-ml":
+                decoded.outcomes[name] = _exact_ml(ridx, frame_weights, decoded.p1)
+            elif name == "phase1-only":
+                decoded.outcomes[name] = _phase1_only(ridx, frame_weights, decoded.p1)
+            else:
+                decoded.outcomes[name] = two_phase[name][k]
+        k += 1
         yield decoded
 
 
-def _decode_rest(
+def _decode_open(
     ridx: ReachIndex,
     weights: WeightAssignment,
+    p1: Phase1State,
+    frames: list[int],
     decoders: tuple[str, ...],
     participation_prune: bool,
-    decoded: FrameDecode,
-) -> None:
-    """Fill in the outcomes, in request order, of a frame phase 1 did not settle."""
-    scalar = None
-    for name in decoders:
-        if name == "exact-ml":
-            outcome = _exact_ml(ridx, weights, decoded.p1)
-        elif name == "phase1-only":
-            outcome = _phase1_only(ridx, weights, decoded.p1)
-        else:
-            if decoded.p2 is None:
-                decoded.p2 = phase2(ridx, weights, decoded.p1, participation_prune)
-                scalar = final_decision(ridx, weights, decoded.p1, decoded.p2)
-            list_size = int(_TWO_PHASE.fullmatch(name).group(1))
-            outcome = (
-                scalar if list_size == 1
-                else _list_decision(ridx, weights, decoded.p1, decoded.p2, scalar, list_size)
-            )
-        decoded.outcomes[name] = outcome
+) -> tuple[Phase2State | None, dict[str, list[DecodeOutcome]]]:
+    """Phase 2 and every two-phase decision of the open frames ``frames``, all batched.
+
+    Returns their batched phase-2 state (None if no two-phase decoder was
+    named or no frame is open) and, per two-phase name, the open frames'
+    outcomes in order.  Phase 2 and ``_final_decisions`` run once, and every
+    list size above 1 adds one list sweep over the same frames.
+    """
+    sizes = {name: int(m.group(1)) for name in decoders if (m := _TWO_PHASE.fullmatch(name))} if frames else {}
+    if not sizes:
+        return None, {}
+    if p1.delta_finals.ndim == 2 and len(frames) == 1:  # its row views, swept as one frame
+        weights, p1 = weights.frame(frames[0]), p1.frame(frames[0])
+    elif len(frames) < len(p1.delta_finals.reshape(-1, ridx.t)):
+        weights, p1 = weights.take(frames), p1.take(frames)
+    p2 = phase2(ridx, weights, p1, participation_prune)
+    scalar = _final_decisions(ridx, weights, p1, p2)
+    return p2, {
+        name: scalar if size == 1 else _list_decisions(ridx, weights, p1, p2, scalar, size)
+        for name, size in sizes.items()
+    }
 
 
 def decode_frame(

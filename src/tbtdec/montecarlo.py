@@ -86,6 +86,11 @@ class SimConfig:
     workers: int = 1
     mismatch_log: str | None = None
 
+    def __post_init__(self):
+        # sigma2 of a NaN or infinite point would reach the decoder as NaN samples
+        if not all(np.isfinite(self.ebn0_db)):
+            raise ToolkitError(f"Eb/N0 points must be finite, got {self.ebn0_db}")
+
 
 @dataclass
 class SimResultRow:
@@ -313,13 +318,8 @@ def run_monte_carlo(config: SimConfig) -> list[SimResultRow]:
         raise LengthMismatchError("frames must be between 1 and 2**32")
     if not config.ebn0_db:
         raise LengthMismatchError("at least one Eb/N0 point required")
-    if not all(np.isfinite(config.ebn0_db)):
-        raise ToolkitError(f"Eb/N0 points must be finite, got {config.ebn0_db}")
     if not config.decoders:
         raise LengthMismatchError("at least one decoder required")
-    if len(set(config.decoders)) != len(config.decoders):
-        # each name keeps one tally, so a repeated name would count its frames twice
-        raise CatalogError(f"decoder names must be distinct, got {', '.join(config.decoders)}")
     for name in config.decoders:
         if name not in DECODER_NAMES:
             raise CatalogError(f"unknown decoder {name!r}; available: {', '.join(DECODER_NAMES)}")

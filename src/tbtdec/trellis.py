@@ -82,7 +82,7 @@ class Trellis:
 
     @property
     def num_edges(self) -> int:
-        return sum(s.num_edges for s in self.sections)
+        return int(self.edge_offsets[-1])
 
     @property
     def num_vertices(self) -> int:
@@ -106,17 +106,12 @@ class Trellis:
         """Normalize raw (frm, to, label) triples: sort canonically and dedupe."""
         sections = []
         for raw in edge_lists:
-            arr = np.asarray(raw, dtype=np.int64).reshape(-1, 3)
-            order = np.lexsort((arr[:, 2], arr[:, 0], arr[:, 1]))
-            arr = arr[order]
-            if len(arr):
-                keep = np.ones(len(arr), dtype=bool)
-                keep[1:] = np.any(arr[1:] != arr[:-1], axis=1)
-                arr = arr[keep]
+            # distinct (to, from, label) rows, in lexicographic order
+            arr = np.unique(np.asarray(raw, dtype=np.int64).reshape(-1, 3)[:, [1, 0, 2]], axis=0)
             sections.append(
                 Section(
-                    frm=arr[:, 0].astype(np.int32),
-                    to=arr[:, 1].astype(np.int32),
+                    frm=arr[:, 1].astype(np.int32),
+                    to=arr[:, 0].astype(np.int32),
                     labels=arr[:, 2].astype(np.uint8),
                 )
             )
@@ -242,9 +237,9 @@ def build_tbt_conv(spec: ConvCodeSpec, max_size: int = 1 << 24) -> Trellis:
             out1 = (spec.taps1[0] & u) ^ parity(state & mask1)
             edges.append((state, nxt, (out0 << 1) | out1))
     boundary = np.arange(num_states, dtype=np.int32)
-    return Trellis.from_edge_lists(
-        2, [num_states] * (n + 1), [edges] * n, boundary, boundary
-    )
+    # every section has the same edges: normalize them once and share the section
+    section = Trellis.from_edge_lists(2, [num_states] * 2, [edges], boundary, boundary).sections[0]
+    return Trellis(2, [num_states] * (n + 1), [section] * n, boundary, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +257,12 @@ class ReachIndex:
     unpacks every edge's label once, rows ordered as ``trellis.edge_offsets``,
     so tracebacks gather codeword bits instead of unpacking them per edge;
     ``frm`` holds each section's ``frm`` as intp, which numpy gathers with
-    several times faster than int32.
+    several times faster than int32.  ``in_edges[p]`` is section p's (V, g)
+    in-edge table, g its largest in-degree: row v lists v's in-edges in edge
+    order, and a vertex with fewer than g pads its row with its first edge,
+    marked False in ``in_real[p]`` (None when no row needs padding).
+    ``list_slots`` keeps the list sweep's slot grids, built from these
+    tables on first use, by list size.
     """
 
     def __init__(self, trellis, fwd, bwd):
@@ -275,6 +275,9 @@ class ReachIndex:
         self.edge_masks = []
         self.group_starts = []
         self.group_width = []  # in-edges per vertex when equal for all, else 0
+        self.in_edges = []
+        self.in_real = []
+        self.list_slots = {}
         for p, sec in enumerate(trellis.sections):
             self.edge_masks.append(fwd[p][sec.frm] & bwd[p + 1][sec.to])
             v_next = trellis.v_counts[p + 1]
@@ -286,6 +289,10 @@ class ReachIndex:
             self.group_starts.append(starts_.astype(np.int64))
             sizes = np.diff(np.concatenate([starts_, [sec.num_edges]]))
             self.group_width.append(int(sizes[0]) if np.all(sizes == sizes[0]) else 0)
+            k = np.arange(sizes.max())
+            real = k < sizes[:, None]
+            self.in_edges.append(np.where(real, starts_[:, None] + k, starts_[:, None]))
+            self.in_real.append(None if real.all() else real)
         counts = np.zeros(self.t, dtype=np.int64)
         for masks in self.edge_masks:
             for i in range(self.t):
@@ -304,11 +311,17 @@ class ReachIndex:
         word, bit = divmod(i, 64)
         return bool((self.edge_masks[section][edge, word] >> np.uint64(bit)) & np.uint64(1))
 
-    def member_bit(self, section: int, trellis_ids: np.ndarray) -> np.ndarray:
-        """Vectorized membership of every edge in `section` w.r.t. per-edge ids."""
+    def member_bit(self, section: int, trellis_ids: np.ndarray, edges=None) -> np.ndarray:
+        """Vectorized membership of edges in `section` w.r.t. per-edge ids.
+
+        Id k along the last axis is tested against edge k, or against edge
+        ``edges[..., k]`` when an edge array (broadcasting with the ids) is given.
+        """
         masks = self.edge_masks[section]
         ids = np.asarray(trellis_ids, dtype=np.int64)
-        if self.words == 1:
+        if edges is not None:
+            words = masks[edges, 0] if self.words == 1 else masks[edges, ids >> 6]
+        elif self.words == 1:
             words = masks[:, 0] if ids.ndim == 1 else masks[None, :, 0]
         else:
             words = masks[np.arange(masks.shape[0]), ids >> 6]

@@ -1,6 +1,8 @@
 """Two-phase decoder tests: exactness, dominance, lists, fallback."""
 
 import copy
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -439,6 +441,13 @@ def test_phase1_only_fallback_on_starved_phase1():
     assert np.isfinite(out.weight)
 
 
+def test_repeated_decoder_names_rejected(ridx_block4):
+    # outcomes are keyed by name, so a repeat would silently come back once
+    _, weights = _weights_of(ridx_block4, seed=3, frame=0)
+    with pytest.raises(tb.CatalogError, match="distinct"):
+        tb.decode_frame(ridx_block4, weights, ("exact-ml", "exact-ml"))
+
+
 def test_weights_shape_checked(ridx_block4):
     bad = tb.WeightAssignment(sections=[np.zeros(3)] * 4)
     with pytest.raises(tb.LengthMismatchError):
@@ -521,8 +530,9 @@ CONV_RIDX = {name: build_conv(tb.get_code(name).spec()) for name in ("toy-conv-m
 )
 def test_batched_decode_matches_one_frame_calls(ridx, seed, batch, rounded, prune):
     # 7 frames in batches of 1, 2 or 3 (a non-divisor): every frame's phase-1
-    # state, stop decision and decoder outcomes equal those of decoding it
-    # alone, and exact ML equals the all-pairs oracle's decision
+    # and phase-2 state, stop decision and decoder outcomes equal those of
+    # decoding it alone; the list sweeps, batched and alone, equal the
+    # lexsort reference; and exact ML equals the all-pairs oracle's decision
     received = [random_received(ridx, seed=seed, frame=f) for f in range(7)]
     if rounded:  # coarse samples: many equal costs, so the tie rule decides
         received = [tb.ReceivedVector(r=np.round(rec.r)) for rec in received]
@@ -532,6 +542,8 @@ def test_batched_decode_matches_one_frame_calls(ridx, seed, batch, rounded, prun
         weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=rows))
         p1 = tb.phase1(ridx, weights)
         stops = _phase1_stops(ridx, p1, weights)
+        p2 = tb.phase2(ridx, weights, p1, prune)
+        lists = {size: decoder._phase2_list(ridx, weights, p1, size, p2.participants) for size in (2, 3)}
         decoded = list(tb.decode_frames(ridx, weights, names, prune))
         assert len(stops) == len(decoded) == len(rows)
         for row, rec in enumerate(received[first : first + batch]):
@@ -544,16 +556,130 @@ def test_batched_decode_matches_one_frame_calls(ridx, seed, batch, rounded, prun
                 _same_arrays([state.delta_finals, state.surv_finals],
                              [single.delta_finals, single.surv_finals])
                 assert (state.comparisons, state.edge_visits) == (single.comparisons, single.edge_visits)
+            single2 = tb.phase2(ridx, alone, single, prune)
+            _same_phase2(p2.frame(row), single2)
             stop = tb.phase1_decision(ridx, single, alone)
             assert (stops[row] is None) == (stop is None)
             if stop is not None:
                 _same_outcome(stops[row], stop)
+            else:
+                _same_phase2(decoded[row].p2, single2)
             one = tb.decode_frame(ridx, alone, names, prune)
             assert list(decoded[row].outcomes) == list(one.outcomes)
             for name in names:
                 _same_outcome(decoded[row].outcomes[name], one.outcomes[name])
+            for size, batched in lists.items():
+                ref = _lexsort_list_sweep(ridx, alone, single, size, single2.participants)
+                for ls in (_list_row(batched, row), decoder._phase2_list(ridx, alone, single, size, single2.participants)):
+                    _same_arrays([ls.metric_finals], [ref.metric[-1][:, ridx.trellis.finals]])
+                    _same_arrays(ls.pred_edge, ref.pred_edge)
+                    _same_arrays(ls.pred_rank, ref.pred_rank)
+                    assert type(ls.comparisons) is int and ls.comparisons == ref.comparisons
+                if stop is None:
+                    expected = _reference_list_outcome(ridx, alone, one.outcomes["two-phase-L1"], ref)
+                    _same_outcome(one.outcomes[f"two-phase-L{size}"], expected)
             assert np.array_equal(decoded[row].table.d, one.table.d)
             _matches_all_pairs_oracle(ridx, alone, decoded[row].outcomes["exact-ml"])
+
+
+def _same_phase2(a, b):
+    """Two phase-2 states are equal in every array, dtype included, and in their counts."""
+    for name in ("metric", "trellis", "dist", "pred_edge"):
+        _same_arrays(getattr(a, name), getattr(b, name))
+    _same_arrays([a.participants, a.metric_finals, a.trellis_finals],
+                 [b.participants, b.metric_finals, b.trellis_finals])
+    assert type(a.comparisons) is int and type(b.comparisons) is int
+    assert (a.comparisons, a.edge_visits) == (b.comparisons, b.edge_visits)
+
+
+def _list_row(ls, row):
+    """Frame ``row`` of a batched list state."""
+    return SimpleNamespace(
+        metric_finals=ls.metric_finals[row],
+        pred_edge=[a[row] for a in ls.pred_edge],
+        pred_rank=[a[row] for a in ls.pred_rank],
+        comparisons=int(ls.comparisons[row]),
+    )
+
+
+def _lexsort_list_sweep(ridx, weights, p1, list_size, participants):
+    """One frame's list sweep written with two lexsorts per section: the reference.
+
+    Candidates of section p are (rank, edge) pairs in flat order rank * E +
+    edge.  Each (vertex, subtrellis) pair's cheapest candidate by (metric,
+    flat order) is in stage 0, the rest in stage 1, and every vertex keeps
+    its first L candidates by (stage, metric, flat order).
+    """
+    trellis = ridx.trellis
+    t = ridx.t
+    L = list_size
+    d_final = p1.delta_finals
+    metric = [np.full((L, v), np.inf) for v in trellis.v_counts]
+    tr = [np.zeros((L, v), dtype=np.int32) for v in trellis.v_counts]
+    dist = [np.full((L, v), np.inf) for v in trellis.v_counts]
+    pred_edge = [np.zeros((L, v), dtype=np.int32) for v in trellis.v_counts[1:]]
+    pred_rank = [np.zeros((L, v), dtype=np.int32) for v in trellis.v_counts[1:]]
+    tr[0][0, trellis.starts] = np.arange(t, dtype=np.int32)
+    active = trellis.starts[participants]
+    metric[0][0, active] = d_final[participants]
+    dist[0][0, active] = 0.0
+    comparisons = 0
+    for p, sec in enumerate(trellis.sections):
+        E = sec.num_edges
+        frm = ridx.frm[p]
+        tr_u = tr[p][:, frm]  # (L, E)
+        ok = np.isfinite(metric[p][:, frm]) & ridx.member_bit(p, tr_u)
+        step = dist[p][:, frm] + weights.sections[p][None, :]
+        cand = np.where(ok, (step + d_final[tr_u]) - p1.cost[p + 1][sec.to][None, :], np.inf)
+        comparisons += int(ok.sum())
+        flat = cand.ravel()
+        alive = np.flatnonzero(np.isfinite(flat))
+        if len(alive) == 0:
+            continue
+        c_met = flat[alive]
+        c_rank, c_edge = np.divmod(alive, E)
+        c_to = sec.to[c_edge]
+        c_tr = tr_u.ravel()[alive]
+        c_step = step.ravel()[alive]
+        order_id = np.arange(len(alive))
+        by_pair = np.lexsort((order_id, c_met, c_tr, c_to))
+        firsts = np.ones(len(alive), dtype=bool)
+        firsts[1:] = (c_to[by_pair][1:] != c_to[by_pair][:-1]) | (c_tr[by_pair][1:] != c_tr[by_pair][:-1])
+        stage = np.ones(len(alive), dtype=np.int8)
+        stage[by_pair[firsts]] = 0
+        final_order = np.lexsort((order_id, c_met, stage, c_to))
+        to_sorted = c_to[final_order]
+        new_group = np.ones(len(alive), dtype=bool)
+        new_group[1:] = to_sorted[1:] != to_sorted[:-1]
+        group_anchor = np.repeat(
+            np.flatnonzero(new_group), np.diff(np.append(np.flatnonzero(new_group), len(alive)))
+        )
+        slot = np.arange(len(alive)) - group_anchor
+        take = slot < L
+        sel, rows, cols = final_order[take], slot[take], to_sorted[take]
+        metric[p + 1][rows, cols] = c_met[sel]
+        tr[p + 1][rows, cols] = c_tr[sel]
+        dist[p + 1][rows, cols] = c_step[sel]
+        pred_edge[p][rows, cols] = c_edge[sel]
+        pred_rank[p][rows, cols] = c_rank[sel]
+    return SimpleNamespace(metric=metric, trellis=tr, dist=dist, pred_edge=pred_edge,
+                           pred_rank=pred_rank, comparisons=comparisons)
+
+
+def _reference_list_outcome(ridx, weights, scalar, ref):
+    """The list decision from a reference sweep: least (metric, final, rank), traced, if it beats ``scalar``."""
+    L = ref.metric[-1].shape[0]
+    final_metrics = ref.metric[-1][:, ridx.trellis.finals]
+    pool = [(float(final_metrics[r, i]), i, r) for i in range(ridx.t) for r in range(L)
+            if np.isfinite(final_metrics[r, i])]
+    comparisons = scalar.comparisons + ref.comparisons
+    if pool:
+        _, i, r = min(pool)
+        out = decoder._outcome(ridx, weights, "phase2", i, comparisons, scalar.edge_visits,
+                               ref.pred_edge, ref.pred_rank, r)
+        if scalar.stage == "fallback" or out.weight < scalar.weight:
+            return out
+    return replace(scalar, comparisons=comparisons)
 
 
 def _matches_all_pairs_oracle(ridx, weights, exact):

@@ -288,6 +288,13 @@ def test_non_finite_ebn0_rejected(point):
         tb.run_monte_carlo(_config(ebn0_db=(1.0, point)))
 
 
+@pytest.mark.parametrize("point", [float("nan"), float("inf"), float("-inf")])
+def test_sim_config_rejects_non_finite_ebn0(point):
+    # the check sits in SimConfig, so trace_frame names Eb/N0 too, not the samples
+    with pytest.raises(tb.ToolkitError, match="Eb/N0"):
+        tb.trace_frame(_config(code="toy-block-n4-k2-c1", ebn0_db=(point,)), 0)
+
+
 @pytest.mark.parametrize(
     "command, ebn0, message",
     [
