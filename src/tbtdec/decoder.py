@@ -569,18 +569,11 @@ def phase2(
             frm = (frm + trellis.v_counts[p] * shift).ravel()
             groups = (groups + len(to) * shift).ravel()
         tr_u = tr[p][frm]
-        if n_frames > 1:  # membership and final costs of each frame's own subtrellises
-            ids = tr_u.reshape(n_frames, -1)
-            member = ridx.member_bit(p, ids).ravel()
-            d_tr = d_final[(ids + t * shift).ravel()]
-            cost_to = p1.cost[p + 1][:, to].ravel()
-        else:
-            member = ridx.member_bit(p, tr_u)
-            d_tr = d_final[tr_u]
-            cost_to = p1.cost[p + 1].reshape(-1)[to]
-        ok = np.isfinite(metric[p][frm]) & member
+        ids = tr_u.reshape(n_frames, -1)  # each frame's subtrellises, for membership and final costs
+        ok = np.isfinite(metric[p][frm]) & ridx.member_bit(p, ids).ravel()
         step = dist[p][frm] + weights.sections[p].reshape(-1)
-        cand = np.where(ok, (step + d_tr) - cost_to, np.inf)
+        d_tr = d_final[(ids + t * shift).ravel()]
+        cand = np.where(ok, (step + d_tr) - p1.cost[p + 1][..., to].ravel(), np.inf)
         best, win = _grouped_first_min(cand, ridx, p, groups)
         metric.append(best)
         tr.append(tr_u[win])
@@ -674,13 +667,11 @@ def _list_slots(ridx: ReachIndex, list_size: int) -> list[tuple[np.ndarray, ...]
     Every vertex has W = L * g slots, g the section's largest in-degree: slot
     r * g + k holds in-edge k of the vertex (``ReachIndex.in_edges``) fed by
     rank r of its source, so the slots follow (rank, in-edge) order.  Each
-    entry is (src, edges, pred, real, before, keys): the slot's source in one
-    frame's (V_prev, L) state, its edge, its int32 (edge, rank) flattened,
-    the (V, W) mask of slots that are real in-edges (None if all are), the
-    strict lower triangle of a (W, W) grid, and int16 sort keys 0..W-1 and
-    W..2W-1 for the stage-0 and stage-1 positions, both (W, 1).  They depend
-    only on the trellis, so each list size's are built once and kept in
-    ``ridx``.
+    entry is (src, edges, pred, real): the slot's source in one frame's
+    (V_prev, L) state, its edge, its int32 (edge, rank) flattened, and the
+    (V, W) mask of slots that are real in-edges (None if all are).  They
+    depend only on the trellis, so each list size's are built once and kept
+    in ``ridx``.
     """
     if list_size in ridx.list_slots:
         return ridx.list_slots[list_size]
@@ -690,14 +681,11 @@ def _list_slots(ridx: ReachIndex, list_size: int) -> list[tuple[np.ndarray, ...]
         edges = np.tile(in_edges, list_size)
         ranks = np.repeat(np.arange(list_size), g)
         pred = np.stack(np.broadcast_arrays(edges, ranks)).astype(np.int32).reshape(2, -1)
-        width = edges.shape[1]
         slots.append((
             ridx.frm[p][edges] * list_size + ranks,
             edges,
             pred,
             None if real is None else np.tile(real, list_size),
-            np.tri(width, k=-1, dtype=bool)[:, :, None],
-            np.arange(2 * width, dtype=np.int16).reshape(2, width, 1),
         ))
     return slots
 
@@ -717,13 +705,14 @@ def _phase2_list(
     order), which reduces to the scalar rule on rank 0.
 
     Each vertex weighs its W candidate slots (``_list_slots``) at once.  A
-    stable argsort orders them by (metric, slot); a slot is then in stage 1
-    if it is dead (no finite metric) or a slot of the same subtrellis sorts
-    before it, and a stable argsort by stage (one argsort of keys unique to
-    each (stage, metric position)) puts the first L slots in the list.
-    Dead slots leave their entries at the initial values.  Batched
-    weights and phase-1 state sweep F frames at once, each frame's (V, L)
-    state in its own block; only the pred arrays and final metrics are kept.
+    stable argsort orders them by (metric, slot), and a stable argsort of
+    their subtrellises in that order groups each subtrellis's slots, cheapest
+    first.  A slot is in stage 1 if it is dead (no finite metric) or not
+    first in its group, and sorting by (stage, metric position) puts the
+    first L slots in the list: O(W log W) work per vertex.  Dead slots leave
+    their entries at the initial values.  Batched weights and phase-1 state
+    sweep F frames at once, each frame's (V, L) state in its own block; only
+    the pred arrays and final metrics are kept.
     """
     trellis = ridx.trellis
     t = ridx.t
@@ -742,7 +731,7 @@ def _phase2_list(
     comparisons = 0
     pred_edge: list[np.ndarray] = []
     pred_rank: list[np.ndarray] = []
-    for p, (src, edges, pred, real, before, keys) in enumerate(_list_slots(ridx, list_size)):
+    for p, (src, edges, pred, real) in enumerate(_list_slots(ridx, list_size)):
         v, width = edges.shape
         if n_frames > 1:
             src = src + trellis.v_counts[p] * list_size * shift
@@ -751,26 +740,27 @@ def _phase2_list(
         if real is not None:
             ok &= real
         step = dist.reshape(-1)[src] + weights.sections[p][..., edges]
-        d_tr = d_final[tr_u] if n_frames == 1 else d_final[tr_u + t * shift]
+        d_tr = d_final[tr_u + t * shift]
         cand = np.where(ok, (step + d_tr) - p1.cost[p + 1][..., None], np.inf)
         comparisons = comparisons + ok.reshape(*batch, -1).sum(axis=-1)
         cand = cand.reshape(-1, width)  # one row of slots per (frame, vertex)
         base = np.arange(0, cand.size, width)[:, None]
         by_metric = cand.argsort(axis=1, kind="stable") + base
-        alive = np.isfinite(cand).reshape(-1)
-        order = by_metric.T.copy()  # (W, rows) in C order, so the reductions run along the rows
-        tr_sorted = tr_u.reshape(-1)[order]
-        same = tr_sorted[:, None] == tr_sorted
-        same &= before
-        late = np.logical_or.reduce(same, axis=1) | ~alive[order]
-        # keys are distinct, so this is the stable order by stage without a stable sort
-        first = np.where(late, keys[1], keys[0]).argsort(axis=0)[:list_size]
-        keep = by_metric.reshape(-1)[np.add(first.T, base, order="C")]
-        kept = alive[keep]
+        # each row's metric positions in (subtrellis, metric) order: the first
+        # of each run of equal subtrellises is stage 0 unless dead, the rest stage 1
+        tr_sorted = tr_u.reshape(-1)[by_metric]
+        by_tr = tr_sorted.argsort(axis=1, kind="stable") + base
+        runs = tr_sorted.reshape(-1)[by_tr]
+        late = ~np.isfinite(cand.reshape(-1)[by_metric.reshape(-1)[by_tr]])
+        late[:, 1:] |= runs[:, 1:] == runs[:, :-1]
+        # (stage, metric position) keys are distinct, so any sort orders them stably
+        first = np.where(late, by_tr + width, by_tr).argsort(axis=1)[:, :list_size]
+        keep = by_metric.reshape(-1)[by_tr.reshape(-1)[first + base]]
+        kept = np.isfinite(cand.reshape(-1)[keep])
         metric = cand.reshape(-1)[keep]
         tr = np.where(kept, tr_u.reshape(-1)[keep], 0)
         dist = np.where(kept, step.reshape(-1)[keep], np.inf)
-        at = keep if n_frames == 1 else keep % (v * width)
+        at = keep % (v * width)  # slot within its frame's section
         for out, values in ((pred_edge, pred[0]), (pred_rank, pred[1])):
             out.append(np.where(kept, values[at], 0).reshape(*batch, v, list_size).swapaxes(-1, -2))
     finals = metric.reshape(*batch, -1, list_size)[..., trellis.finals, :]
@@ -908,9 +898,7 @@ def _decode_open(
     sizes = {name: int(m.group(1)) for name in decoders if (m := _TWO_PHASE.fullmatch(name))} if frames else {}
     if not sizes:
         return None, {}
-    if p1.delta_finals.ndim == 2 and len(frames) == 1:  # its row views, swept as one frame
-        weights, p1 = weights.frame(frames[0]), p1.frame(frames[0])
-    elif len(frames) < len(p1.delta_finals.reshape(-1, ridx.t)):
+    if len(frames) < len(p1.delta_finals.reshape(-1, ridx.t)):
         weights, p1 = weights.take(frames), p1.take(frames)
     p2 = phase2(ridx, weights, p1, participation_prune)
     scalar = _final_decisions(ridx, weights, p1, p2)

@@ -701,3 +701,26 @@ def test_mixed_trellises_reach_the_reduceat_path():
     # trellis has a section whose vertices differ in in-degree
     find(mixed_trellises(), lambda ridx: 0 in ridx.group_width,
          settings=settings(phases=[Phase.generate], database=None))
+
+
+@pytest.mark.parametrize("list_size", [5, 16, 40])
+def test_list_sweep_matches_reference_beyond_the_subtrellis_count(ridx_block6, ridx_conv_m2, list_size):
+    # lists longer than the number of subtrellises fill with stage-1 slots and
+    # dead ones; batched and alone, the sweep still equals the lexsort reference
+    for ridx in (ridx_block6, ridx_conv_m2):
+        received = [random_received(ridx, seed=83, frame=f) for f in range(6)]
+        received[::2] = [tb.ReceivedVector(r=np.round(rec.r)) for rec in received[::2]]
+        weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=np.stack([rec.r for rec in received])))
+        p1 = tb.phase1(ridx, weights)
+        p2 = tb.phase2(ridx, weights, p1)
+        batched = decoder._phase2_list(ridx, weights, p1, list_size, p2.participants)
+        for row, rec in enumerate(received):
+            alone = tb.edge_weights(ridx.trellis, rec)
+            single = tb.phase1(ridx, alone)
+            participants = tb.phase2(ridx, alone, single).participants
+            ref = _lexsort_list_sweep(ridx, alone, single, list_size, participants)
+            for ls in (_list_row(batched, row), decoder._phase2_list(ridx, alone, single, list_size, participants)):
+                _same_arrays([ls.metric_finals], [ref.metric[-1][:, ridx.trellis.finals]])
+                _same_arrays(ls.pred_edge, ref.pred_edge)
+                _same_arrays(ls.pred_rank, ref.pred_rank)
+                assert ls.comparisons == ref.comparisons
