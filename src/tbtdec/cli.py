@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decode-frame", help="decode one frame with a full trace")
     _add_code_args(dec)
     dec.add_argument("--ebn0", default="3", help="single dB value")
-    dec.add_argument("--frames", type=int, default=1, help=argparse.SUPPRESS)
     dec.add_argument("--frame", type=int, default=0, help="frame number to replay")
     dec.add_argument("--seed", type=int, default=1)
     dec.add_argument("--list-size", type=int, default=1)

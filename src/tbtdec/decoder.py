@@ -10,7 +10,7 @@ The decoder makes two Viterbi-like passes over the trellis:
   path overall and decoding stops: nothing, codeword or not, can beat it.
 
 * Phase 2 (revision) re-walks the trellis restricted to paths that stay
-  inside a single subtrellis, using the membership masks for an O(1) edge
+  inside a single subtrellis, using the membership table for an O(1) edge
   test.  Each surviving candidate carries the identity of its subtrellis and
   a corrected metric ``dist[u] + cost_to_come_lower_bound`` so that at a
   final state the metric equals the true path weight.  The final decision
@@ -237,48 +237,41 @@ def _check_weights(ridx: ReachIndex, weights: WeightAssignment) -> None:
 
 
 def _group_min(cand: np.ndarray, ridx: ReachIndex, p: int) -> np.ndarray:
-    """Minimum over each vertex's in-edges of section p, along the last axis.
-
-    When every vertex has the same number g of in-edges (convolutional
-    trellises), the groups are the strided slices k::g and g - 1 elementwise
-    minima replace the much slower reduceat.
-    """
-    g = ridx.group_width[p]
-    if not g:
-        return np.minimum.reduceat(cand, ridx.group_starts[p], axis=-1)
-    best = cand[..., 0::g]
+    """Minimum over each vertex's in-edges of section p, along the last axis (see ``_grouped_first_min``)."""
+    in_edges = ridx.in_edges[p]
+    g = in_edges.shape[1]
+    slots = cand if ridx.in_real[p] is None else cand[..., in_edges.ravel()]
+    best = slots[..., 0::g]
     for k in range(1, g):
-        best = np.minimum(best, cand[..., k::g])
+        best = np.minimum(best, slots[..., k::g])
     return best
 
 
-def _grouped_first_min(values: np.ndarray, ridx: ReachIndex, p: int, starts=None):
-    """Per-vertex minimum plus the first edge attaining it (ties: lowest edge id).
+def _grouped_first_min(values: np.ndarray, ridx: ReachIndex, p: int) -> np.ndarray:
+    """Each vertex's first in-edge attaining its minimum candidate (ties: lowest edge id).
 
-    ``values`` holds section p's candidates of one frame, or of several frames
-    one after another with ``starts`` the first edge of every frame's vertex
-    groups; the returned edges index ``values``.  When every vertex has the
-    same number g of in-edges, the g strided slices are compared in turn, a
-    later edge winning only when strictly cheaper.
+    ``values`` holds section p's candidates along its last axis, (E_p,) for
+    one frame or (F, E_p) for F; the result is (V,) or (F, V) edge ids within
+    the section.  The candidates are laid out row by row of the in-edge table
+    ``in_edges[p]``, so slot k of every vertex is the strided slice k::g;
+    with every in-degree equal to g that is their own order and needs no
+    gather.  The slots are compared in turn, a later one winning only when
+    strictly cheaper, so a pad slot, a repeat of its row's first edge, never
+    wins, and the winner is the row's first edge plus its slot.
     """
-    g = ridx.group_width[p]
-    if starts is None:
-        starts = ridx.group_starts[p]
-    if g:
-        best, off = values[0::g], 0
-        for k in range(1, g):
-            cand = values[k::g]
-            better = cand < best
-            off = better if k == 1 else np.where(better, k, off)
-            if k + 1 < g:
-                best = np.minimum(best, cand)
-        win = starts + off
-    else:
-        best = np.minimum.reduceat(values, starts)
-        tie = values == np.repeat(best, np.diff(starts, append=len(values)))
-        pos = np.where(tie, np.arange(len(values)), len(values))
-        win = np.minimum.reduceat(pos, starts)
-    return values[win], win
+    in_edges = ridx.in_edges[p]
+    g = in_edges.shape[1]
+    if g == 1:  # each vertex's one in-edge wins
+        return np.broadcast_to(in_edges[:, 0], values.shape)
+    slots = values if ridx.in_real[p] is None else values[..., in_edges.ravel()]
+    best, off = slots[..., 0::g], 0
+    for k in range(1, g):
+        cand = slots[..., k::g]
+        better = cand < best
+        off = better if k == 1 else np.where(better, k, off)
+        if k + 1 < g:
+            best = np.minimum(best, cand)
+    return in_edges[:, 0] + off
 
 
 def _traceback(
@@ -456,17 +449,15 @@ def phase1(ridx: ReachIndex, weights: WeightAssignment) -> Phase1State:
     cost[0][starts] = 0.0
     surv[0][starts] = np.tile(np.arange(t, dtype=np.int32), n_frames)
     for p in range(trellis.n_sections):
-        frm, groups = ridx.frm[p], ridx.group_starts[p]
+        frm, w = ridx.frm[p], weights.sections[p]
         if n_frames > 1:
             frm = (frm + trellis.v_counts[p] * shift).ravel()
-            groups = (groups + len(ridx.frm[p]) * shift).ravel()
         cand = cost[p][frm]
-        cand += weights.sections[p].reshape(-1)
-        best, win = _grouped_first_min(cand, ridx, p, groups)
-        cost.append(best)
-        surv.append(surv[p][frm[win]])
-        if n_frames > 1:  # back to edge ids within each frame's section
-            win = (win.reshape(n_frames, -1) - len(ridx.frm[p]) * shift).ravel()
+        cand += w.reshape(-1) if batch else w
+        win = _grouped_first_min(cand if n_frames == 1 else cand.reshape(n_frames, -1), ridx, p)
+        at = win if n_frames == 1 else (win + w.shape[-1] * shift).ravel()  # into cand
+        cost.append(cand[at])
+        surv.append(surv[p][frm[at]])
         pred_edge.append(win.astype(np.int32))
     if batch:
         cost, surv, pred_edge = (
@@ -564,22 +555,20 @@ def phase2(
     dist[0][starts[active]] = 0.0
     comparisons = 0
     for p, sec in enumerate(trellis.sections):
-        frm, groups, to = ridx.frm[p], ridx.group_starts[p], sec.to
+        frm, to = ridx.frm[p], sec.to
         if n_frames > 1:
             frm = (frm + trellis.v_counts[p] * shift).ravel()
-            groups = (groups + len(to) * shift).ravel()
         tr_u = tr[p][frm]
         ids = tr_u.reshape(n_frames, -1)  # each frame's subtrellises, for membership and final costs
         ok = np.isfinite(metric[p][frm]) & ridx.member_bit(p, ids).ravel()
         step = dist[p][frm] + weights.sections[p].reshape(-1)
         d_tr = d_final[(ids + t * shift).ravel()]
         cand = np.where(ok, (step + d_tr) - p1.cost[p + 1][..., to].ravel(), np.inf)
-        best, win = _grouped_first_min(cand, ridx, p, groups)
-        metric.append(best)
-        tr.append(tr_u[win])
-        dist.append(step[win])
-        if n_frames > 1:  # back to edge ids within each frame's section
-            win = (win.reshape(n_frames, -1) - len(to) * shift).ravel()
+        win = _grouped_first_min(cand if n_frames == 1 else cand.reshape(n_frames, -1), ridx, p)
+        at = win if n_frames == 1 else (win + len(to) * shift).ravel()  # into cand
+        metric.append(cand[at])
+        tr.append(tr_u[at])
+        dist.append(step[at])
         pred_edge.append(win.astype(np.int32))
         comparisons = comparisons + ok.reshape(*batch, -1).sum(axis=-1)
     if batch:
@@ -956,10 +945,11 @@ def viterbi_subtrellis(ridx: ReachIndex, weights: WeightAssignment, i: int) -> S
     cost[trellis.starts[i]] = 0.0
     preds: list[np.ndarray] = []
     comparisons = 0
-    for p, sec in enumerate(trellis.sections):
-        ok = ridx.member_bit(p, np.full(sec.num_edges, i, dtype=np.int64))
+    for p in range(trellis.n_sections):
+        ok = ridx.membership[p][:, i]
         cand = np.where(ok, cost[ridx.frm[p]] + weights.sections[p], np.inf)
-        cost, win = _grouped_first_min(cand, ridx, p)
+        win = _grouped_first_min(cand, ridx, p)
+        cost = cand[win]
         preds.append(win.astype(np.int32))
         comparisons += int(ok.sum())
     if not np.isfinite(cost[trellis.finals[i]]):
@@ -1004,7 +994,7 @@ def _start_pred_edges(
     ``viterbi_subtrellis(ridx, weights, i)``.
     """
     return [
-        _grouped_first_min(costs[p][k, ridx.frm[p]] + weights.sections[p], ridx, p)[1]
+        _grouped_first_min(costs[p][k, ridx.frm[p]] + weights.sections[p], ridx, p)
         for p in range(ridx.trellis.n_sections)
     ]
 

@@ -246,61 +246,56 @@ def build_tbt_conv(spec: ConvCodeSpec, max_size: int = 1 << 24) -> Trellis:
 # Reachability index: per-vertex bitmasks over subtrellises
 
 class ReachIndex:
-    """Per-vertex start/final reachability masks over a pruned trellis.
+    """Per-vertex start/final reachability masks over a pruned trellis, and the sweeps' tables.
 
     fwd[idx][v] has bit i set iff some path from start i reaches v; bwd[idx][v]
-    has bit i set iff v reaches final i.  An edge (u, w) belongs to subtrellis
-    i exactly when bit i survives in fwd[u] & bwd[w]; those per-edge masks are
-    precomputed, which is what makes the membership test O(1) during decoding.
-    Masks are arrays of 64-bit words so more than 64 subtrellises still work
-    (raise the cap via the TBT_MAX_T environment variable).  ``label_bit_table``
-    unpacks every edge's label once, rows ordered as ``trellis.edge_offsets``,
-    so tracebacks gather codeword bits instead of unpacking them per edge;
-    ``frm`` holds each section's ``frm`` as intp, which numpy gathers with
-    several times faster than int32.  ``in_edges[p]`` is section p's (V, g)
-    in-edge table, g its largest in-degree: row v lists v's in-edges in edge
-    order, and a vertex with fewer than g pads its row with its first edge,
-    marked False in ``in_real[p]`` (None when no row needs padding).
-    ``list_slots`` keeps the list sweep's slot grids, built from these
-    tables on first use, by list size.
+    has bit i set iff v reaches final i.  Masks are arrays of 64-bit words, one
+    more per 64 subtrellises (raise the cap via the TBT_MAX_T environment
+    variable).  An edge (u, w) belongs to subtrellis i exactly when bit i
+    survives in fwd[u] & bwd[w]; ``membership[p]`` holds that fact for section
+    p as a bool (E_p, t) table, which is what makes the membership test O(1)
+    during decoding, and ``member_rows[p]`` is the flat start of each edge's
+    row in it.  ``label_bit_table`` unpacks every edge's label once, rows
+    ordered as ``trellis.edge_offsets``, so tracebacks gather codeword bits
+    instead of unpacking them per edge; ``frm`` holds each section's ``frm``
+    as intp, which numpy gathers with several times faster than int32.
+    ``in_edges[p]`` is section p's (V, g) in-edge table, g its largest
+    in-degree: row v lists v's in-edges in edge order, and a vertex with fewer
+    than g pads its row with its first edge, marked False in ``in_real[p]``
+    (None when every vertex has g in-edges, and row v is then edges v*g to
+    v*g + g - 1).  Every sweep takes its per-vertex minima over this table.
+    ``list_slots`` keeps the list sweep's slot grids, built from these tables
+    on first use, by list size.
     """
 
     def __init__(self, trellis, fwd, bwd):
         self.trellis = trellis
         self.t = trellis.num_starts
-        self.words = fwd[0].shape[1]
         self.fwd = fwd
         self.bwd = bwd
         self.v_offsets = np.concatenate([[0], np.cumsum(trellis.v_counts)]).astype(np.int64)
-        self.edge_masks = []
-        self.group_starts = []
-        self.group_width = []  # in-edges per vertex when equal for all, else 0
+        self.membership = []
+        self.member_rows = []
         self.in_edges = []
         self.in_real = []
         self.list_slots = {}
         for p, sec in enumerate(trellis.sections):
-            self.edge_masks.append(fwd[p][sec.frm] & bwd[p + 1][sec.to])
+            words = (fwd[p][sec.frm] & bwd[p + 1][sec.to]).astype("<u8").view(np.uint8)
+            bits = np.unpackbits(words, axis=1, bitorder="little")  # bit i of the mask in column i
+            self.membership.append(bits[:, : self.t].astype(bool))
+            self.member_rows.append(np.arange(sec.num_edges) * self.t)
             v_next = trellis.v_counts[p + 1]
             if sec.num_edges == 0 or not np.array_equal(
                 np.unique(sec.to), np.arange(v_next)
             ):
                 raise EmptyTrellisError(f"section {p + 1} leaves vertices without in-edges")
             starts_ = np.concatenate([[0], np.flatnonzero(np.diff(sec.to)) + 1])
-            self.group_starts.append(starts_.astype(np.int64))
             sizes = np.diff(np.concatenate([starts_, [sec.num_edges]]))
-            self.group_width.append(int(sizes[0]) if np.all(sizes == sizes[0]) else 0)
             k = np.arange(sizes.max())
             real = k < sizes[:, None]
             self.in_edges.append(np.where(real, starts_[:, None] + k, starts_[:, None]))
             self.in_real.append(None if real.all() else real)
-        counts = np.zeros(self.t, dtype=np.int64)
-        for masks in self.edge_masks:
-            for i in range(self.t):
-                word, bit = divmod(i, 64)
-                counts[i] += int(
-                    ((masks[:, word] >> np.uint64(bit)) & np.uint64(1)).sum()
-                )
-        self.member_counts = counts
+        self.member_counts = sum(table.sum(axis=0) for table in self.membership)
         self.frm = [sec.frm.astype(np.intp) for sec in trellis.sections]
         labels = np.concatenate([sec.labels for sec in trellis.sections]).astype(np.int64)
         shifts = np.arange(trellis.label_width - 1, -1, -1)
@@ -308,8 +303,7 @@ class ReachIndex:
 
     def member(self, section: int, edge: int, i: int) -> bool:
         """Does edge `edge` of 0-based `section` lie on some start-i..final-i path?"""
-        word, bit = divmod(i, 64)
-        return bool((self.edge_masks[section][edge, word] >> np.uint64(bit)) & np.uint64(1))
+        return bool(self.membership[section][edge, i])
 
     def member_bit(self, section: int, trellis_ids: np.ndarray, edges=None) -> np.ndarray:
         """Vectorized membership of edges in `section` w.r.t. per-edge ids.
@@ -317,15 +311,8 @@ class ReachIndex:
         Id k along the last axis is tested against edge k, or against edge
         ``edges[..., k]`` when an edge array (broadcasting with the ids) is given.
         """
-        masks = self.edge_masks[section]
-        ids = np.asarray(trellis_ids, dtype=np.int64)
-        if edges is not None:
-            words = masks[edges, 0] if self.words == 1 else masks[edges, ids >> 6]
-        elif self.words == 1:
-            words = masks[:, 0] if ids.ndim == 1 else masks[None, :, 0]
-        else:
-            words = masks[np.arange(masks.shape[0]), ids >> 6]
-        return ((words >> (ids & 63).astype(np.uint64)) & np.uint64(1)).astype(bool)
+        rows = self.member_rows[section] if edges is None else edges * self.t
+        return self.membership[section].reshape(-1)[rows + trellis_ids]
 
     def global_vertex(self, index: int, local: int) -> int:
         return int(self.v_offsets[index]) + int(local)

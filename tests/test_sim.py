@@ -309,10 +309,19 @@ def test_sim_config_rejects_non_finite_ebn0(point):
     ],
 )
 def test_cli_rejects_bad_ebn0(capsys, command, ebn0, message):
-    rc = cli.main([command, "--code", "toy-block-n4-k2-c1", "--ebn0", ebn0, "--frames", "2"])
+    frames = [] if command == "decode-frame" else ["--frames", "2"]
+    rc = cli.main([command, "--code", "toy-block-n4-k2-c1", "--ebn0", ebn0, *frames])
     assert rc == 2
     err = capsys.readouterr().err
     assert "--ebn0" in err and message in err
+
+
+def test_decode_frame_has_no_frames_option(capsys):
+    # decode-frame replays the one frame --frame names; a frame count is an argparse error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decode-frame", "--code", "toy-block-n4-k2-c1", "--frames", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --frames 3" in capsys.readouterr().err
 
 
 def test_config_validation():

@@ -224,10 +224,66 @@ def test_pruning_keeps_only_path_vertices():
     assert ridx.trellis.num_edges == 2
 
 
+def test_in_edge_rows_pad_with_their_first_edge(ridx_conv_m2):
+    # in-degrees 3, 1 and 2: each row lists its in-edges in edge order, then
+    # repeats its first edge, which in_real marks as padding
+    trellis = tb.Trellis.from_edge_lists(
+        1, [3, 3], [[(0, 0, 0), (1, 0, 1), (2, 0, 0), (1, 1, 1), (0, 2, 0), (2, 2, 1)]], [0, 1, 2], [0, 1, 2]
+    )
+    ridx = tb.build_reach_index(trellis)
+    assert ridx.in_edges[0].tolist() == [[0, 1, 2], [3, 3, 3], [4, 5, 4]]
+    assert ridx.in_real[0].tolist() == [[True, True, True], [True, False, False], [True, True, False]]
+    # equal in-degree: no padding, and row v holds edges v*g .. v*g + g - 1
+    for in_edges, real in zip(ridx_conv_m2.in_edges, ridx_conv_m2.in_real):
+        assert real is None
+        assert np.array_equal(in_edges, np.arange(in_edges.size).reshape(-1, 2))
+
+
 def test_every_retained_edge_has_a_member(ridx_block4, ridx_block6, ridx_conv_m2):
     for ridx in (ridx_block4, ridx_block6, ridx_conv_m2):
         for p, sec in enumerate(ridx.trellis.sections):
-            assert np.all(ridx.edge_masks[p] != 0)
+            assert ridx.membership[p].any(axis=1).all()
+
+
+def test_membership_beyond_64_subtrellises():
+    # a memory-7 code has 128 subtrellises, so its reachability masks take two
+    # 64-bit words: membership must follow each subtrellis's reachability,
+    # recomputed here one start at a time, in both words
+    taps0, taps1 = (1, 0, 1, 0, 0, 1, 1, 1), (1, 1, 1, 1, 1, 0, 0, 1)  # octal 247 and 371
+    spec = tb.validate_conv(tb.ConvCodeSpec(memory=7, taps0=taps0, taps1=taps1, circle=12))
+    ridx = tb.build_reach_index(tb.build_tbt_conv(spec), max_t=128)
+    trellis = ridx.trellis
+    assert ridx.t == 128 and ridx.fwd[0].shape[1] == 2
+    n = trellis.n_sections
+    expected = [np.zeros((sec.num_edges, ridx.t), dtype=bool) for sec in trellis.sections]
+    for i in range(ridx.t):
+        fwd = [np.zeros(v, dtype=bool) for v in trellis.v_counts]
+        bwd = [np.zeros(v, dtype=bool) for v in trellis.v_counts]
+        fwd[0][trellis.starts[i]] = bwd[n][trellis.finals[i]] = True
+        for p, sec in enumerate(trellis.sections):
+            fwd[p + 1][sec.to[fwd[p][sec.frm]]] = True
+        for p in range(n - 1, -1, -1):
+            sec = trellis.sections[p]
+            bwd[p][sec.frm[bwd[p + 1][sec.to]]] = True
+        for p, sec in enumerate(trellis.sections):
+            expected[p][:, i] = fwd[p][sec.frm] & bwd[p + 1][sec.to]
+    rng = np.random.default_rng(5)
+    for p, sec in enumerate(trellis.sections):
+        edges = np.arange(sec.num_edges)
+        for i in range(ridx.t):
+            assert np.array_equal(ridx.member_bit(p, np.full(sec.num_edges, i)), expected[p][:, i])
+        ids = rng.integers(0, ridx.t, (3, sec.num_edges))
+        assert np.array_equal(ridx.member_bit(p, ids), expected[p][edges, ids])
+        picked = rng.integers(0, sec.num_edges, (3, 5))
+        assert np.array_equal(ridx.member_bit(p, ids[:, :5], picked), expected[p][picked, ids[:, :5]])
+    assert np.array_equal(ridx.member_counts, sum(table.sum(axis=0) for table in expected))
+    # exact ML is the first argmin of the all-pairs diagonal
+    for frame in range(4):
+        r = np.random.default_rng([7, frame]).normal(0.8, 1.0, trellis.n_sections * 2)
+        weights = tb.edge_weights(trellis, tb.ReceivedVector(r=r))
+        diag = np.diagonal(tb.all_pairs_start_final_distances(ridx, weights).d)
+        out = tb.decode_exact_ml(ridx, weights)
+        assert out.subtrellis == int(np.argmin(diag)) and out.weight == diag.min()
 
 
 def test_reach_index_conventional_trellis():
