@@ -33,4 +33,4 @@ print(f"\ncross-path label space: {len(cross)} words vs {len(code)} codewords")
 
 ridx = tb.build_reach_index(trellis)
 print("edges:", trellis.num_edges)
-print("closed-path memberships per edge mask bit:", [int(x) for x in ridx.member_counts])
+print("closed-path memberships per subtrellis:", [int(x) for x in ridx.member_counts])

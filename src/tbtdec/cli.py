@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import lru_cache
 
 from .catalog import list_codes
 from .channel import ChannelParams, edge_weights
@@ -219,9 +220,14 @@ def _cmd_check_lemmas(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on first use, once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)

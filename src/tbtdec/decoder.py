@@ -32,11 +32,14 @@ out of the decode path, as the oracle of the audits, witnesses and tests.
 ``decode_frames`` runs each phase at most once per frame and derives every
 requested decoder's decision from that shared state.  Phase 1, its stop test
 and the traceback of the frames it settles run over a whole batch of frames
-at once.  Phase 2, its final decision and the list sweep then run once more,
-batched, over just the frames phase 1 left open; the list sweep gives every
-vertex a fixed number of candidate slots, so one kernel of sorts along that
-axis serves every trellis.  ``decode_frame`` is the batch of one, and the
-``decode_*`` functions are single-decoder calls into it.
+at once.  Every decoder then decides the frames phase 1 left open in one
+batched pass over just those frames: phase 2, its final decision and the
+list sweep; exact ML, whose remaining (frame, subtrellis) rows of all open
+frames are swept jointly, each over its own frame's weights; and
+phase1-only, whose closed winners are traced together.  The list sweep gives
+every vertex a fixed number of candidate slots, so one kernel of sorts along
+that axis serves every trellis.  ``decode_frame`` is the batch of one, and
+the ``decode_*`` functions are single-decoder calls into it.
 """
 
 from __future__ import annotations
@@ -282,14 +285,17 @@ def _traceback(
     frames: np.ndarray | None = None,
     pred_rank: list[np.ndarray] | None = None,
     ranks=None,
+    rows=None,
 ):
     """Walk pred edges from final vertices back to index 0: paths, labels, true weights.
 
     There is one walk per final vertex, all taken together, and row k of each
     result belongs to walk k.  ``pred_edge[p]`` is one sweep's (V,) array, or
     a batch's (F, V) with ``frames`` naming each walk's frame (``weights`` is
-    then the batch's too), or a list sweep's (L, V) or (F, L, V) with
-    ``pred_rank`` and each walk's starting rank in ``ranks``.
+    then the batch's too), or a (K, V) array of swept rows with ``rows``
+    naming each walk's row (and ``frames``, if batched, its frame), or a list
+    sweep's (L, V) or (F, L, V) with ``pred_rank`` and each walk's starting
+    rank in ``ranks``.
 
     The weight is re-accumulated left to right over the traced edges — the
     same float additions the sweep performed — so it is the exact path sum
@@ -298,21 +304,17 @@ def _traceback(
     trellis = ridx.trellis
     n = trellis.n_sections
     v = np.asarray(final_vertices, dtype=np.intp)
-    rows = frames
-    if pred_rank is not None:  # a list's rows are frame * L + rank
-        first = 0 if frames is None else frames * pred_rank[0].shape[-2]
-        rows = first + np.asarray(ranks, dtype=np.intp)
-    if rows is not None:  # index the flattened rows at row * V + v
-        pred_edge = [a.reshape(-1) for a in pred_edge]
-        if pred_rank is not None:
-            pred_rank = [a.reshape(-1) for a in pred_rank]
+    if rows is None:
+        rows = frames
+    lead = () if rows is None else (rows,)  # each walk's entry is pred_edge[p][(*lead, v)]
+    rank = None if pred_rank is None else np.asarray(ranks, dtype=np.intp)
     walk = [v]
     edges = []
     for p in range(n - 1, -1, -1):
-        at = v if rows is None else rows * trellis.v_counts[p + 1] + v
+        at = (*lead, v) if rank is None else (*lead, rank, v)
         e = pred_edge[p][at].astype(np.intp)  # int32 indices gather slowly
-        if pred_rank is not None:
-            rows = first + pred_rank[p][at]
+        if rank is not None:
+            rank = pred_rank[p][at]
         v = ridx.frm[p][e]
         walk.append(v)
         edges.append(e)
@@ -338,11 +340,13 @@ def _outcomes(
     frames: np.ndarray | None = None,
     pred_rank: list[np.ndarray] | None = None,
     ranks=None,
+    rows=None,
 ) -> list[DecodeOutcome]:
     """The decisions for subtrellises ``subtrellises``; every DecodeOutcome is built here.
 
     With ``pred_edge`` each codeword is traced back from its final, all in
-    one walk (``frames``, ``pred_rank`` and ``ranks`` as in ``_traceback``).
+    one walk (``frames``, ``pred_rank``, ``ranks`` and ``rows`` as in
+    ``_traceback``).
     Without, a restricted Viterbi sweep of the one subtrellis finds it; only a
     fallback does that, and it reports the sweep's comparisons as
     ``fallback_comparisons``.  ``comparisons`` and ``edge_visits`` are one
@@ -354,7 +358,7 @@ def _outcomes(
         traced, extra = [(sub.path, sub.codeword, sub.weight)], sub.comparisons
     elif len(subtrellises):
         finals = ridx.trellis.finals[np.asarray(subtrellises, dtype=np.intp)]
-        paths, bits, weight = _traceback(ridx, pred_edge, finals, weights, frames, pred_rank, ranks)
+        paths, bits, weight = _traceback(ridx, pred_edge, finals, weights, frames, pred_rank, ranks, rows)
         traced, extra = zip(paths, bits, weight.tolist()), 0
     else:
         return []
@@ -395,12 +399,12 @@ def _outcome(
 def _fallback(
     ridx: ReachIndex,
     weights: WeightAssignment,
-    p1: Phase1State,
+    delta_finals: np.ndarray,
     comparisons: int,
     edge_visits: int,
 ) -> DecodeOutcome:
-    """No codeword to trace: one restricted sweep on the most promising subtrellis."""
-    i_star = int(np.argmin(p1.delta_finals))
+    """No codeword to trace: one restricted sweep on the subtrellis of the cheapest final (one frame)."""
+    i_star = int(np.argmin(delta_finals))
     return _outcome(ridx, weights, "fallback", i_star, comparisons, edge_visits)
 
 
@@ -631,7 +635,8 @@ def _final_decisions(
         if not valid[f, k]:  # every member of the pool weighs inf, or there is none
             if not valid[f].any():
                 frame_weights = weights.frame(f) if batched else weights
-                decisions[f] = _fallback(ridx, frame_weights, p1.frame(f), comparisons[f], edge_visits)
+                bound = p1.delta_finals.reshape(-1, t)[f]
+                decisions[f] = _fallback(ridx, frame_weights, bound, comparisons[f], edge_visits)
                 continue
             k = int(valid[f].argmax())
         won[k >= t].append((f, k % t))
@@ -793,13 +798,29 @@ def _list_decisions(
     return decisions
 
 
-def _phase1_only(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State) -> DecodeOutcome:
-    """Cheapest final that closed its loop in phase 1, else a fallback sweep."""
-    own = p1.surv_finals == np.arange(ridx.t)
-    if not own.any():
-        return _fallback(ridx, weights, p1, p1.comparisons, p1.edge_visits)
-    i = int(np.argmin(np.where(own, p1.delta_finals, np.inf)))
-    return _outcome(ridx, weights, "phase1", i, p1.comparisons, p1.edge_visits, p1.pred_edge)
+def _phase1_only_decisions(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State) -> list[DecodeOutcome]:
+    """Each frame's cheapest final that closed its loop in phase 1, else a fallback sweep.
+
+    The closed winners of every frame of the sweep are traced together; only
+    a frame with no closed final gets a restricted sweep of its own.
+    """
+    t = ridx.t
+    bound = p1.delta_finals.reshape(-1, t)
+    own = p1.surv_finals.reshape(-1, t) == np.arange(t)
+    closes = own.any(axis=1)
+    traced = np.flatnonzero(closes)
+    batched = p1.delta_finals.ndim == 2
+    won = np.where(own, bound, np.inf).argmin(axis=1)[traced]
+    outcomes = _outcomes(
+        ridx, weights, "phase1", won, p1.comparisons, p1.edge_visits, p1.pred_edge, traced if batched else None
+    )
+    decisions: list[DecodeOutcome] = [None] * len(own)
+    for f, outcome in zip(traced.tolist(), outcomes):
+        decisions[f] = outcome
+    for f in np.flatnonzero(~closes).tolist():
+        frame_weights = weights.frame(f) if batched else weights
+        decisions[f] = _fallback(ridx, frame_weights, bound[f], p1.comparisons, p1.edge_visits)
+    return decisions
 
 
 # ---------------------------------------------------------------------------
@@ -826,12 +847,12 @@ def decode_frames(
     (F, n) samples.  Names are those of ``DECODER_NAMES``, or
     "two-phase-L<k>" for any list size k, each at most once.  Phase 1 and its
     stop test run once for the whole batch.  A frame phase 1 settled takes
-    that outcome for every decoder, exact ML included.  Phase 2, its final
-    decision and one list sweep per list size above 1 then run once over all
-    the frames phase 1 left open (``_decode_open``).  Exact ML and
-    phase1-only go on one open frame at a time as it is reached; exact ML
-    sweeps only the subtrellises phase 1's bounds leave in the race
-    (``_exact_ml``).
+    that outcome for every decoder, exact ML included.  Every decoder then
+    decides all the frames phase 1 left open at once (``_decode_open``):
+    phase 2, its final decision and one list sweep per list size above 1;
+    exact ML, with one joint sweep of the subtrellises phase 1's bounds leave
+    in the race on every open frame (``_exact_decisions``); and
+    phase1-only.  The loop over the frames only looks their outcomes up.
     """
     for name in decoders:
         if name not in ("exact-ml", "phase1-only") and not _TWO_PHASE.fullmatch(name):
@@ -839,11 +860,10 @@ def decode_frames(
     if len(set(decoders)) != len(decoders):
         # outcomes are keyed by name, so a repeated name would be decoded once and reported once
         raise CatalogError(f"decoder names must be distinct, got {', '.join(decoders)}")
-    single = weights.sections[0].ndim == 1
     p1 = phase1(ridx, weights)
     stops = _phase1_stops(ridx, p1, weights)
     open_frames = [f for f, stopped in enumerate(stops) if stopped is None]
-    p2, two_phase = _decode_open(ridx, weights, p1, open_frames, decoders, participation_prune)
+    p2, decided = _decode_open(ridx, weights, p1, open_frames, decoders, participation_prune)
     exact_work = _exact_work(ridx) if "exact-ml" in decoders else None
     k = 0  # position among the open frames
     for f, stopped in enumerate(stops):
@@ -853,19 +873,11 @@ def decode_frames(
             if exact_work is not None:
                 # the stop is on the cheapest final, so no subtrellis can beat it
                 decoded.outcomes["exact-ml"] = replace(stopped, stage="exact", **exact_work)
-            yield decoded
-            continue
-        if p2 is not None:
-            decoded.p2 = p2.frame(k)
-        frame_weights = weights if single else weights.frame(f)
-        for name in decoders:
-            if name == "exact-ml":
-                decoded.outcomes[name] = _exact_ml(ridx, frame_weights, decoded.p1)
-            elif name == "phase1-only":
-                decoded.outcomes[name] = _phase1_only(ridx, frame_weights, decoded.p1)
-            else:
-                decoded.outcomes[name] = two_phase[name][k]
-        k += 1
+        else:
+            if p2 is not None:
+                decoded.p2 = p2.frame(k)
+            decoded.outcomes = {name: decided[name][k] for name in decoders}
+            k += 1
         yield decoded
 
 
@@ -877,24 +889,32 @@ def _decode_open(
     decoders: tuple[str, ...],
     participation_prune: bool,
 ) -> tuple[Phase2State | None, dict[str, list[DecodeOutcome]]]:
-    """Phase 2 and every two-phase decision of the open frames ``frames``, all batched.
+    """Every named decoder's decisions on the open frames ``frames``, all batched.
 
     Returns their batched phase-2 state (None if no two-phase decoder was
-    named or no frame is open) and, per two-phase name, the open frames'
-    outcomes in order.  Phase 2 and ``_final_decisions`` run once, and every
-    list size above 1 adds one list sweep over the same frames.
+    named or no frame is open) and, per decoder name, the open frames'
+    outcomes in order.  Phase 2 and ``_final_decisions`` run once, every
+    list size above 1 adds one list sweep over the same frames, and exact ML
+    and phase1-only each decide all of them in one pass.
     """
-    sizes = {name: int(m.group(1)) for name in decoders if (m := _TWO_PHASE.fullmatch(name))} if frames else {}
-    if not sizes:
+    if not frames:
         return None, {}
     if len(frames) < len(p1.delta_finals.reshape(-1, ridx.t)):
         weights, p1 = weights.take(frames), p1.take(frames)
-    p2 = phase2(ridx, weights, p1, participation_prune)
-    scalar = _final_decisions(ridx, weights, p1, p2)
-    return p2, {
-        name: scalar if size == 1 else _list_decisions(ridx, weights, p1, p2, scalar, size)
-        for name, size in sizes.items()
-    }
+    sizes = {name: int(m.group(1)) for name in decoders if (m := _TWO_PHASE.fullmatch(name))}
+    p2 = phase2(ridx, weights, p1, participation_prune) if sizes else None
+    scalar = _final_decisions(ridx, weights, p1, p2) if sizes else None
+    decided = {}
+    for name in decoders:
+        if name == "exact-ml":
+            decided[name] = _exact_decisions(ridx, weights, p1)
+        elif name == "phase1-only":
+            decided[name] = _phase1_only_decisions(ridx, weights, p1)
+        elif sizes[name] == 1:
+            decided[name] = scalar
+        else:
+            decided[name] = _list_decisions(ridx, weights, p1, p2, scalar, sizes[name])
+    return p2, decided
 
 
 def decode_frame(
@@ -971,31 +991,43 @@ def parallel_start_costs(ridx: ReachIndex, weights: WeightAssignment) -> list[np
     return _start_costs(ridx, weights, np.arange(ridx.t))
 
 
-def _start_costs(ridx: ReachIndex, weights: WeightAssignment, rows: np.ndarray) -> list[np.ndarray]:
-    """The sweeps from starts ``rows``, row k from start rows[k]; each row is swept alone."""
+def _start_costs(
+    ridx: ReachIndex, weights: WeightAssignment, rows: np.ndarray, frames: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """The sweeps from starts ``rows``, row k from start rows[k]; each row is swept alone.
+
+    Row k adds the weights of frame frames[k] of a batch, or of the one frame
+    ``weights`` holds when ``frames`` is None.
+    """
     trellis = ridx.trellis
     cost = np.full((len(rows), trellis.v_counts[0]), np.inf)
     cost[np.arange(len(rows)), trellis.starts[rows]] = 0.0
     costs = [cost]
-    for p in range(trellis.n_sections):
-        cand = costs[p][:, ridx.frm[p]] + weights.sections[p][None, :]
+    for p, w in enumerate(weights.sections):
+        cand = costs[p][:, ridx.frm[p]] + (w if frames is None else w[frames])
         costs.append(_group_min(cand, ridx, p))
     return costs
 
 
 def _start_pred_edges(
-    ridx: ReachIndex, weights: WeightAssignment, costs: list[np.ndarray], k: int
+    ridx: ReachIndex,
+    weights: WeightAssignment,
+    costs: list[np.ndarray],
+    k: np.ndarray,
+    frames: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """Survivor edges of row k of a start sweep, recomputed from its costs.
+    """Survivor edges of rows ``k`` of a start sweep, (K, V) per section, recomputed from its costs.
 
-    Along any start-i..final-i path every in-edge with a finite candidate is
-    a member edge of subtrellis i, so tracing these back from final i, for
-    the row swept from start i, gives the same path as
-    ``viterbi_subtrellis(ridx, weights, i)``.
+    ``frames`` names each row's frame as in ``_start_costs``.  Along any
+    start-i..final-i path every in-edge with a finite candidate is a member
+    edge of subtrellis i, so tracing these back from final i, for the row
+    swept from start i, gives the same path as ``viterbi_subtrellis(ridx,
+    weights, i)``.
     """
+    column = k[:, None]
     return [
-        _grouped_first_min(costs[p][k, ridx.frm[p]] + weights.sections[p], ridx, p)
-        for p in range(ridx.trellis.n_sections)
+        _grouped_first_min(costs[p][column, ridx.frm[p]] + (w if frames is None else w[frames]), ridx, p)
+        for p, w in enumerate(weights.sections)
     ]
 
 
@@ -1007,37 +1039,76 @@ def all_pairs_start_final_distances(
     return DistanceTable(d=costs[-1][:, ridx.trellis.finals])
 
 
-def _exact_ml(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State) -> DecodeOutcome:
-    """Exact ML of one frame from phase 1's lower bounds and as few sweeps as they allow.
+def _exact_decisions(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State) -> list[DecodeOutcome]:
+    """Exact ML of every frame of a sweep from phase 1's lower bounds and as few sweeps as they allow.
 
     Every final cost ``delta_finals[i]`` bounds subtrellis i's codeword weight
     from below, and a final whose survivor closed its own loop weighs exactly
     that, bit for bit: float addition is monotone, so the sweep from start i
-    can never beat phase 1 along phase 1's own path.  With (w*, j) the
+    can never beat phase 1 along phase 1's own path.  With (w*, j) a frame's
     cheapest closed final, lowest index on ties, a subtrellis can win only if
-    its (bound, index) sorts before (w*, j); those rows are swept jointly.
-    The first argmin over the closed weights and swept diagonals is then the
-    first argmin of the full diagonal, and phase 1's pred edges trace a closed
-    winner along the path its own sweep would pick.
+    its (bound, index) sorts before (w*, j).  Those (frame, subtrellis) rows
+    of every frame are swept jointly, each over its own frame's weights
+    (``_exact_chunks``).  The first argmin over a frame's closed weights and
+    swept diagonals is then the first argmin of its full diagonal.  Phase 1's
+    pred edges trace the closed winners along the paths their own sweeps
+    would pick, and the swept winners' pred edges are recomputed from their
+    rows' costs.
     """
-    index = np.arange(ridx.t)
-    bound = p1.delta_finals
-    closed = p1.surv_finals == index
+    t = ridx.t
+    finals = ridx.trellis.finals
+    index = np.arange(t)
+    bound = p1.delta_finals.reshape(-1, t)
+    closed = p1.surv_finals.reshape(-1, t) == index
     weight = np.where(closed, bound, np.inf)  # exact for closed finals; the rest inf unless swept
-    j = int(np.argmin(weight))
-    ahead = (bound < weight[j]) | ((bound == weight[j]) & (index < j))
-    rows = np.flatnonzero(ahead & ~closed)
-    if len(rows):
-        costs = _start_costs(ridx, weights, rows)
-        weight[rows] = costs[-1][np.arange(len(rows)), ridx.trellis.finals[rows]]
-    i = int(np.argmin(weight))
-    if not np.isfinite(weight[i]):
+    j, best = weight.argmin(axis=1)[:, None], weight.min(axis=1, keepdims=True)
+    # rows whose (bound, index) sorts before (best, j): below best, or level with it at a lower index
+    frames, rows = np.nonzero(np.where(index < j, bound <= best, bound < best) & ~closed)
+    batched = p1.delta_finals.ndim == 2
+    work = _exact_work(ridx)
+    traced = []  # (frames, outcomes) of the winners, one entry per run and one for the closed winners
+    for part in _exact_chunks(ridx, frames):
+        f, i = frames[part], rows[part]
+        costs = _start_costs(ridx, weights, i, f if batched else None)
+        weight[f, i] = costs[-1][np.arange(len(i)), finals[i]]
+        k = np.flatnonzero(weight[f].argmin(axis=1) == i)  # rows that won their frame
+        if len(k):
+            pred_edge = _start_pred_edges(ridx, weights, costs, k, f[k] if batched else None)
+            traced.append((f[k], _outcomes(
+                ridx, weights, "exact", i[k], pred_edge=pred_edge, frames=f[k] if batched else None,
+                rows=np.arange(len(k)), **work,
+            )))
+    if not np.isfinite(weight.min(axis=1)).all():
         raise NoPathError("no subtrellis contains a start-to-final path")
-    if closed[i]:
-        pred_edge = p1.pred_edge
-    else:
-        pred_edge = _start_pred_edges(ridx, weights, costs, int(np.searchsorted(rows, i)))
-    return _outcome(ridx, weights, "exact", i, pred_edge=pred_edge, **_exact_work(ridx))
+    won = weight.argmin(axis=1)
+    shut = np.flatnonzero(closed[np.arange(len(won)), won])
+    traced.append((shut, _outcomes(
+        ridx, weights, "exact", won[shut], pred_edge=p1.pred_edge, frames=shut if batched else None, **work
+    )))
+    decisions: list[DecodeOutcome] = [None] * len(won)
+    for f, outcomes in traced:
+        for frame, outcome in zip(f.tolist(), outcomes):
+            decisions[frame] = outcome
+    return decisions
+
+
+def _exact_chunks(ridx: ReachIndex, frames: np.ndarray) -> Iterator[slice]:
+    """Runs of whole frames in ``frames`` (sorted) whose swept rows fit PHASE1_BATCH_BYTES.
+
+    A row keeps a float64 cost per vertex.  Each run holds as many frames as
+    fit, and at least one: a frame's rows are swept together, so its winner
+    is known once its run is swept and no other run's costs need keeping.
+    """
+    size = PHASE1_BATCH_BYTES // (8 * sum(ridx.trellis.v_counts))
+    ends = (np.flatnonzero(frames[1:] != frames[:-1]) + 1).tolist() + [len(frames)]  # past each frame's rows
+    lo = last = 0
+    for end in ends:
+        if end - lo > size and last > lo:
+            yield slice(lo, last)
+            lo = last
+        last = end
+    if lo < len(frames):
+        yield slice(lo, len(frames))
 
 
 def _exact_work(ridx: ReachIndex) -> dict[str, int]:

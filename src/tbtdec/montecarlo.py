@@ -189,8 +189,8 @@ def _make_frame(ctx: SimContext, params: ChannelParams, point_idx: int, frame: i
 
 
 def _conv_message_from_path(path: np.ndarray) -> np.ndarray:
-    """Input bits of a convolutional trellis path: newest state bit per step."""
-    return (path[1:] & 1).astype(np.uint8)
+    """Input bits of a convolutional trellis path, or of each row of stacked paths: newest state bit per step."""
+    return (path[..., 1:] & 1).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +214,6 @@ class _Tally:
         self.phase1_stops += other.phase1_stops
         self.fallbacks += other.fallbacks
         self.comparisons += other.comparisons
-
-
-def _bit_errors(ctx: SimContext, outcome: DecodeOutcome, msg: np.ndarray, codeword: np.ndarray) -> int:
-    if ctx.error_bits == "message":
-        decoded = _conv_message_from_path(outcome.path)
-        return int(np.count_nonzero(decoded != msg))
-    return int(np.count_nonzero(outcome.codeword != codeword))
 
 
 def _run_chunk(config: SimConfig, point_idx: int, lo: int, hi: int):
@@ -249,50 +242,65 @@ def _run_batch(
     tallies: dict[str, _Tally],
     reports: list[MismatchReport],
 ) -> None:
-    """Generate and decode one batch of frames, adding to tallies and reports."""
+    """Generate and decode one batch of frames, adding to tallies and reports.
+
+    Every decoder's codewords (or, for message errors, paths) are stacked and
+    compared with the batch's codeword (message) matrix at once, and so are
+    its codewords with exact ML's, which counts ``ml_mismatches``.  Reports
+    are built only for the mismatch rows, in frame order, and each frame's
+    ``FrameDecode`` is dropped once its reports are written, so at most one
+    frame's all-pairs table is alive at a time.
+    """
     made = [_make_frame(ctx, params, point_idx, f, config.genie_zero) for f in frames]
     batch = ReceivedVector(r=np.stack([received.r for _, _, received in made]))
     weights = edge_weights(ctx.ridx.trellis, batch)
-    decoded_frames = decode_frames(ctx.ridx, weights, config.decoders, config.participation_prune)
-    want_exact = "exact-ml" in config.decoders
-    for frame, (msg, codeword, received) in zip(frames, made):
-        # next() rather than zip: zip's result tuple would keep the previous
-        # frame's exact-ML tables alive while the next frame builds its own
-        decoded = next(decoded_frames)
-        exact = decoded.outcomes.get("exact-ml")
-        for name, outcome in decoded.outcomes.items():
-            tally = tallies[name]
-            tally.frames += 1
-            tally.bit_errors += _bit_errors(ctx, outcome, msg, codeword)
-            if not np.array_equal(outcome.codeword, codeword):
-                tally.frame_errors += 1
-            if outcome.stage == "phase1":
-                tally.phase1_stops += 1
-            elif outcome.stage == "fallback":
-                tally.fallbacks += 1
-            tally.comparisons += outcome.comparisons + outcome.fallback_comparisons
-            if want_exact and name != "exact-ml" and not np.array_equal(outcome.codeword, exact.codeword):
-                tally.ml_mismatches += 1
-                witness = crossing_pair_witness(decoded.table, exact.subtrellis)
-                report = MismatchReport(
-                    frame=frame,
-                    ebn0_db=params.ebn0_db,
-                    decoder=name,
-                    ml_subtrellis=exact.subtrellis,
-                    ml_weight=exact.weight,
-                    out_subtrellis=outcome.subtrellis,
-                    out_weight=outcome.weight,
-                    crossing_witness=witness,
-                    crossing_shares_ml_start=(witness[0] == exact.subtrellis) if witness else None,
-                )
-                if ctx.basis is not None and ctx.basis.matrix.shape[0] <= 20:
-                    semi = semi_codeword_witness(received, exact.codeword, ctx.spec, ctx.basis)
-                    if semi.witness is not None:
-                        report.semi_witness = "".join(str(int(b)) for b in semi.witness)
-                        report.semi_witness_start = semi.start
-                        report.semi_witness_final = semi.final
-                reports.append(report)
-        del decoded
+    decoded = list(decode_frames(ctx.ridx, weights, config.decoders, config.participation_prune))
+    messages = np.stack([msg for msg, _, _ in made])
+    sent = np.stack([codeword for _, codeword, _ in made])
+    words = {name: np.stack([d.outcomes[name].codeword for d in decoded]) for name in config.decoders}
+    mismatched = {}  # per decoder other than exact ML: which frames it decoded differently
+    for name in config.decoders:
+        outcomes = [d.outcomes[name] for d in decoded]
+        if ctx.error_bits == "message":
+            wrong = _conv_message_from_path(np.stack([o.path for o in outcomes])) != messages
+        else:
+            wrong = words[name] != sent
+        tally = tallies[name]
+        tally.frames += len(outcomes)
+        tally.bit_errors += int(np.count_nonzero(wrong))
+        tally.frame_errors += int((words[name] != sent).any(axis=1).sum())
+        tally.phase1_stops += sum(o.stage == "phase1" for o in outcomes)
+        tally.fallbacks += sum(o.stage == "fallback" for o in outcomes)
+        tally.comparisons += sum(o.comparisons + o.fallback_comparisons for o in outcomes)
+        if "exact-ml" in words and name != "exact-ml":
+            mismatched[name] = (words[name] != words["exact-ml"]).any(axis=1)
+            tally.ml_mismatches += int(mismatched[name].sum())
+    for k, frame in enumerate(frames):
+        exact = decoded[k].outcomes.get("exact-ml")
+        for name, rows in mismatched.items():
+            if not rows[k]:
+                continue
+            outcome = decoded[k].outcomes[name]
+            witness = crossing_pair_witness(decoded[k].table, exact.subtrellis)
+            report = MismatchReport(
+                frame=frame,
+                ebn0_db=params.ebn0_db,
+                decoder=name,
+                ml_subtrellis=exact.subtrellis,
+                ml_weight=exact.weight,
+                out_subtrellis=outcome.subtrellis,
+                out_weight=outcome.weight,
+                crossing_witness=witness,
+                crossing_shares_ml_start=(witness[0] == exact.subtrellis) if witness else None,
+            )
+            if ctx.basis is not None and ctx.basis.matrix.shape[0] <= 20:
+                semi = semi_codeword_witness(made[k][2], exact.codeword, ctx.spec, ctx.basis)
+                if semi.witness is not None:
+                    report.semi_witness = "".join(str(int(b)) for b in semi.witness)
+                    report.semi_witness_start = semi.start
+                    report.semi_witness_final = semi.final
+            reports.append(report)
+        decoded[k] = None  # drop this frame's all-pairs table before the next frame builds one
 
 
 def _chunk_bounds(frames: int, workers: int) -> list[tuple[int, int]]:

@@ -265,38 +265,76 @@ def _exact_rows(p1):
     return [i for i in range(t) if i not in closed and (float(p1.delta_finals[i]), i) < best]
 
 
-def test_exact_ml_sweeps_only_the_rows_its_bounds_leave(monkeypatch, ridx_block6, ridx_conv_m2):
-    # a frame phase 1 settled runs no restricted sweep at all; on the others
-    # exactly the subtrellises whose bound sorts before the cheapest closed
-    # final are swept, in one joint call
-    swept = []
-
-    def counting(ridx, weights, rows):
-        swept.append(rows.tolist())
-        return start_costs(ridx, weights, rows)
-
+def _recording_start_costs(monkeypatch, swept):
+    """Patch ``_start_costs`` to record each joint sweep's (frame, subtrellis) rows in ``swept``."""
     start_costs = decoder._start_costs
-    monkeypatch.setattr(decoder, "_start_costs", counting)
+
+    def recording(ridx, weights, rows, frames=None):
+        at = np.zeros(len(rows), dtype=int) if frames is None else frames
+        swept.append([(int(f), int(i)) for f, i in zip(at, rows)])
+        return start_costs(ridx, weights, rows, frames)
+
+    monkeypatch.setattr(decoder, "_start_costs", recording)
+
+
+def test_exact_ml_sweeps_only_the_rows_its_bounds_leave(monkeypatch, ridx_block6, ridx_conv_m2):
+    # a frame phase 1 settled runs no restricted sweep at all; on the open
+    # frames of a batch of 1 or 7 exactly the subtrellises whose bound sorts
+    # before their cheapest closed final are swept, all in one joint call
+    # (rows are keyed by position among the open frames, which the sweep is given)
+    swept = []
+    _recording_start_costs(monkeypatch, swept)
     settled = open_frames = 0
-    for ridx in (ridx_block6, ridx_conv_m2):
-        for frame in range(60):
-            _, weights = _weights_of(ridx, seed=73, frame=frame)
-            p1 = tb.phase1(ridx, weights)
-            stop = tb.phase1_decision(ridx, p1, weights)
+    for ridx, batch in ((ridx, batch) for ridx in (ridx_block6, ridx_conv_m2) for batch in (1, 7)):
+        for first in range(0, 63, batch):
+            received = [random_received(ridx, seed=73, frame=f) for f in range(first, first + batch)]
+            rows = np.stack([rec.r for rec in received]) if batch > 1 else received[0].r
+            weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=rows))
+            stops, expected = [], []
+            for rec in received:
+                alone = tb.edge_weights(ridx.trellis, rec)
+                p1 = tb.phase1(ridx, alone)
+                stops.append(tb.phase1_decision(ridx, p1, alone))
+                if stops[-1] is None:
+                    position = len(stops) - 1 - sum(stop is not None for stop in stops)
+                    expected += [(position, i) for i in _exact_rows(p1)]
+            open_frames += bool(expected)
             swept.clear()
-            out = tb.decode_exact_ml(ridx, weights)
-            assert out.stage == "exact"
-            if stop is not None:
-                settled += 1
-                assert swept == []
-                assert out.subtrellis == stop.subtrellis and np.array_equal(out.path, stop.path)
-            else:
-                rows = _exact_rows(p1)
-                open_frames += bool(rows)
-                assert swept == ([rows] if rows else [])
-            assert out.comparisons == int(ridx.member_counts.sum())
-            assert out.edge_visits == ridx.t * ridx.trellis.num_edges
+            outs = [d.outcomes["exact-ml"] for d in tb.decode_frames(ridx, weights, ("exact-ml",))]
+            assert swept == ([expected] if expected else [])
+            for out, stop in zip(outs, stops):
+                assert out.stage == "exact"
+                if stop is not None:
+                    settled += 1
+                    assert out.subtrellis == stop.subtrellis and np.array_equal(out.path, stop.path)
+                assert out.comparisons == int(ridx.member_counts.sum())
+                assert out.edge_visits == ridx.t * ridx.trellis.num_edges
     assert settled and open_frames
+
+
+@pytest.mark.parametrize("rows_per_chunk", [0, 3])
+def test_exact_ml_chunks_hold_whole_frames(monkeypatch, ridx_block6, ridx_conv_m2, rows_per_chunk):
+    # with PHASE1_BATCH_BYTES shrunk to a few rows' costs the open frames'
+    # rows are swept in several calls, each holding whole frames and no more
+    # rows than fit unless it holds one frame only; every outcome equals the
+    # unchunked run's and the all-pairs oracle's
+    for ridx in (ridx_block6, ridx_conv_m2):
+        received = [random_received(ridx, seed=79, frame=f) for f in range(21)]
+        received[1::3] = [tb.ReceivedVector(r=np.round(rec.r)) for rec in received[1::3]]
+        weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=np.stack([rec.r for rec in received])))
+        whole = [d.outcomes["exact-ml"] for d in tb.decode_frames(ridx, weights, ("exact-ml",))]
+        swept = []
+        with monkeypatch.context() as patch:
+            _recording_start_costs(patch, swept)
+            patch.setattr(decoder, "PHASE1_BATCH_BYTES", rows_per_chunk * 8 * sum(ridx.trellis.v_counts))
+            chunked = [d.outcomes["exact-ml"] for d in tb.decode_frames(ridx, weights, ("exact-ml",))]
+        assert len(swept) > 1
+        frames = [sorted({f for f, _ in rows}) for rows in swept]
+        assert sum(len(f) for f in frames) == len(set().union(*frames))  # no frame split between sweeps
+        assert all(len(rows) <= rows_per_chunk or len(f) == 1 for rows, f in zip(swept, frames))
+        for rec, a, b in zip(received, chunked, whole):
+            _same_outcome(a, b)
+            _matches_all_pairs_oracle(ridx, tb.edge_weights(ridx.trellis, rec), a)
 
 
 def _first_or_cheaper(best, v, c):
@@ -471,6 +509,20 @@ def test_list_comparisons_within_scaled_budget(ridx_block6):
 # ---------------------------------------------------------------------------
 # Fallback (requires an inconsistent reach index; a built one never starves)
 
+def _square_trellis():
+    """Vertices {s0, s1} -> {a, b} -> {f0, f1} with every edge between neighbouring indices."""
+    return tb.Trellis.from_edge_lists(
+        label_width=1,
+        v_counts=[2, 2, 2],
+        edge_lists=[
+            [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)],
+            [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
+        ],
+        starts=[0, 1],
+        finals=[0, 1],
+    )
+
+
 def _doctored_ridx():
     """A reach index whose membership table starves the scalar second sweep.
 
@@ -483,17 +535,7 @@ def _doctored_ridx():
     (every surviving candidate can reach its own final), so this is the only
     way to reach the fallback branch.
     """
-    trellis = tb.Trellis.from_edge_lists(
-        label_width=1,
-        v_counts=[2, 2, 2],
-        edge_lists=[
-            [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)],
-            [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
-        ],
-        starts=[0, 1],
-        finals=[0, 1],
-    )
-    ridx = tb.build_reach_index(trellis)
+    ridx = tb.build_reach_index(_square_trellis())
     # canonical per-section edge order is (to, frm):
     # section 1: s0->a, s1->a, s0->b, s1->b; section 2: a->f0, b->f0, a->f1, b->f1
     ridx.membership[0] = np.array([[1, 0], [0, 1], [0, 0], [0, 0]], dtype=bool)
@@ -526,6 +568,29 @@ def test_phase1_only_fallback_on_starved_phase1():
     out = tb.decode_phase1_only(ridx, weights)
     assert out.stage in ("phase1", "fallback")
     assert np.isfinite(out.weight)
+
+
+def test_batched_phase1_only_falls_back_mid_batch():
+    # three open frames of the square trellis, the middle one with no final
+    # closed in phase 1: the batch traces the outer two together and sweeps a
+    # fallback for the middle one, each equal to decoding that frame alone
+    ridx = tb.build_reach_index(_square_trellis())
+    # edge order: s0->a, s1->a, s0->b, s1->b, then a->f0, b->f0, a->f1, b->f1
+    frames = [
+        ([2.0, 5.0, 0.0, 5.0], [0.0, 9.0, 9.0, 1.0]),  # f0 closes at 2, f1 crosses at 1
+        ([1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]),  # both finals cross: no codeword to trace
+        ([5.0, 0.0, 5.0, 3.0], [0.5, 9.0, 9.0, 0.0]),  # f1 closes at 3, f0 crosses at 0.5
+    ]
+    weights = tb.WeightAssignment(sections=[np.array(section) for section in zip(*frames)])
+    names = ("phase1-only", "exact-ml", "two-phase-L1")
+    decoded = list(tb.decode_frames(ridx, weights, names))
+    assert [d.outcomes["phase1-only"].stage for d in decoded] == ["phase1", "fallback", "phase1"]
+    assert [d.outcomes["phase1-only"].subtrellis for d in decoded] == [0, 0, 1]
+    assert decoded[1].outcomes["phase1-only"].fallback_comparisons > 0
+    for d, (first, second) in zip(decoded, frames):
+        one = tb.decode_frame(ridx, tb.WeightAssignment(sections=[np.array(first), np.array(second)]), names)
+        for name in names:
+            _same_outcome(d.outcomes[name], one.outcomes[name])
 
 
 def test_repeated_decoder_names_rejected(ridx_block4):
@@ -776,7 +841,8 @@ def _matches_all_pairs_oracle(ridx, weights, exact):
     i = int(np.argmin(diag))
     assert (exact.subtrellis, exact.stage) == (i, "exact")
     finals = [ridx.trellis.finals[i]]
-    paths, bits, weight = _traceback(ridx, _start_pred_edges(ridx, weights, costs, i), finals, weights)
+    pred_edge = _start_pred_edges(ridx, weights, costs, np.array([i]))
+    paths, bits, weight = _traceback(ridx, pred_edge, finals, weights, rows=[0])
     sub = tb.viterbi_subtrellis(ridx, weights, i)
     for path, codeword, w in ((paths[0], bits[0], float(weight[0])), (sub.path, sub.codeword, sub.weight)):
         assert np.array_equal(exact.path, path) and np.array_equal(exact.codeword, codeword)

@@ -1,8 +1,13 @@
 """Monte-Carlo driver, serialization, tracing, and CLI tests."""
 
 import json
+import os
+import subprocess
+import sys
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +277,24 @@ def test_simulate_builds_cost_tables_only_for_mismatch_frames(monkeypatch, tmp_p
     assert len(calls) == len(mismatch_frames)
 
 
+def test_simulate_keeps_one_cost_table_alive_at_a_time(monkeypatch, tmp_path):
+    # a batch's mismatch reports are written frame by frame, and each frame's
+    # decode, with its all-pairs table, is dropped before the next one's table
+    # is built
+    alive = []
+
+    def recording(ridx, weights):
+        assert all(table() is None for table in alive)
+        costs = tb.parallel_start_costs(ridx, weights)
+        alive.append(weakref.ref(costs[-1]))
+        return costs
+
+    monkeypatch.setattr(decoder, "parallel_start_costs", recording)
+    config = _config(ebn0_db=(1.0,), frames=60, mismatch_log=str(tmp_path / "mismatch.jsonl"))
+    tb.run_monte_carlo(config)
+    assert len(alive) > 1
+
+
 def test_duplicate_decoder_names_rejected(capsys):
     # one tally per name: a repeated name would count its frames twice
     with pytest.raises(tb.CatalogError, match="distinct"):
@@ -322,6 +345,33 @@ def test_decode_frame_has_no_frames_option(capsys):
         cli.main(["decode-frame", "--code", "toy-block-n4-k2-c1", "--frames", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --frames 3" in capsys.readouterr().err
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    # main builds its parser on first use and parses every later call with it;
+    # a simulate, a decode-frame and a rejected --ebn0 in one process print
+    # what fresh processes print and exit as they do
+    runs = [
+        ["simulate", "--code", "toy-conv-m2-l8", "--ebn0", "1,3", "--frames", "20", "--seed", "4",
+         "--decoders", "two-phase-L1,exact-ml,phase1-only"],
+        ["decode-frame", "--code", "toy-conv-m2-l8", "--ebn0", "2", "--frame", "3", "--seed", "4"],
+        ["simulate", "--code", "toy-conv-m2-l8", "--ebn0", "abc", "--frames", "2"],
+    ]
+    src = str(Path(tb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = [subprocess.run([sys.executable, "-m", "tbtdec.cli", *argv], capture_output=True, text=True, env=env)
+             for argv in runs]
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    for argv, proc in zip(runs, fresh):
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert [proc.returncode for proc in fresh] == [0, 0, 2]
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()  # the public builder still gives a fresh parser
 
 
 def test_config_validation():
