@@ -29,6 +29,12 @@ CASES = {
         {"--out": "simulate-mem4.csv", "--mismatch-log": "simulate-mem4-mismatch.jsonl"},
         None,
     ),
+    "simulate-mem6": (
+        ["simulate", "--code", "mem6-circle48", "--ebn0", "1,2", "--frames", "100",
+         "--seed", "7", "--decoders", "two-phase-L1,two-phase-L2,exact-ml"],
+        {"--out": "simulate-mem6.csv", "--mismatch-log": "simulate-mem6-mismatch.jsonl"},
+        None,
+    ),
     "decode-frame-mem4-L2": (
         ["decode-frame", "--code", "mem4-circle20", "--ebn0", "2", "--frame", "26",
          "--seed", "7", "--list-size", "2"],
