@@ -1,9 +1,16 @@
 """BPSK over AWGN with counter-based, replayable noise streams.
 
-Bit 0 maps to +1.0 and bit 1 to -1.0.  Noise for a frame is generated by a
-Philox counter-based generator keyed with (seed, stream id) and a Box-Muller
-transform, so any frame can be regenerated in isolation: results do not
-depend on how many frames were drawn before it or on worker scheduling.
+Bit 0 maps to +1.0 and bit 1 to -1.0.  Every random draw comes from a
+Philox4x64-10 counter-based generator keyed with (seed, stream id), so any
+frame can be regenerated in isolation: results do not depend on how many
+frames were drawn before it or on worker scheduling.  The generator is
+written here in numpy over whole arrays of stream ids (``_philox``), and each
+stream's draws are the values of numpy's ``Philox(key=[seed, stream])``:
+message bits are those of ``Generator.integers(0, 2, uint8)`` and noise is a
+Box-Muller transform of ``Generator.random``.  ``random_bits``,
+``gaussian_samples`` and ``awgn_transmit`` take one stream id and give one
+stream's (count,) array, or an array of S ids and give (S, count), row s
+bit for bit the call on stream s alone.
 """
 
 from __future__ import annotations
@@ -81,7 +88,20 @@ class WeightAssignment:
         """Frames ``rows`` of a batch as a batch of their own (copies)."""
         if self.table is None:
             return WeightAssignment([w[rows] for w in self.sections])
-        table = self.table[rows]
+        return self._with_table(self.table[rows])
+
+    @staticmethod
+    def concat(parts: list["WeightAssignment"]) -> "WeightAssignment":
+        """Assignments of one frame or of a batch each, one after another as one batch (copies)."""
+        if any(w.table is None for w in parts):
+            return WeightAssignment([
+                np.concatenate([w.reshape(-1, w.shape[-1]) for w in sections])
+                for sections in zip(*(part.sections for part in parts))
+            ])
+        return parts[0]._with_table(np.concatenate([part.table.reshape(-1, part.table.shape[-1]) for part in parts]))
+
+    def _with_table(self, table: np.ndarray) -> "WeightAssignment":
+        """An assignment over ``table``, cut into sections as wide as this one's."""
         bounds = np.cumsum([0] + [w.shape[-1] for w in self.sections])
         return WeightAssignment([table[..., a:b] for a, b in zip(bounds[:-1], bounds[1:])], table)
 
@@ -91,30 +111,86 @@ def bpsk_modulate(bits) -> np.ndarray:
     return 1.0 - 2.0 * arr
 
 
-def _generator(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_MASK64 = (1 << 64) - 1
+# Philox4x64's multipliers of counter words 0 and 2, and the Weyl increments of key words 0 and 1
+_MULT0, _MULT1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_WEYL0, _WEYL1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_ROUNDS = 10
 
 
-def gaussian_samples(seed: int, stream: int, count: int) -> np.ndarray:
-    """Standard normals via Box-Muller over the keyed Philox stream."""
-    gen = _generator(seed, stream)
+def _stream_ids(stream) -> tuple[np.ndarray, bool]:
+    """Stream ids as uint64 keys (two's complement, as 64-bit keys), and whether one id was given."""
+    one = np.ndim(stream) == 0
+    return np.array([int(s) & _MASK64 for s in ([stream] if one else stream)], dtype=np.uint64), one
+
+
+def _philox(seed: int, streams: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit draws of Philox4x64-10 keyed (seed, stream) per stream: (S, count) uint64.
+
+    Block b of a stream encrypts the counter (b + 1, 0, 0, 0) and gives four
+    draws, as numpy's ``Philox`` does from a zero counter.  Every (stream,
+    block) pair has a 128-bit lane in each of four Python integers, one per
+    counter word, so each operation of a round acts on all lanes at once: a
+    lane's 64 x 64-bit product fills it without carrying into the next, and
+    one integer multiply forms them all.  Words 1 and 3 keep the whole
+    product, and words 0 and 2, the ones multiplied, are masked to 64 bits.
+    On one or a few streams this costs a fifth of the same rounds on numpy
+    arrays, whose per-call overhead would dominate them.  The lanes are
+    filled and read through explicitly little-endian bytes.
+    """
+    blocks = -(-count // 4)
+    n = len(streams) * blocks
+    lanes = np.zeros((2, n, 2), dtype="<u8")  # (counter word 0, key word 1) per lane, high halves 0
+    lanes[0, :, 0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(streams))
+    lanes[1, :, 0] = np.repeat(streams, blocks)
+    both = int.from_bytes(lanes.tobytes(), "little")
+    width = 128 * n
+    ones = ((1 << width) - 1) // ((1 << 128) - 1)  # 1 in every lane
+    low = ones * _MASK64
+    w0, k1 = both & ((1 << width) - 1), both >> width
+    w1 = w2 = w3 = 0
+    k0, bump0, bump1 = (seed & _MASK64) * ones, _WEYL0 * ones, _WEYL1 * ones
+    for r in range(_ROUNDS):
+        if r:  # a key's carries out of 64 bits stay in its lanes' high halves, which the masks drop
+            k0, k1 = k0 + bump0, k1 + bump1
+        p0, p1 = w0 * _MULT0, w2 * _MULT1
+        w0, w1, w2, w3 = ((p1 >> 64) ^ w1 ^ k0) & low, p1, ((p0 >> 64) ^ w3 ^ k1) & low, p0
+    packed = w0 | (w1 << width) | (w2 << 2 * width) | (w3 << 3 * width)
+    words = np.frombuffer(packed.to_bytes(64 * n, "little"), dtype="<u8")[0::2].astype(np.uint64)
+    return words.reshape(4, n).T.reshape(len(streams), 4 * blocks)[:, :count]
+
+
+def gaussian_samples(seed: int, stream, count: int) -> np.ndarray:
+    """Standard normals via Box-Muller over the keyed Philox stream, or over each of an array of streams."""
+    streams, one = _stream_ids(stream)
     pairs = (count + 1) // 2
-    u = gen.random((2, pairs))
-    radius = np.sqrt(-2.0 * np.log1p(-u[0]))  # 1-u to keep the log argument in (0, 1]
-    angle = 2.0 * np.pi * u[1]
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return z[:count]
+    # Generator.random: the top 53 bits of a draw, scaled into [0, 1)
+    u = (_philox(seed, streams, 2 * pairs) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    u = u.reshape(len(streams), 2, pairs)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # 1-u to keep the log argument in (0, 1]
+    angle = 2.0 * np.pi * u[:, 1]
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :count]
+    return z[0] if one else z
 
 
-def random_bits(seed: int, stream: int, count: int) -> np.ndarray:
-    """Replayable uniform message bits from the same keyed-stream family."""
-    gen = _generator(seed, stream)
-    return gen.integers(0, 2, size=count, dtype=np.uint8)
+def random_bits(seed: int, stream, count: int) -> np.ndarray:
+    """Replayable uniform message bits from the same keyed-stream family, one stream or an array of them.
+
+    ``Generator.integers(0, 2, uint8)`` takes each bit as the top bit of the
+    next byte of its 32-bit draws, low byte first, and a 32-bit draw is the
+    low half of a 64-bit one and then its high half: bit 8j + 7 of the
+    draws, in order, with no rejection for this range.
+    """
+    streams, one = _stream_ids(stream)
+    draws = _philox(seed, streams, (count + 7) // 8)
+    tops = np.arange(7, 64, 8, dtype=np.uint64)
+    bits = ((draws[..., None] >> tops) & np.uint64(1)).astype(np.uint8).reshape(len(streams), -1)[:, :count]
+    return bits[0] if one else bits
 
 
-def awgn_transmit(signal: np.ndarray, params: ChannelParams, stream: int) -> ReceivedVector:
-    noise = gaussian_samples(params.seed, stream, len(signal))
+def awgn_transmit(signal: np.ndarray, params: ChannelParams, stream) -> ReceivedVector:
+    """Add noise to one (n,) signal from one stream, or to an (S, n) batch from S streams."""
+    noise = gaussian_samples(params.seed, stream, np.shape(signal)[-1])
     return ReceivedVector(r=signal + np.sqrt(params.sigma2) * noise)
 
 

@@ -237,9 +237,9 @@ def validate_conv(spec: ConvCodeSpec) -> ConvCodeSpec:
 # Encoding
 
 def encode_block(spec: GeneratorSpec, message) -> np.ndarray:
-    """XOR the rows selected by the 0/1 message vector."""
+    """XOR the rows selected by the 0/1 message vector, or by each row of stacked messages (..., k)."""
     msg = np.asarray(message, dtype=np.uint8)
-    if msg.shape != (spec.k,):
+    if msg.ndim == 0 or msg.shape[-1] != spec.k:
         raise LengthMismatchError(f"message length {msg.shape} != k={spec.k}")
     return (msg @ spec.matrix) % 2
 
@@ -250,15 +250,16 @@ def encode_conv_tailbiting(spec: ConvCodeSpec, message) -> np.ndarray:
     The register starts loaded with the last `memory` message bits, so the
     encoder returns to its initial state after `circle` steps — every message
     maps to a closed path in the tail-biting trellis.  Output interleaves the
-    two streams: (v0[0], v1[0], v0[1], v1[1], ...).
+    two streams: (v0[0], v1[0], v0[1], v1[1], ...).  Stacked messages,
+    (..., circle), give stacked codewords, (..., 2 * circle).
     """
     msg = np.asarray(message, dtype=np.uint8)
-    if msg.shape != (spec.circle,):
+    if msg.ndim == 0 or msg.shape[-1] != spec.circle:
         raise LengthMismatchError(f"message length {msg.shape} != circle={spec.circle}")
-    out = np.empty((spec.circle, 2), dtype=np.uint8)
+    out = np.empty((*msg.shape[:-1], spec.circle, 2), dtype=np.uint8)
     for stream, gather in enumerate(_conv_gathers(spec)):
-        out[:, stream] = np.bitwise_xor.reduce(msg[gather], axis=0)
-    return out.reshape(-1)
+        out[..., stream] = np.bitwise_xor.reduce(msg[..., gather], axis=-2)
+    return out.reshape(*msg.shape[:-1], 2 * spec.circle)
 
 
 @lru_cache(maxsize=32)

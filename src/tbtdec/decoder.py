@@ -33,10 +33,11 @@ out of the decode path, as the oracle of the audits, witnesses and tests.
 requested decoder's decision from that shared state.  Phase 1, its stop test
 and the traceback of the frames it settles run over a whole batch of frames
 at once.  Every decoder then decides the frames phase 1 left open in one
-batched pass over just those frames: phase 2, its final decision and the
-list sweep; exact ML, whose remaining (frame, subtrellis) rows of all open
-frames are swept jointly, each over its own frame's weights; and
-phase1-only, whose closed winners are traced together.  The list sweep gives
+batched pass over just those frames, pooled across successive batches by
+``_decode_batches`` up to ``batch_frames`` frames a pass: phase 2, its final
+decision and the list sweep; exact ML, whose remaining (frame, subtrellis)
+rows of all open frames are swept jointly, each over its own frame's
+weights; and phase1-only, whose closed winners are traced together.  The list sweep gives
 every vertex a fixed number of candidate slots, so one kernel of sorts along
 that axis serves every trellis.  ``decode_frame`` is the batch of one, and
 the ``decode_*`` functions are single-decoder calls into it.
@@ -48,7 +49,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -117,6 +118,23 @@ class Phase1State:
             edge_visits=self.edge_visits,
             delta_finals=self.delta_finals[rows],
             surv_finals=self.surv_finals[rows],
+        )
+
+    @staticmethod
+    def concat(states: list["Phase1State"]) -> "Phase1State":
+        """Sweeps of one frame or of a batch each, one after another as one batched sweep (copies)."""
+
+        def stack(arrays):
+            return np.concatenate([a.reshape(-1, a.shape[-1]) for a in arrays])
+
+        return Phase1State(
+            cost=[stack(a) for a in zip(*(s.cost for s in states))],
+            surv=[stack(a) for a in zip(*(s.surv for s in states))],
+            pred_edge=[stack(a) for a in zip(*(s.pred_edge for s in states))],
+            comparisons=states[0].comparisons,
+            edge_visits=states[0].edge_visits,
+            delta_finals=stack([s.delta_finals for s in states]),
+            surv_finals=stack([s.surv_finals for s in states]),
         )
 
 
@@ -234,9 +252,12 @@ class FrameDecode:
 # Shared sweep machinery
 
 def _check_weights(ridx: ReachIndex, weights: WeightAssignment) -> None:
-    for p, sec in enumerate(ridx.trellis.sections):
-        if weights.sections[p].shape[-1] != sec.num_edges:
-            raise LengthMismatchError(f"weights for section {p + 1} do not match edge count")
+    """Every section's weights must be as wide as its edge count, and every section needs weights."""
+    widths = tuple(w.shape[-1] for w in weights.sections)
+    counts = ridx.trellis.edge_counts
+    if widths != counts:
+        p = next((p for p, (a, b) in enumerate(zip(widths, counts)) if a != b), min(len(widths), len(counts)))
+        raise LengthMismatchError(f"weights for section {p + 1} do not match edge count")
 
 
 def _group_min(cand: np.ndarray, ridx: ReachIndex, p: int) -> np.ndarray:
@@ -841,18 +862,49 @@ def decode_frames(
     decoders: tuple[str, ...],
     participation_prune: bool = True,
 ) -> Iterator[FrameDecode]:
-    """Decode a batch of frames with every named decoder; yields one FrameDecode per frame.
+    """Decode a batch of frames with every named decoder; yields one FrameDecode per frame, in order.
 
     ``weights`` holds one frame, or a batch as ``edge_weights`` builds it for
     (F, n) samples.  Names are those of ``DECODER_NAMES``, or
-    "two-phase-L<k>" for any list size k, each at most once.  Phase 1 and its
-    stop test run once for the whole batch.  A frame phase 1 settled takes
-    that outcome for every decoder, exact ML included.  Every decoder then
-    decides all the frames phase 1 left open at once (``_decode_open``):
-    phase 2, its final decision and one list sweep per list size above 1;
-    exact ML, with one joint sweep of the subtrellises phase 1's bounds leave
-    in the race on every open frame (``_exact_decisions``); and
-    phase1-only.  The loop over the frames only looks their outcomes up.
+    "two-phase-L<k>" for any list size k, each at most once.  This is
+    ``_decode_batches`` on one batch: phase 1 and its stop test run once for
+    the whole batch, and a frame phase 1 settled takes that outcome for every
+    decoder, exact ML included.  Every decoder then decides all the frames
+    phase 1 left open in one pass (``_decode_open``): phase 2, its final
+    decision and one list sweep per list size above 1; exact ML, with one
+    joint sweep of the subtrellises phase 1's bounds leave in the race on
+    every open frame (``_exact_decisions``); and phase1-only.  The frames are
+    put back in their order before the first is yielded.
+    """
+    decoded: list[FrameDecode | None] = [None] * prod(weights.sections[0].shape[:-1])
+    for group in _decode_batches(ridx, [weights], decoders, participation_prune):
+        for _, row, frame in group:
+            decoded[row] = frame
+    for row in range(len(decoded)):
+        yield decoded[row]
+        decoded[row] = None  # hold no frame the caller is done with, nor any table it built
+
+
+def _decode_batches(
+    ridx: ReachIndex,
+    batches: Iterable[WeightAssignment],
+    decoders: tuple[str, ...],
+    participation_prune: bool = True,
+) -> Iterator[list[tuple[int, int, FrameDecode]]]:
+    """Decode a stream of batches, pooling the frames phase 1 leaves open across batches.
+
+    Yields groups of decoded frames as lists of (batch, row, FrameDecode),
+    ``batch`` counting the batches from 0 and ``row`` the frame's row in it.
+    Phase 1, its stop test and the traceback of the frames it settles run per
+    batch, and each batch's settled frames are yielded at once.  The rows of
+    its open frames are copied out of its sweep and weights into a pool, and
+    every decoder decides the pool in one pass (``_decode_open``) whenever it
+    holds ``batch_frames`` frames, and once more after the last batch; a
+    batch's open frames may straddle two passes.  A batch larger than
+    ``batch_frames`` raises the cap to its own size, so its open frames take
+    one pass, as its phase 1 took one sweep.  A group's frames refer to
+    no state but their own batch's sweep (settled) or their pass's (open), so
+    each batch's sweep is freed once its settled frames are.
     """
     for name in decoders:
         if name not in ("exact-ml", "phase1-only") and not _TWO_PHASE.fullmatch(name):
@@ -860,47 +912,78 @@ def decode_frames(
     if len(set(decoders)) != len(decoders):
         # outcomes are keyed by name, so a repeated name would be decoded once and reported once
         raise CatalogError(f"decoder names must be distinct, got {', '.join(decoders)}")
-    p1 = phase1(ridx, weights)
-    stops = _phase1_stops(ridx, p1, weights)
-    open_frames = [f for f, stopped in enumerate(stops) if stopped is None]
-    p2, decided = _decode_open(ridx, weights, p1, open_frames, decoders, participation_prune)
+    cap = batch_frames(ridx)
     exact_work = _exact_work(ridx) if "exact-ml" in decoders else None
-    k = 0  # position among the open frames
-    for f, stopped in enumerate(stops):
-        decoded = FrameDecode(sweep=p1, row=f, ridx=ridx, weights=weights)
-        if stopped is not None:
-            decoded.outcomes = dict.fromkeys(decoders, stopped)
-            if exact_work is not None:
-                # the stop is on the cheapest final, so no subtrellis can beat it
-                decoded.outcomes["exact-ml"] = replace(stopped, stage="exact", **exact_work)
-        else:
-            if p2 is not None:
-                decoded.p2 = p2.frame(k)
-            decoded.outcomes = {name: decided[name][k] for name in decoders}
-            k += 1
-        yield decoded
+    pool: list[tuple[int, np.ndarray, WeightAssignment, Phase1State]] = []  # (batch, rows, their weights and sweep)
+    pooled = 0
+    for b, weights in enumerate(batches):
+        p1 = phase1(ridx, weights)
+        stops = _phase1_stops(ridx, p1, weights)
+        cap = max(cap, len(stops))
+        settled = []
+        for f, stopped in enumerate(stops):
+            if stopped is not None:
+                outcomes = dict.fromkeys(decoders, stopped)
+                if exact_work is not None:
+                    # the stop is on the cheapest final, so no subtrellis can beat it
+                    outcomes["exact-ml"] = replace(stopped, stage="exact", **exact_work)
+                settled.append((b, f, FrameDecode(outcomes, sweep=p1, row=f, ridx=ridx, weights=weights)))
+        if settled:
+            yield settled
+        open_rows = np.flatnonzero([s is None for s in stops])
+        while len(open_rows):
+            rows, open_rows = open_rows[: cap - pooled], open_rows[cap - pooled:]
+            if len(rows) < len(stops):
+                pool.append((b, rows, weights.take(rows), p1.take(rows)))
+            else:  # the whole batch, or one frame's own sweep: nothing to copy
+                pool.append((b, rows, weights, p1))
+            pooled += len(rows)
+            if pooled == cap:
+                yield _decode_pool(ridx, pool, decoders, participation_prune)
+                pool, pooled = [], 0
+        weights = p1 = stops = settled = None  # the pool holds all of the batch it still needs
+    if pool:
+        yield _decode_pool(ridx, pool, decoders, participation_prune)
+
+
+def _decode_pool(
+    ridx: ReachIndex,
+    pool: list[tuple[int, np.ndarray, WeightAssignment, Phase1State]],
+    decoders: tuple[str, ...],
+    participation_prune: bool,
+) -> list[tuple[int, int, FrameDecode]]:
+    """Decide the pooled open frames in one pass; (batch, row, FrameDecode) per frame, in pool order."""
+    if len(pool) == 1:
+        _, _, weights, p1 = pool[0]
+    else:
+        weights = WeightAssignment.concat([w for _, _, w, _ in pool])
+        p1 = Phase1State.concat([p for _, _, _, p in pool])
+    p2, decided = _decode_open(ridx, weights, p1, decoders, participation_prune)
+    group = []
+    for k, (b, f) in enumerate((b, int(f)) for b, rows, _, _ in pool for f in rows):
+        frame = FrameDecode({name: decided[name][k] for name in decoders}, sweep=p1, row=k, ridx=ridx, weights=weights)
+        if p2 is not None:
+            frame.p2 = p2.frame(k)
+        group.append((b, f, frame))
+    return group
 
 
 def _decode_open(
     ridx: ReachIndex,
     weights: WeightAssignment,
     p1: Phase1State,
-    frames: list[int],
     decoders: tuple[str, ...],
     participation_prune: bool,
 ) -> tuple[Phase2State | None, dict[str, list[DecodeOutcome]]]:
-    """Every named decoder's decisions on the open frames ``frames``, all batched.
+    """Every named decoder's decisions on open frames, all batched.
 
-    Returns their batched phase-2 state (None if no two-phase decoder was
-    named or no frame is open) and, per decoder name, the open frames'
-    outcomes in order.  Phase 2 and ``_final_decisions`` run once, every
-    list size above 1 adds one list sweep over the same frames, and exact ML
-    and phase1-only each decide all of them in one pass.
+    ``weights`` and ``p1`` hold just the open frames, one frame or a batch.
+    Returns their phase-2 state (None if no two-phase decoder was named) and,
+    per decoder name, the frames' outcomes in order.  Phase 2 and
+    ``_final_decisions`` run once, every list size above 1 adds one list
+    sweep over the same frames, and exact ML and phase1-only each decide all
+    of them in one pass.
     """
-    if not frames:
-        return None, {}
-    if len(frames) < len(p1.delta_finals.reshape(-1, ridx.t)):
-        weights, p1 = weights.take(frames), p1.take(frames)
     sizes = {name: int(m.group(1)) for name in decoders if (m := _TWO_PHASE.fullmatch(name))}
     p2 = phase2(ridx, weights, p1, participation_prune) if sizes else None
     scalar = _final_decisions(ridx, weights, p1, p2) if sizes else None

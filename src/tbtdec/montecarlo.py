@@ -36,9 +36,9 @@ from .codes import (
 from .decoder import (
     DECODER_NAMES,
     DecodeOutcome,
+    _decode_batches,
     batch_frames,
     decode_frame,
-    decode_frames,
     two_phase_name,
 )
 from .diagnostics import (
@@ -173,19 +173,28 @@ def frame_streams(point_idx: int, frame: int) -> tuple[int, int]:
     return base, base | 1
 
 
-def _make_frame(ctx: SimContext, params: ChannelParams, point_idx: int, frame: int, genie_zero: bool):
-    noise_stream, msg_stream = frame_streams(point_idx, frame)
+def _make_frames(ctx: SimContext, params: ChannelParams, point_idx: int, frames, genie_zero: bool):
+    """Messages (F, k), codewords (F, n) and received samples (F, n) of frames ``frames`` of one point.
+
+    Every stream of the batch is drawn in one call, and row f equals the
+    frame generated alone.
+    """
+    noise_streams, msg_streams = np.array([frame_streams(point_idx, f) for f in frames], dtype=np.uint64).T
     spec = ctx.spec
     if genie_zero:
-        msg = np.zeros(spec.k, dtype=np.uint8)
+        msgs = np.zeros((len(noise_streams), spec.k), dtype=np.uint8)
     else:
-        msg = random_bits(params.seed, msg_stream, spec.k)
-    if isinstance(spec, ConvCodeSpec):
-        codeword = encode_conv_tailbiting(spec, msg)
-    else:
-        codeword = encode_block(spec, msg)
-    received = awgn_transmit(bpsk_modulate(codeword), params, noise_stream)
-    return msg, codeword, received
+        msgs = random_bits(params.seed, msg_streams, spec.k)
+    encode = encode_conv_tailbiting if isinstance(spec, ConvCodeSpec) else encode_block
+    codewords = encode(spec, msgs)
+    received = awgn_transmit(bpsk_modulate(codewords), params, noise_streams)
+    return msgs, codewords, received
+
+
+def _make_frame(ctx: SimContext, params: ChannelParams, point_idx: int, frame: int, genie_zero: bool):
+    """Message, codeword and received samples of one frame: ``_make_frames`` on a batch of one."""
+    msgs, codewords, received = _make_frames(ctx, params, point_idx, [frame], genie_zero)
+    return msgs[0], codewords[0], ReceivedVector(r=received.r[0])
 
 
 def _conv_message_from_path(path: np.ndarray) -> np.ndarray:
@@ -219,48 +228,77 @@ class _Tally:
 def _run_chunk(config: SimConfig, point_idx: int, lo: int, hi: int):
     """Simulate frames [lo, hi) of one Eb/N0 point; returns tallies and reports.
 
-    Frames are decoded in batches of ``batch_frames`` through one phase-1
-    sweep; every per-frame result is the same as decoding it alone.
+    Frames are generated and swept by phase 1 in batches of ``batch_frames``.
+    ``_decode_batches`` yields each batch's settled frames at once and pools
+    the open frames of successive batches, up to the same cap, for one pass
+    of every decoder; each group it yields is tallied as it comes
+    (``_tally``).  Every per-frame result is the same as decoding the frame
+    alone, and tallies are integer sums, so the grouping changes no output.
+    A batch's messages, codewords and samples are kept until the last of its
+    frames is tallied, for the comparisons and the reports.
     """
     ctx = build_context(config.code)
     params = ChannelParams(ebn0_db=config.ebn0_db[point_idx], rate=ctx.rate, seed=config.seed)
     tallies = {name: _Tally() for name in config.decoders}
     reports: list[MismatchReport] = []
     size = batch_frames(ctx.ridx)
-    for first in range(lo, hi, size):
-        frames = range(first, min(first + size, hi))
-        _run_batch(ctx, config, params, point_idx, frames, tallies, reports)
+    made: dict[int, _Batch] = {}
+
+    def batches():
+        for b, first in enumerate(range(lo, hi, size)):
+            frames = range(first, min(first + size, hi))
+            msgs, codewords, received = _make_frames(ctx, params, point_idx, frames, config.genie_zero)
+            made[b] = _Batch(frames, msgs, codewords, received.r, len(frames))
+            yield edge_weights(ctx.ridx.trellis, received)
+
+    for group in _decode_batches(ctx.ridx, batches(), config.decoders, config.participation_prune):
+        rows = [(made[b], f) for b, f, _ in group]
+        keys = [b for b, _, _ in group]
+        _tally(ctx, config, params, rows, group, tallies, reports)
+        for b in keys:
+            made[b].left -= 1
+            if not made[b].left:
+                del made[b]
     return tallies, reports
 
 
-def _run_batch(
+@dataclass
+class _Batch:
+    """One batch's generated frames, kept until the last of them is tallied."""
+
+    frames: range
+    messages: np.ndarray  # (F, k)
+    codewords: np.ndarray  # (F, n)
+    samples: np.ndarray  # (F, n)
+    left: int  # frames not yet tallied
+
+
+def _tally(
     ctx: SimContext,
     config: SimConfig,
     params: ChannelParams,
-    point_idx: int,
-    frames: range,
+    rows: list[tuple[_Batch, int]],
+    group: list,
     tallies: dict[str, _Tally],
     reports: list[MismatchReport],
 ) -> None:
-    """Generate and decode one batch of frames, adding to tallies and reports.
+    """Add one group of decoded frames to the tallies and reports.
 
-    Every decoder's codewords (or, for message errors, paths) are stacked and
-    compared with the batch's codeword (message) matrix at once, and so are
-    its codewords with exact ML's, which counts ``ml_mismatches``.  Reports
-    are built only for the mismatch rows, in frame order, and each frame's
-    ``FrameDecode`` is dropped once its reports are written, so at most one
+    ``group`` holds the (batch, row, FrameDecode) of each frame and ``rows``
+    its batch's generated arrays and its row in them.  Every decoder's
+    codewords (or, for message errors, paths) are stacked and compared with
+    the group's codeword (message) matrix at once, and so are its codewords
+    with exact ML's, which counts ``ml_mismatches``.  Reports are built only
+    for the mismatch rows, in group order, and each frame's ``FrameDecode`` is
+    dropped from ``group`` once its reports are written, so at most one
     frame's all-pairs table is alive at a time.
     """
-    made = [_make_frame(ctx, params, point_idx, f, config.genie_zero) for f in frames]
-    batch = ReceivedVector(r=np.stack([received.r for _, _, received in made]))
-    weights = edge_weights(ctx.ridx.trellis, batch)
-    decoded = list(decode_frames(ctx.ridx, weights, config.decoders, config.participation_prune))
-    messages = np.stack([msg for msg, _, _ in made])
-    sent = np.stack([codeword for _, codeword, _ in made])
-    words = {name: np.stack([d.outcomes[name].codeword for d in decoded]) for name in config.decoders}
+    messages = np.stack([batch.messages[f] for batch, f in rows])
+    sent = np.stack([batch.codewords[f] for batch, f in rows])
+    words = {name: np.stack([d.outcomes[name].codeword for _, _, d in group]) for name in config.decoders}
     mismatched = {}  # per decoder other than exact ML: which frames it decoded differently
     for name in config.decoders:
-        outcomes = [d.outcomes[name] for d in decoded]
+        outcomes = [d.outcomes[name] for _, _, d in group]
         if ctx.error_bits == "message":
             wrong = _conv_message_from_path(np.stack([o.path for o in outcomes])) != messages
         else:
@@ -275,15 +313,16 @@ def _run_batch(
         if "exact-ml" in words and name != "exact-ml":
             mismatched[name] = (words[name] != words["exact-ml"]).any(axis=1)
             tally.ml_mismatches += int(mismatched[name].sum())
-    for k, frame in enumerate(frames):
-        exact = decoded[k].outcomes.get("exact-ml")
-        for name, rows in mismatched.items():
-            if not rows[k]:
+    for k, (batch, f) in enumerate(rows):
+        decoded = group[k][2]
+        exact = decoded.outcomes.get("exact-ml")
+        for name, wrong_rows in mismatched.items():
+            if not wrong_rows[k]:
                 continue
-            outcome = decoded[k].outcomes[name]
-            witness = crossing_pair_witness(decoded[k].table, exact.subtrellis)
+            outcome = decoded.outcomes[name]
+            witness = crossing_pair_witness(decoded.table, exact.subtrellis)
             report = MismatchReport(
-                frame=frame,
+                frame=batch.frames[f],
                 ebn0_db=params.ebn0_db,
                 decoder=name,
                 ml_subtrellis=exact.subtrellis,
@@ -294,13 +333,14 @@ def _run_batch(
                 crossing_shares_ml_start=(witness[0] == exact.subtrellis) if witness else None,
             )
             if ctx.basis is not None and ctx.basis.matrix.shape[0] <= 20:
-                semi = semi_codeword_witness(made[k][2], exact.codeword, ctx.spec, ctx.basis)
+                received = ReceivedVector(r=batch.samples[f])
+                semi = semi_codeword_witness(received, exact.codeword, ctx.spec, ctx.basis)
                 if semi.witness is not None:
                     report.semi_witness = "".join(str(int(b)) for b in semi.witness)
                     report.semi_witness_start = semi.start
                     report.semi_witness_final = semi.final
             reports.append(report)
-        decoded[k] = None  # drop this frame's all-pairs table before the next frame builds one
+        decoded = group[k] = None  # drop this frame's all-pairs table before the next frame builds one
 
 
 def _chunk_bounds(frames: int, workers: int) -> list[tuple[int, int]]:

@@ -94,6 +94,11 @@ class Trellis:
         return np.cumsum([0] + [s.num_edges for s in self.sections], dtype=np.intp)
 
     @cached_property
+    def edge_counts(self) -> tuple[int, ...]:
+        """Each section's edge count: the width of its weight array."""
+        return tuple(s.num_edges for s in self.sections)
+
+    @cached_property
     def label_index(self) -> np.ndarray:
         """Every edge's entry in a flattened (n_sections, 2**label_width) label table."""
         size = 1 << self.label_width

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tbtdec as tb
+from tbtdec import channel
 
 from conftest import enumerate_paths, path_weight, random_received, transmit_codeword
 
@@ -60,6 +61,80 @@ def test_random_bits_balanced():
     bits = tb.random_bits(seed=9, stream=2, count=100_000)
     assert set(np.unique(bits)) <= {0, 1}
     assert abs(float(bits.mean()) - 0.5) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# Keyed streams against numpy's own Philox and Generator
+
+_SEEDS = (0, 7, 2**63 + 5, 2**64 - 1)
+_STREAMS = (0, 1, 2**33 + 7, 2**63, 2**64 - 2, 2**64 - 1)
+# 0, 1, odd counts, and counts that are no multiple of 4, 8 or 32
+_COUNTS = (0, 1, 2, 3, 5, 6, 9, 12, 31, 33, 48, 97)
+
+
+def _numpy_generator(seed, stream):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def _numpy_gaussian(seed, stream, count):
+    """Box-Muller over ``Generator.random((2, pairs))``, the noise stream as numpy's Generator draws it."""
+    pairs = (count + 1) // 2
+    u = _numpy_generator(seed, stream).random((2, pairs))
+    radius = np.sqrt(-2.0 * np.log1p(-u[0]))
+    angle = 2.0 * np.pi * u[1]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_philox_draws_equal_numpy_philox(seed):
+    streams = np.array(_STREAMS, dtype=np.uint64)
+    for count in _COUNTS:
+        draws = channel._philox(seed, streams, count)
+        assert draws.shape == (len(_STREAMS), count) and draws.dtype == np.uint64
+        for stream, row in zip(_STREAMS, draws):
+            bit_generator = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+            assert np.array_equal(row, bit_generator.random_raw(count))
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_random_bits_equal_generator_integers(seed):
+    for count in _COUNTS:
+        batch = tb.random_bits(seed, np.array(_STREAMS, dtype=np.uint64), count)
+        assert batch.shape == (len(_STREAMS), count) and batch.dtype == np.uint8
+        for stream, row in zip(_STREAMS, batch):
+            want = _numpy_generator(seed, stream).integers(0, 2, size=count, dtype=np.uint8)
+            one = tb.random_bits(seed, stream, count)
+            assert one.shape == (count,) and one.dtype == np.uint8
+            assert np.array_equal(one, want) and np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_gaussian_samples_equal_box_muller_over_generator_random(seed):
+    for count in _COUNTS:
+        batch = tb.gaussian_samples(seed, list(_STREAMS), count)
+        assert batch.shape == (len(_STREAMS), count) and batch.dtype == np.float64
+        for stream, row in zip(_STREAMS, batch):
+            want = _numpy_gaussian(seed, stream, count)
+            one = tb.gaussian_samples(seed, stream, count)
+            assert one.shape == (count,)
+            # bit for bit, not merely close
+            assert one.tobytes() == want.tobytes() and row.tobytes() == want.tobytes()
+
+
+def test_awgn_transmit_batch_rows_equal_one_stream_calls():
+    params = tb.ChannelParams(ebn0_db=1.5, rate=0.5, seed=2**63 + 11)
+    bits = tb.random_bits(3, np.arange(5), 37)
+    batch = tb.awgn_transmit(tb.bpsk_modulate(bits), params, np.array(_STREAMS[:5], dtype=np.uint64))
+    assert batch.r.shape == (5, 37)
+    for stream, row, frame_bits in zip(_STREAMS, batch.r, bits):
+        alone = tb.awgn_transmit(tb.bpsk_modulate(frame_bits), params, stream)
+        assert row.tobytes() == alone.r.tobytes()
+
+
+def test_negative_stream_ids_wrap_to_64_bits():
+    # keys are 64-bit words, so -1 names the same stream as 2**64 - 1
+    assert np.array_equal(tb.random_bits(5, -1, 40), tb.random_bits(5, 2**64 - 1, 40))
+    assert np.array_equal(tb.gaussian_samples(-3, 4, 9), tb.gaussian_samples(2**64 - 3, 4, 9))
 
 
 # ---------------------------------------------------------------------------

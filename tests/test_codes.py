@@ -153,6 +153,22 @@ def test_encode_conv_linearity(m1, m2):
     assert np.array_equal(lhs, rhs)
 
 
+@pytest.mark.parametrize("name", ["toy-block-n8-k4-c1", "toy-conv-m2-l8", "mem4-circle20"])
+def test_stacked_messages_encode_row_by_row(name):
+    spec = tb.get_code(name).spec()
+    encode = tb.encode_conv_tailbiting if isinstance(spec, tb.ConvCodeSpec) else tb.encode_block
+    msgs = np.random.default_rng(17).integers(0, 2, size=(2, 3, spec.k), dtype=np.uint8)
+    words = encode(spec, msgs)
+    assert words.shape == (2, 3, spec.n) and words.dtype == np.uint8
+    for msg, word in zip(msgs.reshape(-1, spec.k), words.reshape(-1, spec.n)):
+        assert np.array_equal(word, encode(spec, msg))
+    assert encode(spec, msgs[:0, 0]).shape == (0, spec.n)
+    with pytest.raises(tb.LengthMismatchError):
+        encode(spec, msgs[..., :-1])
+    with pytest.raises(tb.LengthMismatchError):
+        encode(spec, 1)
+
+
 def test_conv_initial_state_wraps(conv_m2):
     # state bit j-1 holds the message bit delayed by j steps at t=0
     assert tb.conv_initial_state(conv_m2, [0] * 6 + [1, 0]) == 0b10

@@ -337,6 +337,55 @@ def test_exact_ml_chunks_hold_whole_frames(monkeypatch, ridx_block6, ridx_conv_m
             _matches_all_pairs_oracle(ridx, tb.edge_weights(ridx.trellis, rec), a)
 
 
+def test_open_frames_pool_across_batches(monkeypatch, ridx_block6, ridx_conv_m2):
+    # with the cap at 3, each batch's settled frames come back as one group
+    # and its open frames wait in a pool that every decoder decides in one
+    # pass once it holds 3 frames (and once after the last batch): every pass
+    # holds at most 3, there are ceil(open / 3) passes, and every frame's
+    # outcomes equal its own one-frame decode
+    names = ("two-phase-L1", "two-phase-L2", "exact-ml", "phase1-only")
+    passes = []
+    decode_open = decoder._decode_open
+
+    def recording(ridx, weights, p1, *args):
+        passes.append(p1.delta_finals.reshape(-1, ridx.t).shape[0])
+        return decode_open(ridx, weights, p1, *args)
+
+    monkeypatch.setattr(decoder, "_decode_open", recording)
+    monkeypatch.setattr(decoder, "batch_frames", lambda ridx: 3)
+    for ridx in (ridx_block6, ridx_conv_m2):
+        passes.clear()
+        received = [random_received(ridx, seed=89, frame=f, sigma=0.5) for f in range(25)]
+        # batches of 3, 1 (one frame, unbatched), 3, 3, 1 (batched), ...
+        sizes = [3, 1, 3, 3, 1, 3, 3, 3, 2, 3]
+        bounds = np.cumsum([0] + sizes)
+        samples = [np.stack([rec.r for rec in received[a:b]]) for a, b in zip(bounds[:-1], bounds[1:])]
+        samples[1] = samples[1][0]
+        frames = {}
+        for b, r in enumerate(samples):
+            frames.update({(b, f): rec for f, rec in enumerate(r.reshape(-1, r.shape[-1]))})
+        batches = (tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=r)) for r in samples)
+        groups = list(decoder._decode_batches(ridx, batches, names))
+        decoded = {(b, f): d for group in groups for b, f, d in group}
+        assert sum(len(g) for g in groups) == len(decoded) == len(frames) == 25
+        n_open = sum(d.p2 is not None for d in decoded.values())  # phase 2 runs on the open frames only
+        assert 3 < n_open < 25
+        assert passes and all(size <= 3 for size in passes)
+        assert len(passes) == -(-n_open // 3) and sum(passes) == n_open
+        # some pass pooled the open frames of more than one batch
+        assert any(len({b for b, _, _ in group}) > 1 for group in groups)
+        for key, d in decoded.items():
+            alone = tb.decode_frame(ridx, tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=frames[key])), names)
+            for name in names:
+                _same_outcome(d.outcomes[name], alone.outcomes[name])
+            assert (d.p2 is None) == (alone.p2 is None)
+            if d.p2 is not None:
+                for a, c in zip(d.p2.metric + d.p2.pred_edge, alone.p2.metric + alone.p2.pred_edge):
+                    assert np.array_equal(a, c)
+            for a, c in zip(d.p1.cost + d.p1.pred_edge, alone.p1.cost + alone.p1.pred_edge):
+                assert np.array_equal(a, c)
+
+
 def _first_or_cheaper(best, v, c):
     """Edge-order relaxation rule: a vertex's first in-edge sets it, a later one must be strictly cheaper."""
     return v not in best or c < best[v]

@@ -14,7 +14,7 @@ import pytest
 
 import tbtdec as tb
 from tbtdec import cli, decoder, diagnostics, montecarlo
-from tbtdec.decoder import decode_frames
+from tbtdec.decoder import phase1
 from tbtdec.montecarlo import CSV_HEADER, build_context, frame_streams
 
 
@@ -187,11 +187,12 @@ def test_weight_tie_with_exact_ml_counts_as_mismatch(monkeypatch, tmp_path):
     # different codeword is counted and logged although it is no heavier.
     received = tb.ReceivedVector(r=np.array([-1.0, 0.0, 0.0, 0.0]))
 
-    def tied_frame(ctx, params, point_idx, frame, genie_zero):
-        msg = np.zeros(ctx.spec.k, dtype=np.uint8)
-        return msg, np.zeros(ctx.spec.n, dtype=np.uint8), received
+    def tied_frames(ctx, params, point_idx, frames, genie_zero):
+        msgs = np.zeros((len(frames), ctx.spec.k), dtype=np.uint8)
+        sent = np.zeros((len(frames), ctx.spec.n), dtype=np.uint8)
+        return msgs, sent, tb.ReceivedVector(r=np.tile(received.r, (len(frames), 1)))
 
-    monkeypatch.setattr(montecarlo, "_make_frame", tied_frame)
+    monkeypatch.setattr(montecarlo, "_make_frames", tied_frames)
     log = tmp_path / "mismatch.jsonl"
     rows = tb.run_monte_carlo(_config(code="toy-block-n4-k2-c1", ebn0_db=(2.0,), frames=1,
                                       decoders=("two-phase-L1", "exact-ml"), mismatch_log=str(log)))
@@ -234,14 +235,62 @@ def test_batch_size_leaves_csv_and_log_unchanged(monkeypatch, tmp_path):
 def test_simulate_decodes_in_batches_of_the_cap(monkeypatch):
     sizes = []
 
-    def counting(ridx, weights, *args):
+    def counting(ridx, weights):
         sizes.append(len(weights.sections[0]))
-        return decode_frames(ridx, weights, *args)
+        return phase1(ridx, weights)
 
-    monkeypatch.setattr(montecarlo, "decode_frames", counting)
+    monkeypatch.setattr(decoder, "phase1", counting)
     monkeypatch.setattr(montecarlo, "batch_frames", lambda ridx: 3)
     tb.run_monte_carlo(_config(ebn0_db=(2.0,), frames=10))
     assert sizes == [3, 3, 3, 1]
+
+
+def test_pooled_open_frames_leave_csv_and_log_unchanged(monkeypatch, tmp_path):
+    # batches and open-frame pools of 3 (so most passes mix the open frames
+    # of several batches and some batches straddle two passes), at 1 and 2
+    # workers, give the bytes of one batch per chunk
+    config = _config(ebn0_db=(1.0, 3.0), frames=50)
+    runs = {}
+    for cap, workers in ((None, 1), (3, 1), (3, 2)):
+        if cap is not None:
+            monkeypatch.setattr(montecarlo, "batch_frames", lambda ridx: cap)
+            monkeypatch.setattr(decoder, "batch_frames", lambda ridx: cap)
+        log = tmp_path / f"mismatch-{cap}-{workers}.jsonl"
+        rows = tb.run_monte_carlo(replace(config, workers=workers, mismatch_log=str(log)))
+        runs[cap, workers] = (tb.emit_results(rows), log.read_text())
+    assert sum(r.ml_mismatches for r in tb.parse_results(runs[None, 1][0])) > 0
+    assert all(run == runs[None, 1] for run in runs.values())
+
+
+@pytest.mark.parametrize("genie_zero", [False, True])
+@pytest.mark.parametrize("code", ["mem4-circle20", "toy-block-n6-k3-c2"])
+def test_batched_frames_equal_numpy_generator_frames(code, genie_zero):
+    # a batch's messages, codewords and samples, drawn in one call, equal
+    # each frame built alone from numpy Generators on its two streams
+    ctx = build_context(code)
+    params = tb.ChannelParams(ebn0_db=2.0, rate=ctx.rate, seed=2**63 + 3)
+    frames = [0, 1, 7, 2**32 - 1]
+    msgs, words, received = montecarlo._make_frames(ctx, params, 5, frames, genie_zero)
+    encode = tb.encode_conv_tailbiting if ctx.error_bits == "message" else tb.encode_block
+
+    def generator(stream):
+        # an explicit uint64 key: numpy turns the list [2**63 + 3, stream] into float64
+        return np.random.Generator(np.random.Philox(key=np.array([params.seed, stream], dtype=np.uint64)))
+
+    for k, frame in enumerate(frames):
+        noise_stream, msg_stream = frame_streams(5, frame)
+        msg = generator(msg_stream).integers(0, 2, size=ctx.spec.k, dtype=np.uint8)
+        if genie_zero:
+            msg = np.zeros_like(msg)
+        u = generator(noise_stream).random((2, ctx.spec.n // 2))
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u[0])), 2.0 * np.pi * u[1]
+        noise = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        r = tb.bpsk_modulate(encode(ctx.spec, msg)) + np.sqrt(params.sigma2) * noise
+        assert np.array_equal(msgs[k], msg) and np.array_equal(words[k], encode(ctx.spec, msg))
+        assert received.r[k].tobytes() == r.tobytes()
+        one = montecarlo._make_frame(ctx, params, 5, frame, genie_zero)
+        assert np.array_equal(one[0], msg) and np.array_equal(one[1], words[k])
+        assert one[2].r.tobytes() == r.tobytes()
 
 
 def test_check_lemmas_builds_one_cost_table_per_frame(monkeypatch, capsys):
