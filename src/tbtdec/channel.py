@@ -4,8 +4,9 @@ Bit 0 maps to +1.0 and bit 1 to -1.0.  Every random draw comes from a
 Philox4x64-10 counter-based generator keyed with (seed, stream id), so any
 frame can be regenerated in isolation: results do not depend on how many
 frames were drawn before it or on worker scheduling.  The generator is
-written here in numpy over whole arrays of stream ids (``_philox``), and each
-stream's draws are the values of numpy's ``Philox(key=[seed, stream])``:
+computed here for a whole array of stream ids at once (``_philox``), without
+``numpy.random``, and each stream's draws are the values of numpy's
+``Philox(key=[seed, stream])``:
 message bits are those of ``Generator.integers(0, 2, uint8)`` and noise is a
 Box-Muller transform of ``Generator.random``.  ``random_bits``,
 ``gaussian_samples`` and ``awgn_transmit`` take one stream id and give one
@@ -92,12 +93,7 @@ class WeightAssignment:
 
     @staticmethod
     def concat(parts: list["WeightAssignment"]) -> "WeightAssignment":
-        """Assignments of one frame or of a batch each, one after another as one batch (copies)."""
-        if any(w.table is None for w in parts):
-            return WeightAssignment([
-                np.concatenate([w.reshape(-1, w.shape[-1]) for w in sections])
-                for sections in zip(*(part.sections for part in parts))
-            ])
+        """Assignments with tables, of one frame or a batch each, one after another as one batch (copies)."""
         return parts[0]._with_table(np.concatenate([part.table.reshape(-1, part.table.shape[-1]) for part in parts]))
 
     def _with_table(self, table: np.ndarray) -> "WeightAssignment":

@@ -253,7 +253,7 @@ class FrameDecode:
 
 def _check_weights(ridx: ReachIndex, weights: WeightAssignment) -> None:
     """Every section's weights must be as wide as its edge count, and every section needs weights."""
-    widths = tuple(w.shape[-1] for w in weights.sections)
+    widths = tuple([w.shape[-1] for w in weights.sections])
     counts = ridx.trellis.edge_counts
     if widths != counts:
         p = next((p for p, (a, b) in enumerate(zip(widths, counts)) if a != b), min(len(widths), len(counts)))

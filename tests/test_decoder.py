@@ -655,6 +655,23 @@ def test_weights_shape_checked(ridx_block4):
         tb.phase1(ridx_block4, bad)
 
 
+def test_weights_check_names_the_first_bad_section(ridx_block8):
+    trellis = ridx_block8.trellis
+    n = trellis.n_sections
+    sections = tb.edge_weights(trellis, tb.ReceivedVector(r=np.zeros(n * trellis.label_width))).sections
+    widen = [w if p not in (2, n - 1) else np.zeros(w.shape[-1] + 1) for p, w in enumerate(sections)]
+    cases = {3: widen, n: sections[:-1], n + 1: [*sections, np.zeros(2)]}
+    for bad_section, bad in cases.items():
+        weights = tb.WeightAssignment(sections=bad)
+        for call in (
+            lambda: tb.phase1(ridx_block8, weights),
+            lambda: tb.viterbi_subtrellis(ridx_block8, weights, 0),
+            lambda: tb.parallel_start_costs(ridx_block8, weights),
+        ):
+            with pytest.raises(tb.LengthMismatchError, match=f"section {bad_section} do not match"):
+                call()
+
+
 # ---------------------------------------------------------------------------
 # Frame-batched sweep
 

@@ -262,6 +262,26 @@ def test_pooled_open_frames_leave_csv_and_log_unchanged(monkeypatch, tmp_path):
     assert all(run == runs[None, 1] for run in runs.values())
 
 
+def test_no_batch_sweep_outlives_its_tally(monkeypatch):
+    # settled frames are tallied as soon as their batch is swept and the
+    # pool keeps copies of the open rows, so when phase 1 sweeps a batch no
+    # earlier batch's sweep is alive any more
+    alive = []
+
+    def recording(ridx, weights):
+        assert all(sweep() is None for sweep in alive)
+        p1 = phase1(ridx, weights)
+        alive.append(weakref.ref(p1))
+        return p1
+
+    monkeypatch.setattr(decoder, "phase1", recording)
+    monkeypatch.setattr(montecarlo, "batch_frames", lambda ridx: 3)
+    monkeypatch.setattr(decoder, "batch_frames", lambda ridx: 3)
+    rows = tb.run_monte_carlo(_config(ebn0_db=(1.0, 3.0), frames=40))
+    assert len(alive) == 2 * 14
+    assert 0 < rows[0].phase1_stops < rows[0].frames  # both settled and open frames
+
+
 @pytest.mark.parametrize("genie_zero", [False, True])
 @pytest.mark.parametrize("code", ["mem4-circle20", "toy-block-n6-k3-c2"])
 def test_batched_frames_equal_numpy_generator_frames(code, genie_zero):
