@@ -912,14 +912,12 @@ def _decode_batches(
     if len(set(decoders)) != len(decoders):
         # outcomes are keyed by name, so a repeated name would be decoded once and reported once
         raise CatalogError(f"decoder names must be distinct, got {', '.join(decoders)}")
-    cap = batch_frames(ridx)
     exact_work = _exact_work(ridx) if "exact-ml" in decoders else None
-    pool: list[tuple[int, np.ndarray, WeightAssignment, Phase1State]] = []  # (batch, rows, their weights and sweep)
-    pooled = 0
+    pool: list[tuple[int, list[int], WeightAssignment, Phase1State]] = []  # (batch, rows, their weights and sweep)
+    pooled = cap = 0
     for b, weights in enumerate(batches):
         p1 = phase1(ridx, weights)
         stops = _phase1_stops(ridx, p1, weights)
-        cap = max(cap, len(stops))
         settled = []
         for f, stopped in enumerate(stops):
             if stopped is not None:
@@ -930,8 +928,10 @@ def _decode_batches(
                 settled.append((b, f, FrameDecode(outcomes, sweep=p1, row=f, ridx=ridx, weights=weights)))
         if settled:
             yield settled
-        open_rows = np.flatnonzero([s is None for s in stops])
-        while len(open_rows):
+        open_rows = [f for f, stopped in enumerate(stops) if stopped is None]
+        if open_rows:
+            cap = max(cap or batch_frames(ridx), len(stops))
+        while open_rows:
             rows, open_rows = open_rows[: cap - pooled], open_rows[cap - pooled:]
             if len(rows) < len(stops):
                 pool.append((b, rows, weights.take(rows), p1.take(rows)))
@@ -948,7 +948,7 @@ def _decode_batches(
 
 def _decode_pool(
     ridx: ReachIndex,
-    pool: list[tuple[int, np.ndarray, WeightAssignment, Phase1State]],
+    pool: list[tuple[int, list[int], WeightAssignment, Phase1State]],
     decoders: tuple[str, ...],
     participation_prune: bool,
 ) -> list[tuple[int, int, FrameDecode]]:
@@ -960,7 +960,7 @@ def _decode_pool(
         p1 = Phase1State.concat([p for _, _, _, p in pool])
     p2, decided = _decode_open(ridx, weights, p1, decoders, participation_prune)
     group = []
-    for k, (b, f) in enumerate((b, int(f)) for b, rows, _, _ in pool for f in rows):
+    for k, (b, f) in enumerate((b, f) for b, rows, _, _ in pool for f in rows):
         frame = FrameDecode({name: decided[name][k] for name in decoders}, sweep=p1, row=k, ridx=ridx, weights=weights)
         if p2 is not None:
             frame.p2 = p2.frame(k)

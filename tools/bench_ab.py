@@ -10,7 +10,9 @@ both sides of a pair on the same seed and the parent first in odd pairs, and
 then one ``--trace 1 --seed 7`` run per side for the exact counts and the
 per-layer times.  The summary gives, per workload and end-to-end metric, each
 side's median and quartiles, the pairs the change won, and whether the
-change's median is within the metric's bound of the parent's.
+change's median is within the metric's bound of the parent's.  If ``--out``
+exists, a workload run again keeps its earlier set under ``earlier_sets``, so
+the file holds every run made.
 """
 
 from __future__ import annotations
@@ -75,16 +77,20 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
-    result = {
-        "what": (
-            f"bench/run.py result lines for the parent and the change from two checkouts: "
-            f"{args.pairs} alternating --trace 0 pairs at --seconds {args.seconds:g} per workload "
-            f"(seeds {args.first_seed}-{args.first_seed + args.pairs - 1}, odd pairs parent first), "
-            f"then one --trace 1 --seed 7 run per side and workload."
-        ),
-        "end_to_end": {}, "summary": {}, "traced_seed7": {},
-    }
+    what = (
+        f"{args.pairs} alternating --trace 0 pairs at --seconds {args.seconds:g} "
+        f"(seeds {args.first_seed}-{args.first_seed + args.pairs - 1}, odd pairs parent first), "
+        f"then one --trace 1 --seed 7 run per side"
+    )
+    result = {"what": {}, "end_to_end": {}, "summary": {}, "traced_seed7": {}, "earlier_sets": []}
+    if args.out.exists():
+        result = json.loads(args.out.read_text(encoding="utf-8"))
     for workload in workloads:
+        if workload in result["what"]:
+            result["earlier_sets"].append({
+                key: result[key].pop(workload) for key in ("what", "end_to_end", "summary", "traced_seed7")
+            } | {"workload": workload})
+        result["what"][workload] = what
         rows = []
         for i in range(args.pairs):
             seed = args.first_seed + i
