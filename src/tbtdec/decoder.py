@@ -768,8 +768,9 @@ def _phase2_list(
         runs = tr_sorted.reshape(-1)[by_tr]
         late = ~np.isfinite(cand.reshape(-1)[by_metric.reshape(-1)[by_tr]])
         late[:, 1:] |= runs[:, 1:] == runs[:, :-1]
-        # (stage, metric position) keys are distinct, so any sort orders them stably
-        first = np.where(late, by_tr + width, by_tr).argsort(axis=1)[:, :list_size]
+        # (stage, metric position) keys are distinct, so any sort gives one order;
+        # the stable sort is the fastest on these short rows
+        first = np.where(late, by_tr + width, by_tr).argsort(axis=1, kind="stable")[:, :list_size]
         keep = by_metric.reshape(-1)[by_tr.reshape(-1)[first + base]]
         kept = np.isfinite(cand.reshape(-1)[keep])
         metric = cand.reshape(-1)[keep]
@@ -871,10 +872,12 @@ def decode_frames(
     the whole batch, and a frame phase 1 settled takes that outcome for every
     decoder, exact ML included.  Every decoder then decides all the frames
     phase 1 left open in one pass (``_decode_open``): phase 2, its final
-    decision and one list sweep per list size above 1; exact ML, with one
-    joint sweep of the subtrellises phase 1's bounds leave in the race on
-    every open frame (``_exact_decisions``); and phase1-only.  The frames are
-    put back in their order before the first is yielded.
+    decision and one list sweep per list size above 1; phase1-only; and
+    last exact ML, with one joint sweep of the subtrellises left in the race
+    on every open frame (``_exact_decisions``): those whose phase-1 bound
+    could beat the frame's cheapest closed final and, when other decoders
+    are named, is no more than the least weight they decided.  The frames
+    are put back in their order before the first is yielded.
     """
     decoded: list[FrameDecode | None] = [None] * prod(weights.sections[0].shape[:-1])
     for group in _decode_batches(ridx, [weights], decoders, participation_prune):
@@ -982,21 +985,27 @@ def _decode_open(
     per decoder name, the frames' outcomes in order.  Phase 2 and
     ``_final_decisions`` run once, every list size above 1 adds one list
     sweep over the same frames, and exact ML and phase1-only each decide all
-    of them in one pass.
+    of them in one pass.  Exact ML goes last, whatever the order of the
+    names: each frame's least weight among the other decoders' decisions is
+    its ceiling, and a subtrellis whose phase-1 bound is above it is not
+    swept.  Named alone, exact ML gets no ceiling; running phase 2 only to
+    make one costs more than the sweeps it saves.
     """
     sizes = {name: int(m.group(1)) for name in decoders if (m := _TWO_PHASE.fullmatch(name))}
     p2 = phase2(ridx, weights, p1, participation_prune) if sizes else None
     scalar = _final_decisions(ridx, weights, p1, p2) if sizes else None
     decided = {}
     for name in decoders:
-        if name == "exact-ml":
-            decided[name] = _exact_decisions(ridx, weights, p1)
-        elif name == "phase1-only":
+        if name == "phase1-only":
             decided[name] = _phase1_only_decisions(ridx, weights, p1)
-        elif sizes[name] == 1:
+        elif sizes.get(name) == 1:
             decided[name] = scalar
-        else:
+        elif name in sizes:
             decided[name] = _list_decisions(ridx, weights, p1, p2, scalar, sizes[name])
+    if "exact-ml" in decoders:
+        # every other decision is a codeword, so its weight bounds each frame's ML weight from above
+        ceiling = np.array([[o.weight for o in d] for d in decided.values()]).min(axis=0) if decided else None
+        decided["exact-ml"] = _exact_decisions(ridx, weights, p1, ceiling)
     return p2, decided
 
 
@@ -1122,7 +1131,9 @@ def all_pairs_start_final_distances(
     return DistanceTable(d=costs[-1][:, ridx.trellis.finals])
 
 
-def _exact_decisions(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State) -> list[DecodeOutcome]:
+def _exact_decisions(
+    ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State, ceiling: np.ndarray | None = None
+) -> list[DecodeOutcome]:
     """Exact ML of every frame of a sweep from phase 1's lower bounds and as few sweeps as they allow.
 
     Every final cost ``delta_finals[i]`` bounds subtrellis i's codeword weight
@@ -1130,8 +1141,15 @@ def _exact_decisions(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1Stat
     that, bit for bit: float addition is monotone, so the sweep from start i
     can never beat phase 1 along phase 1's own path.  With (w*, j) a frame's
     cheapest closed final, lowest index on ties, a subtrellis can win only if
-    its (bound, index) sorts before (w*, j).  Those (frame, subtrellis) rows
-    of every frame are swept jointly, each over its own frame's weights
+    its (bound, index) sorts before (w*, j).  ``ceiling``, if given, holds
+    each frame's weight of some codeword another decoder traced, and a row
+    whose bound is above it is dropped too (a bound equal to it stays).  A
+    traced weight adds the path's edge weights left to right, as the sweeps
+    do, and the path runs from some start j to final j, so by the same
+    monotonicity it is at least the sweep's weight at final j, itself at
+    least the ML weight; a dropped row weighs more than the ceiling and
+    cannot be the first argmin.  The remaining (frame, subtrellis) rows of
+    every frame are swept jointly, each over its own frame's weights
     (``_exact_chunks``).  The first argmin over a frame's closed weights and
     swept diagonals is then the first argmin of its full diagonal.  Phase 1's
     pred edges trace the closed winners along the paths their own sweeps
@@ -1146,7 +1164,10 @@ def _exact_decisions(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1Stat
     weight = np.where(closed, bound, np.inf)  # exact for closed finals; the rest inf unless swept
     j, best = weight.argmin(axis=1)[:, None], weight.min(axis=1, keepdims=True)
     # rows whose (bound, index) sorts before (best, j): below best, or level with it at a lower index
-    frames, rows = np.nonzero(np.where(index < j, bound <= best, bound < best) & ~closed)
+    race = np.where(index < j, bound <= best, bound < best) & ~closed
+    if ceiling is not None:
+        race &= bound <= ceiling[:, None]
+    frames, rows = np.nonzero(race)
     batched = p1.delta_finals.ndim == 2
     work = _exact_work(ridx)
     traced = []  # (frames, outcomes) of the winners, one entry per run and one for the closed winners

@@ -312,6 +312,52 @@ def test_exact_ml_sweeps_only_the_rows_its_bounds_leave(monkeypatch, ridx_block6
     assert settled and open_frames
 
 
+def test_exact_ml_skips_rows_above_the_other_decoders_weights(
+    monkeypatch, block6, conv_m2, ridx_block6, ridx_conv_m2
+):
+    # named with other decoders, exact ML decides last, whatever the order of
+    # the names, and on each open frame sweeps only the rows its bounds leave
+    # whose bound is at most the least weight the others decided; every
+    # outcome still equals the one-frame exact decoder's, which sweeps without
+    # that ceiling, and brute force's up to exact weight ties
+    names = ("exact-ml", "two-phase-L1", "two-phase-L2", "phase1-only")
+    dropped = 0
+    for spec, ridx in ((block6, ridx_block6), (conv_m2, ridx_conv_m2)):
+        table = tb.codeword_table(spec)
+        for batch in (1, 7):
+            for first in range(0, 63, batch):
+                received = [random_received(ridx, seed=97, frame=f) for f in range(first, first + batch)]
+                received = [tb.ReceivedVector(r=np.round(rec.r)) if (first + f) % 3 == 1 else rec
+                            for f, rec in enumerate(received)]
+                rows = np.stack([rec.r for rec in received]) if batch > 1 else received[0].r
+                weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=rows))
+                swept = []
+                with monkeypatch.context() as patch:
+                    _recording_start_costs(patch, swept)
+                    decoded = list(tb.decode_frames(ridx, weights, names))
+                assert [list(d.outcomes) for d in decoded] == [list(names)] * batch
+                expected, position = [], 0
+                for d in decoded:
+                    if d.p2 is None:  # settled by phase 1: nothing to sweep
+                        continue
+                    p1 = d.p1
+                    ceiling = min(d.outcomes[name].weight for name in names[1:])
+                    race = _exact_rows(p1)
+                    kept = [i for i in race if p1.delta_finals[i] <= ceiling]
+                    expected += [(position, i) for i in kept]
+                    dropped += len(race) - len(kept)
+                    position += 1
+                assert swept == ([expected] if expected else [])
+                for rec, d in zip(received, decoded):
+                    alone = tb.edge_weights(ridx.trellis, rec)
+                    out = d.outcomes["exact-ml"]
+                    _same_outcome(out, tb.decode_exact_ml(ridx, alone))
+                    ml = tb.brute_force_ml(spec, rec, table)
+                    if not np.array_equal(out.codeword, ml):  # only an exact weight tie may pick another
+                        assert out.weight == pytest.approx(tb.euclidean_weight(rec, ml), rel=1e-12)
+    assert dropped
+
+
 @pytest.mark.parametrize("rows_per_chunk", [0, 3])
 def test_exact_ml_chunks_hold_whole_frames(monkeypatch, ridx_block6, ridx_conv_m2, rows_per_chunk):
     # with PHASE1_BATCH_BYTES shrunk to a few rows' costs the open frames'
