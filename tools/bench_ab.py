@@ -10,9 +10,11 @@ both sides of a pair on the same seed and the parent first in odd pairs, and
 then one ``--trace 1 --seed 7`` run per side for the exact counts and the
 per-layer times.  The summary gives, per workload and end-to-end metric, each
 side's median and quartiles, the pairs the change won, and whether the
-change's median is within the metric's bound of the parent's.  If ``--out``
-exists, a workload run again keeps its earlier set under ``earlier_sets``, so
-the file holds every run made.
+change's median is within the metric's bound of the parent's.  Per side it
+also gives the frames that failed their checks, summed over the pairs, and
+whether every run reported itself correct, so a gain from runs that failed
+their checks shows.  If ``--out`` exists, a workload run again keeps its
+earlier set under ``earlier_sets``, so the file holds every run made.
 """
 
 from __future__ import annotations
@@ -36,13 +38,17 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
 def flat(record: dict) -> dict:
     """A result record as {metric: value} plus its check counts."""
     values = {name: m["value"] for name, m in record["metrics"].items()}
-    values.update(failed=record["failed"], attempted=record["attempted"])
+    values.update(correct=record["correct"], failed=record["failed"], attempted=record["attempted"])
     return values
 
 
 def summarize(rows: list[dict], end_to_end: list[dict]) -> dict:
-    """Per end-to-end metric: medians, quartiles, pairs won and the bound check."""
+    """Per end-to-end metric: medians, quartiles, pairs won and the bound check; per side, the checks."""
     summary = {"pairs": len(rows) // 2}
+    for side in ("parent", "change"):
+        runs = [r for r in rows if r["side"] == side]
+        summary[f"{side}_failed"] = sum(r["failed"] for r in runs)
+        summary[f"{side}_all_correct"] = all(r["correct"] for r in runs)
     for metric in end_to_end:
         name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
         sides = {side: [r[name] for r in rows if r["side"] == side] for side in ("parent", "change")}
