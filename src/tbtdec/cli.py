@@ -123,6 +123,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         workers=args.workers,
         mismatch_log=args.mismatch_log,
     )
+    for path in (args.out, args.mismatch_log):
+        if path:
+            open(path, "a", encoding="utf-8").close()  # an unwritable path fails here, before any frame is decoded
     rows = run_monte_carlo(config)
     ctx = build_context(code)
     comments = (
@@ -170,6 +173,8 @@ def _cmd_dump_trellis(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_lemmas(args: argparse.Namespace) -> int:
+    if args.frames < 1:
+        raise ToolkitError(f"--frames {args.frames}: the audit needs at least 1 frame")
     code = _code_from_args(args)
     ctx = build_context(code)
     ridx = ctx.ridx
@@ -237,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_dump_trellis(args)
         if args.command == "check-lemmas":
             return _cmd_check_lemmas(args)
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:  # OSError: a path given on the command line cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -37,9 +37,13 @@ batched pass over just those frames, pooled across successive batches by
 ``_decode_batches`` up to ``batch_frames`` frames a pass: phase 2, its final
 decision and the list sweep; exact ML, whose remaining (frame, subtrellis)
 rows of all open frames are swept jointly, each over its own frame's
-weights; and phase1-only, whose closed winners are traced together.  The list sweep gives
-every vertex a fixed number of candidate slots, so one kernel of sorts along
-that axis serves every trellis.  ``decode_frame`` is the batch of one, and
+weights; and phase1-only.  Phase 1's closed decision, each frame's cheapest
+final that closed its own loop, is made in one place
+(``Phase1State.closed_finals``) for the stop test, phase 2's participants
+and every decoder, and its codeword is traced at most once per frame, after
+every decoder has decided (``_trace_closed``).  The list sweep gives every
+vertex a fixed number of candidate slots, so one kernel of sorts along that
+axis serves every trellis.  ``decode_frame`` is the batch of one, and
 the ``decode_*`` functions are single-decoder calls into it.
 """
 
@@ -136,6 +140,26 @@ class Phase1State:
             delta_finals=stack([s.delta_finals for s in states]),
             surv_finals=stack([s.surv_finals for s in states]),
         )
+
+    @cached_property
+    def closed_finals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Phase 1's closed decision on every frame of the sweep: (closed, j, weight), worked out on first use.
+
+        ``closed`` is the (F, t) mask of finals whose survivor came from their
+        own start (F = 1 for one frame's state): codewords whose weight is
+        ``delta_finals`` bit for bit, as the traceback adds the same edge
+        weights in the same order.  ``j`` (F,) is each frame's cheapest closed
+        final in (cost, index) order, a closed final at cost inf still
+        counting, and ``weight`` its cost: inf where no final closed, and
+        ``j`` then names none.  The stop test, phase 2's participants and
+        every decoder read it from here.
+        """
+        t = self.surv_finals.shape[-1]
+        closed = self.surv_finals.reshape(-1, t) == np.arange(t, dtype=self.surv_finals.dtype)
+        cost = np.where(closed, self.delta_finals.reshape(-1, t), np.inf)
+        weight = cost.min(axis=1)
+        # at weight inf every closed final costs inf, or none closed: take the first closed final, if any
+        return closed, np.where(weight < np.inf, cost.argmin(axis=1), closed.argmax(axis=1)), weight
 
 
 @dataclass
@@ -363,7 +387,7 @@ def _outcomes(
     ranks=None,
     rows=None,
 ) -> list[DecodeOutcome]:
-    """The decisions for subtrellises ``subtrellises``; every DecodeOutcome is built here.
+    """The decisions for subtrellises ``subtrellises``, traced or swept (``_untraced`` defers a trace).
 
     With ``pred_edge`` each codeword is traced back from its final, all in
     one walk (``frames``, ``pred_rank``, ``ranks`` and ``rows`` as in
@@ -399,34 +423,27 @@ def _outcomes(
     ]
 
 
-def _outcome(
-    ridx: ReachIndex,
-    weights: WeightAssignment,
-    stage: str,
-    i: int,
-    comparisons: int,
-    edge_visits: int,
-    pred_edge: list[np.ndarray] | None = None,
-    pred_rank: list[np.ndarray] | None = None,
-    rank: int = 0,
-) -> DecodeOutcome:
-    """The decision for subtrellis ``i`` of one frame (see ``_outcomes``)."""
-    ranks = None if pred_rank is None else [rank]
-    return _outcomes(
-        ridx, weights, stage, [i], comparisons, edge_visits, pred_edge, None, pred_rank, ranks
-    )[0]
+def _untraced(stage: str, i, weight, comparisons: int, edge_visits: int) -> DecodeOutcome:
+    """Phase 1's closed codeword of subtrellis i at its known weight, path and codeword None until ``_trace_closed``."""
+    return DecodeOutcome(None, None, float(weight), stage, int(i), comparisons, edge_visits)
 
 
-def _fallback(
-    ridx: ReachIndex,
-    weights: WeightAssignment,
-    delta_finals: np.ndarray,
-    comparisons: int,
-    edge_visits: int,
-) -> DecodeOutcome:
-    """No codeword to trace: one restricted sweep on the subtrellis of the cheapest final (one frame)."""
-    i_star = int(np.argmin(delta_finals))
-    return _outcome(ridx, weights, "fallback", i_star, comparisons, edge_visits)
+def _trace_closed(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State, *decided: list[DecodeOutcome]) -> None:
+    """Walk the closed codewords that the decision lists ``decided`` return untraced, and fill them in.
+
+    Any decoder's closed codeword is the frame's cheapest closed final's, so
+    all frames' are walked together, once each, and every outcome keeps its
+    own stage and counts.
+    """
+    finals = {f: o.subtrellis for d in decided for f, o in enumerate(d) if o.path is None}
+    if finals:
+        frames = np.array(list(finals)) if p1.delta_finals.ndim == 2 else None
+        paths, bits, _ = _traceback(ridx, p1.pred_edge, ridx.trellis.finals[list(finals.values())], weights, frames)
+        walked = dict(zip(finals, zip(paths, bits)))
+        for d in decided:
+            for f, o in enumerate(d):
+                if o.path is None:
+                    o.path, o.codeword = walked[f]
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +522,12 @@ def _phase1_stops(
 ) -> list[DecodeOutcome | None]:
     """The stop test on every frame of a sweep, with one traceback for all that stop.
 
-    A frame stops when the cheapest final's survivor closed its own
-    subtrellis; its entry is that codeword's outcome, the others' are None.
+    A frame stops when its cheapest closed final is its cheapest final; its
+    entry is that codeword's outcome, the others' are None.
     """
-    delta = p1.delta_finals.reshape(-1, ridx.t)
-    j = delta.argmin(axis=1)
-    stopped = np.flatnonzero(p1.surv_finals.reshape(-1, ridx.t)[np.arange(len(j)), j] == j)
+    closed, j, _ = p1.closed_finals
+    cheapest = p1.delta_finals.reshape(-1, ridx.t).argmin(axis=1)
+    stopped = np.flatnonzero(closed.any(axis=1) & (j == cheapest))
     frames = stopped if p1.delta_finals.ndim == 2 else None
     traced = _outcomes(
         ridx, weights, "phase1", j[stopped], p1.comparisons, p1.edge_visits, p1.pred_edge, frames
@@ -532,12 +549,11 @@ def phase1_decision(
 # Phase 2
 
 def _participants(p1: Phase1State, prune: bool) -> np.ndarray:
-    own = p1.surv_finals == np.arange(p1.surv_finals.shape[-1])
-    crossed = ~own
-    if not prune:
-        return crossed
-    threshold = np.where(own, p1.delta_finals, np.inf).min(axis=-1, keepdims=True)
-    return crossed & (p1.delta_finals <= threshold)
+    closed, _, weight = p1.closed_finals
+    crossed = ~closed
+    if prune:
+        crossed &= p1.delta_finals.reshape(closed.shape) <= weight[:, None]
+    return crossed.reshape(p1.surv_finals.shape)
 
 
 def phase2(
@@ -628,48 +644,51 @@ def final_decision(
     sweep on the most promising subtrellis so a codeword is always returned.
     This decides one frame; ``_final_decisions`` decides a batch.
     """
-    return _final_decisions(ridx, weights, p1, p2)[0]
+    decisions = _final_decisions(ridx, weights, p1, p2)
+    _trace_closed(ridx, weights, p1, decisions)
+    return decisions[0]
 
 
 def _final_decisions(
     ridx: ReachIndex,
     weights: WeightAssignment,
     p1: Phase1State,
-    p2: Phase2State,
+    p2: Phase2State | None,
 ) -> list[DecodeOutcome]:
-    """``final_decision`` for every frame of a sweep, one batch or one frame.
+    """``final_decision`` for every frame of a sweep, one batch or one frame; phase1-only's without ``p2``.
 
-    Each frame's pool lists its closed phase-1 finals and then its finite
-    phase-2 finals, by index, so the first minimum of the pool is its least
-    (weight, phase, index).  The winners of each phase are traced together.
+    A frame's phase-1 candidate is its cheapest closed final
+    (``Phase1State.closed_finals``), returned untraced for ``_trace_closed``
+    to walk with the closed codewords the other decoders return.  Its phase-2
+    candidate, the first least phase-2 final, wins only if strictly cheaper;
+    those winners are traced together.  A frame with neither falls back to
+    one restricted sweep of its cheapest final's subtrellis.
     """
-    t = ridx.t
-    valid = np.concatenate([p1.surv_finals == np.arange(t), np.isfinite(p2.metric_finals)], -1)
-    pool = np.where(valid, np.concatenate([p1.delta_finals, p2.metric_finals], -1), np.inf)
-    valid, pool = valid.reshape(-1, 2 * t), pool.reshape(-1, 2 * t)
-    comparisons = (p1.comparisons + np.array(p2.comparisons, ndmin=1)).tolist()
-    edge_visits = p1.edge_visits + p2.edge_visits
+    closed, j, weight = p1.closed_finals
     batched = p1.delta_finals.ndim == 2
-    decisions: list[DecodeOutcome | None] = [None] * len(pool)
-    won: tuple[list, list] = ([], [])  # (frame, subtrellis) won by phase 1, by phase 2
-    for f, k in enumerate(pool.argmin(axis=1).tolist()):
-        if not valid[f, k]:  # every member of the pool weighs inf, or there is none
-            if not valid[f].any():
-                frame_weights = weights.frame(f) if batched else weights
-                bound = p1.delta_finals.reshape(-1, t)[f]
-                decisions[f] = _fallback(ridx, frame_weights, bound, comparisons[f], edge_visits)
-                continue
-            k = int(valid[f].argmax())
-        won[k >= t].append((f, k % t))
-    for stage, pred_edge, pairs in (("phase1", p1.pred_edge, won[0]), ("phase2", p2.pred_edge, won[1])):
-        if pairs:
-            frames, finals = (list(x) for x in zip(*pairs))
-            traced = _outcomes(
-                ridx, weights, stage, finals, [comparisons[f] for f in frames], edge_visits,
-                pred_edge, np.array(frames) if batched else None,
+    decisions: list[DecodeOutcome | None] = [None] * len(j)
+    comparisons, edge_visits = [p1.comparisons] * len(j), p1.edge_visits
+    if p2 is not None:
+        metric = p2.metric_finals.reshape(-1, ridx.t)
+        i = metric.argmin(axis=1)
+        won = np.flatnonzero(metric[np.arange(len(i)), i] < weight)  # strictly cheaper, so finite
+        comparisons = (p1.comparisons + np.array(p2.comparisons, ndmin=1)).tolist()
+        edge_visits += p2.edge_visits
+        traced = _outcomes(
+            ridx, weights, "phase2", i[won], [comparisons[f] for f in won], edge_visits,
+            p2.pred_edge, won if batched else None,
+        )
+        for f, outcome in zip(won.tolist(), traced):
+            decisions[f] = outcome
+    bound = p1.delta_finals.reshape(closed.shape)
+    for f in [f for f, d in enumerate(decisions) if d is None]:
+        if closed[f].any():
+            decisions[f] = _untraced("phase1", j[f], weight[f], comparisons[f], edge_visits)
+        else:
+            (decisions[f],) = _outcomes(
+                ridx, weights.frame(f) if batched else weights, "fallback", [int(bound[f].argmin())],
+                comparisons[f], edge_visits,
             )
-            for f, outcome in zip(frames, traced):
-                decisions[f] = outcome
     return decisions
 
 
@@ -820,31 +839,6 @@ def _list_decisions(
     return decisions
 
 
-def _phase1_only_decisions(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State) -> list[DecodeOutcome]:
-    """Each frame's cheapest final that closed its loop in phase 1, else a fallback sweep.
-
-    The closed winners of every frame of the sweep are traced together; only
-    a frame with no closed final gets a restricted sweep of its own.
-    """
-    t = ridx.t
-    bound = p1.delta_finals.reshape(-1, t)
-    own = p1.surv_finals.reshape(-1, t) == np.arange(t)
-    closes = own.any(axis=1)
-    traced = np.flatnonzero(closes)
-    batched = p1.delta_finals.ndim == 2
-    won = np.where(own, bound, np.inf).argmin(axis=1)[traced]
-    outcomes = _outcomes(
-        ridx, weights, "phase1", won, p1.comparisons, p1.edge_visits, p1.pred_edge, traced if batched else None
-    )
-    decisions: list[DecodeOutcome] = [None] * len(own)
-    for f, outcome in zip(traced.tolist(), outcomes):
-        decisions[f] = outcome
-    for f in np.flatnonzero(~closes).tolist():
-        frame_weights = weights.frame(f) if batched else weights
-        decisions[f] = _fallback(ridx, frame_weights, bound[f], p1.comparisons, p1.edge_visits)
-    return decisions
-
-
 # ---------------------------------------------------------------------------
 # The per-frame pipeline
 
@@ -989,7 +983,9 @@ def _decode_open(
     names: each frame's least weight among the other decoders' decisions is
     its ceiling, and a subtrellis whose phase-1 bound is above it is not
     swept.  Named alone, exact ML gets no ceiling; running phase 2 only to
-    make one costs more than the sweeps it saves.
+    make one costs more than the sweeps it saves.  A closed codeword stays
+    untraced, its weight known, until every decoder has decided; then one
+    walk covers every frame whose closed codeword some decoder returned.
     """
     sizes = {name: int(m.group(1)) for name in decoders if (m := _TWO_PHASE.fullmatch(name))}
     p2 = phase2(ridx, weights, p1, participation_prune) if sizes else None
@@ -997,7 +993,7 @@ def _decode_open(
     decided = {}
     for name in decoders:
         if name == "phase1-only":
-            decided[name] = _phase1_only_decisions(ridx, weights, p1)
+            decided[name] = _final_decisions(ridx, weights, p1, None)
         elif sizes.get(name) == 1:
             decided[name] = scalar
         elif name in sizes:
@@ -1006,6 +1002,7 @@ def _decode_open(
         # every other decision is a codeword, so its weight bounds each frame's ML weight from above
         ceiling = np.array([[o.weight for o in d] for d in decided.values()]).min(axis=0) if decided else None
         decided["exact-ml"] = _exact_decisions(ridx, weights, p1, ceiling)
+    _trace_closed(ridx, weights, p1, *decided.values())
     return p2, decided
 
 
@@ -1140,37 +1137,36 @@ def _exact_decisions(
     from below, and a final whose survivor closed its own loop weighs exactly
     that, bit for bit: float addition is monotone, so the sweep from start i
     can never beat phase 1 along phase 1's own path.  With (w*, j) a frame's
-    cheapest closed final, lowest index on ties, a subtrellis can win only if
-    its (bound, index) sorts before (w*, j).  ``ceiling``, if given, holds
-    each frame's weight of some codeword another decoder traced, and a row
-    whose bound is above it is dropped too (a bound equal to it stays).  A
-    traced weight adds the path's edge weights left to right, as the sweeps
-    do, and the path runs from some start j to final j, so by the same
-    monotonicity it is at least the sweep's weight at final j, itself at
-    least the ML weight; a dropped row weighs more than the ceiling and
-    cannot be the first argmin.  The remaining (frame, subtrellis) rows of
-    every frame are swept jointly, each over its own frame's weights
-    (``_exact_chunks``).  The first argmin over a frame's closed weights and
-    swept diagonals is then the first argmin of its full diagonal.  Phase 1's
-    pred edges trace the closed winners along the paths their own sweeps
-    would pick, and the swept winners' pred edges are recomputed from their
-    rows' costs.
+    cheapest closed final (``Phase1State.closed_finals``), a subtrellis can
+    win only if its (bound, index) sorts before (w*, j).  ``ceiling``, if
+    given, holds each frame's weight of some codeword another decoder decided,
+    and a row whose bound is above it is dropped too (a bound equal to it
+    stays).  That weight adds the path's edge weights left to right, as the
+    sweeps do, and the path runs from some start j to final j, so by the same
+    monotonicity it is at least the sweep's weight at final j, itself at least
+    the ML weight; a dropped row weighs more than the ceiling and cannot be
+    the first argmin.  The remaining (frame, subtrellis) rows of every frame
+    are swept jointly, each over its own frame's weights (``_exact_chunks``).
+    The first argmin over a frame's closed weights and swept diagonals is then
+    the first argmin of its full diagonal.  A closed winner is (w*, j),
+    returned untraced for ``_trace_closed`` to walk along phase 1's pred
+    edges, the path its own sweep would pick; the swept winners' pred edges
+    are recomputed from their rows' costs and traced here.
     """
     t = ridx.t
     finals = ridx.trellis.finals
     index = np.arange(t)
     bound = p1.delta_finals.reshape(-1, t)
-    closed = p1.surv_finals.reshape(-1, t) == index
+    closed, j, best = p1.closed_finals
     weight = np.where(closed, bound, np.inf)  # exact for closed finals; the rest inf unless swept
-    j, best = weight.argmin(axis=1)[:, None], weight.min(axis=1, keepdims=True)
     # rows whose (bound, index) sorts before (best, j): below best, or level with it at a lower index
-    race = np.where(index < j, bound <= best, bound < best) & ~closed
+    race = np.where(index < j[:, None], bound <= best[:, None], bound < best[:, None]) & ~closed
     if ceiling is not None:
         race &= bound <= ceiling[:, None]
     frames, rows = np.nonzero(race)
     batched = p1.delta_finals.ndim == 2
     work = _exact_work(ridx)
-    traced = []  # (frames, outcomes) of the winners, one entry per run and one for the closed winners
+    decisions: list[DecodeOutcome] = [None] * len(bound)
     for part in _exact_chunks(ridx, frames):
         f, i = frames[part], rows[part]
         costs = _start_costs(ridx, weights, i, f if batched else None)
@@ -1178,22 +1174,16 @@ def _exact_decisions(
         k = np.flatnonzero(weight[f].argmin(axis=1) == i)  # rows that won their frame
         if len(k):
             pred_edge = _start_pred_edges(ridx, weights, costs, k, f[k] if batched else None)
-            traced.append((f[k], _outcomes(
+            traced = _outcomes(
                 ridx, weights, "exact", i[k], pred_edge=pred_edge, frames=f[k] if batched else None,
                 rows=np.arange(len(k)), **work,
-            )))
+            )
+            for frame, outcome in zip(f[k].tolist(), traced):
+                decisions[frame] = outcome
     if not np.isfinite(weight.min(axis=1)).all():
         raise NoPathError("no subtrellis contains a start-to-final path")
-    won = weight.argmin(axis=1)
-    shut = np.flatnonzero(closed[np.arange(len(won)), won])
-    traced.append((shut, _outcomes(
-        ridx, weights, "exact", won[shut], pred_edge=p1.pred_edge, frames=shut if batched else None, **work
-    )))
-    decisions: list[DecodeOutcome] = [None] * len(won)
-    for f, outcomes in traced:
-        for frame, outcome in zip(f.tolist(), outcomes):
-            decisions[frame] = outcome
-    return decisions
+    # no swept row beat the cheapest closed final
+    return [_untraced("exact", j[f], best[f], **work) if d is None else d for f, d in enumerate(decisions)]
 
 
 def _exact_chunks(ridx: ReachIndex, frames: np.ndarray) -> Iterator[slice]:

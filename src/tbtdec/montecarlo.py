@@ -500,7 +500,7 @@ def trace_frame(
         """Global id of the survivor's predecessor of vertex v at index p (-1 at index 0)."""
         if p == 0:
             return -1
-        return ridx.global_vertex(p - 1, int(trellis.sections[p - 1].frm[pred_edge[p - 1][v]]))
+        return int(ridx.v_offsets[p - 1] + ridx.frm[p - 1][pred_edge[p - 1][v]])
 
     lines = [f"frame={frame} ebn0_db={_trace_float(ebn0)} seed={config.seed} code={ctx.name}"]
     for p in range(trellis.n_sections + 1):

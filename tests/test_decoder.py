@@ -688,6 +688,90 @@ def test_batched_phase1_only_falls_back_mid_batch():
             _same_outcome(d.outcomes[name], one.outcomes[name])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")  # phase 2 masks its inf - inf lanes
+def test_closed_final_at_inf_cost_is_the_phase1_answer():
+    # both finals cost inf and only final 1 closed: phase1-only and the
+    # two-phase decoder return its codeword, start 1 to final 1, not the path
+    # to final 0, which runs from start 1 and is no codeword; no subtrellis
+    # has a finite codeword, so exact ML finds none
+    ridx = tb.build_reach_index(_square_trellis())
+    # edge order: s0->a, s1->a, s0->b, s1->b, then a->f0, b->f0, a->f1, b->f1
+    weights = tb.WeightAssignment(sections=[np.array([np.inf, 0.0, np.inf, np.inf]), np.full(4, np.inf)])
+    p1 = tb.phase1(ridx, weights)
+    assert p1.surv_finals.tolist() == [1, 1] and not np.isfinite(p1.delta_finals).any()
+    for out in (tb.decode_phase1_only(ridx, weights), tb.decode_two_phase(ridx, weights)):
+        assert (out.stage, out.subtrellis, out.path.tolist()) == ("phase1", 1, [1, 0, 1])
+    with pytest.raises(tb.NoPathError):
+        tb.decode_exact_ml(ridx, weights)
+
+
+def _recording_traceback(monkeypatch, calls):
+    """Patch ``_traceback`` to record each call's arguments in ``calls``."""
+    traceback = decoder._traceback
+
+    def recording(ridx, pred_edge, final_vertices, weights, frames=None, pred_rank=None, ranks=None, rows=None):
+        calls.append(SimpleNamespace(pred_edge=pred_edge, finals=np.asarray(final_vertices), weights=weights,
+                                     frames=frames, walks_rows=pred_rank is not None or rows is not None))
+        return traceback(ridx, pred_edge, final_vertices, weights, frames, pred_rank, ranks, rows)
+
+    monkeypatch.setattr(decoder, "_traceback", recording)
+
+
+def test_no_closed_codeword_is_walked_twice(monkeypatch, ridx_block6, ridx_conv_m2):
+    # phase 1's stop, the final decision, phase1-only and exact ML may all
+    # return a frame's closed codeword, but in one decode of a batch of 1 or
+    # 7 frames no (frame, final) walk through phase 1's pred arrays repeats
+    calls = []
+    _recording_traceback(monkeypatch, calls)
+    shared = walks = 0
+    for ridx, batch in ((ridx, batch) for ridx in (ridx_block6, ridx_conv_m2) for batch in (1, 7)):
+        for first in range(0, 35, batch):
+            received = [random_received(ridx, seed=101, frame=f) for f in range(first, first + batch)]
+            rows = np.stack([rec.r for rec in received]) if batch > 1 else received[0].r
+            weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=rows))
+            alone = [tb.edge_weights(ridx.trellis, rec) for rec in received]
+            sweeps = [tb.phase1(ridx, w) for w in alone]
+            calls.clear()
+            decoded = list(tb.decode_frames(ridx, weights, tb.DECODER_NAMES))
+            walked = []
+            for call in calls:
+                if call.walks_rows:  # a list sweep's or exact ML's swept rows
+                    continue
+                for k, v in enumerate(call.finals.tolist()):
+                    at = (lambda a: a) if call.frames is None else (lambda a, f=call.frames[k]: a[f])
+                    row = np.concatenate([at(w) for w in call.weights.sections])
+                    (g,) = [g for g, w in enumerate(alone) if np.array_equal(np.concatenate(w.sections), row)]
+                    if all(np.array_equal(at(a), b) for a, b in zip(call.pred_edge, sweeps[g].pred_edge)):
+                        walked.append((g, v))
+            assert len(walked) == len(set(walked))
+            walks += len(walked)
+            for d in decoded:  # open frames where two decoders returned the closed codeword
+                closed = [o for o in d.outcomes.values() if o.stage in ("phase1", "exact")]
+                shared += d.p2 is not None and any(
+                    o.stage == "exact" and o.subtrellis == c.subtrellis for o in closed for c in closed if c is not o
+                )
+    assert walks and shared
+
+
+def test_open_frame_won_by_phase2_walks_once(monkeypatch, ridx_block6):
+    # one frame that phase 1 leaves open with a closed final, and phase 2 beats
+    # it: the two-phase decoder walks phase 2's winner only
+    ridx = ridx_block6
+    for frame in range(100):
+        _, weights = _weights_of(ridx, seed=103, frame=frame)
+        p1 = tb.phase1(ridx, weights)
+        out = tb.decode_two_phase(ridx, weights)
+        if out.stage == "phase2" and (p1.surv_finals == np.arange(ridx.t)).any():
+            break
+    else:
+        pytest.fail("no open frame with a closed final that phase 2 wins")
+    calls = []
+    _recording_traceback(monkeypatch, calls)
+    decoded = tb.decode_frame(ridx, weights, ("two-phase-L1",))
+    _same_outcome(decoded.outcomes["two-phase-L1"], out)
+    assert len(calls) == 1 and calls[0].pred_edge is decoded.p2.pred_edge
+
+
 def test_repeated_decoder_names_rejected(ridx_block4):
     # outcomes are keyed by name, so a repeat would silently come back once
     _, weights = _weights_of(ridx_block4, seed=3, frame=0)
@@ -939,8 +1023,8 @@ def _reference_list_outcome(ridx, weights, scalar, ref):
     comparisons = scalar.comparisons + ref.comparisons
     if pool:
         _, i, r = min(pool)
-        out = decoder._outcome(ridx, weights, "phase2", i, comparisons, scalar.edge_visits,
-                               ref.pred_edge, ref.pred_rank, r)
+        (out,) = decoder._outcomes(ridx, weights, "phase2", [i], comparisons, scalar.edge_visits,
+                                   ref.pred_edge, None, ref.pred_rank, [r])
         if scalar.stage == "fallback" or out.weight < scalar.weight:
             return out
     return replace(scalar, comparisons=comparisons)

@@ -408,6 +408,36 @@ def test_cli_rejects_bad_ebn0(capsys, command, ebn0, message):
     assert "--ebn0" in err and message in err
 
 
+def test_cli_reports_a_missing_generator_file(capsys, tmp_path):
+    missing = tmp_path / "missing.gen"
+    rc = cli.main(["simulate", "--gen-file", str(missing), "--ebn0", "1", "--frames", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--mismatch-log"])
+def test_simulate_checks_output_paths_before_decoding(monkeypatch, capsys, tmp_path, flag):
+    # a path under a missing directory fails at once, not after the whole run
+    chunks = []
+    monkeypatch.setattr(montecarlo, "_run_chunk", lambda *args: chunks.append(args))
+    bad = tmp_path / "no-such-dir" / "out"
+    rc = cli.main(["simulate", "--code", "toy-conv-m2-l8", "--ebn0", "1", "--frames", "2", flag, str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and str(bad) in err
+    assert not chunks
+
+
+@pytest.mark.parametrize("frames", ["-5", "0"])
+def test_check_lemmas_rejects_frames_below_one(capsys, frames):
+    rc = cli.main(["check-lemmas", "--code", "toy-block-n4-k2-c1", "--frames", frames])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("error: ") and f"--frames {frames}" in err
+    assert "PASS" not in out
+
+
 def test_decode_frame_has_no_frames_option(capsys):
     # decode-frame replays the one frame --frame names; a frame count is an argparse error
     with pytest.raises(SystemExit) as exc:
