@@ -123,9 +123,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         workers=args.workers,
         mismatch_log=args.mismatch_log,
     )
-    for path in (args.out, args.mismatch_log):
-        if path:
-            open(path, "a", encoding="utf-8").close()  # an unwritable path fails here, before any frame is decoded
+    if args.out:
+        open(args.out, "a", encoding="utf-8").close()  # an unwritable path fails here, before any frame is decoded
     rows = run_monte_carlo(config)
     ctx = build_context(code)
     comments = (

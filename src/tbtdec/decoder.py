@@ -40,11 +40,15 @@ rows of all open frames are swept jointly, each over its own frame's
 weights; and phase1-only.  Phase 1's closed decision, each frame's cheapest
 final that closed its own loop, is made in one place
 (``Phase1State.closed_finals``) for the stop test, phase 2's participants
-and every decoder, and its codeword is traced at most once per frame, after
-every decoder has decided (``_trace_closed``).  The list sweep gives every
-vertex a fixed number of candidate slots, so one kernel of sorts along that
-axis serves every trellis.  ``decode_frame`` is the batch of one, and
-the ``decode_*`` functions are single-decoder calls into it.
+and every decoder.  Every decoder decides by comparing weights its own
+sweep already holds: phase 1's final cost, phase 2's and the list's path
+dist at a final, a start sweep's cost at its final.  Each of those adds the
+path's edge weights left to right, so it is the returned path's weight bit
+for bit.  Only then are the returned codewords walked, each once, all
+together in one pass over the sections (``_walk``).  The list sweep gives
+every vertex a fixed number of candidate slots, so one kernel of sorts
+along that axis serves every trellis.  ``decode_frame`` is the batch of
+one, and the ``decode_*`` functions are single-decoder calls into it.
 """
 
 from __future__ import annotations
@@ -147,8 +151,8 @@ class Phase1State:
 
         ``closed`` is the (F, t) mask of finals whose survivor came from their
         own start (F = 1 for one frame's state): codewords whose weight is
-        ``delta_finals`` bit for bit, as the traceback adds the same edge
-        weights in the same order.  ``j`` (F,) is each frame's cheapest closed
+        ``delta_finals`` bit for bit, as the sweep added their edge weights
+        left to right.  ``j`` (F,) is each frame's cheapest closed
         final in (cost, index) order, a closed final at cost inf still
         counting, and ``weight`` its cost: inf where no final closed, and
         ``j`` then names none.  The stop test, phase 2's participants and
@@ -200,18 +204,21 @@ class Phase2State:
 
 @dataclass
 class ListState:
-    """What the list variant's decision reads: final metrics and the pred arrays to trace.
+    """What the list variant's decision reads: final metrics and weights, and the pred arrays to walk.
 
     Entry [r, v] of ``pred_edge[p]`` and ``pred_rank[p]`` names the in-edge
     and the source rank of vertex v's rank-r candidate at index p+1, both 0 in
     an empty slot; ``metric_finals[r, i]`` is the rank-r metric at final i
-    (inf if empty).  A batch adds a leading frame axis to every array, and
-    ``comparisons`` then holds one count per frame.
+    (inf if empty), and ``dist_finals[r, i]`` the weight of that candidate's
+    path, its edge weights added left to right as the sweep went.  A batch
+    adds a leading frame axis to every array, and ``comparisons`` then holds
+    one count per frame.
     """
 
     pred_edge: list[np.ndarray]  # (L, V) per index past 0
     pred_rank: list[np.ndarray]
     metric_finals: np.ndarray  # (L, t)
+    dist_finals: np.ndarray  # (L, t)
     comparisons: int | np.ndarray
 
 
@@ -322,128 +329,82 @@ def _grouped_first_min(values: np.ndarray, ridx: ReachIndex, p: int) -> np.ndarr
     return in_edges[:, 0] + off
 
 
-def _traceback(
-    ridx: ReachIndex,
-    pred_edge: list[np.ndarray],
-    final_vertices,
-    weights: WeightAssignment,
-    frames: np.ndarray | None = None,
-    pred_rank: list[np.ndarray] | None = None,
-    ranks=None,
-    rows=None,
-):
-    """Walk pred edges from final vertices back to index 0: paths, labels, true weights.
+def _walk(ridx: ReachIndex, sources) -> tuple[np.ndarray, np.ndarray]:
+    """Walk pred edges back from final vertices to index 0: every source's walks in one pass over the sections.
 
-    There is one walk per final vertex, all taken together, and row k of each
-    result belongs to walk k.  ``pred_edge[p]`` is one sweep's (V,) array, or
-    a batch's (F, V) with ``frames`` naming each walk's frame (``weights`` is
-    then the batch's too), or a (K, V) array of swept rows with ``rows``
-    naming each walk's row (and ``frames``, if batched, its frame), or a list
-    sweep's (L, V) or (F, L, V) with ``pred_rank`` and each walk's starting
-    rank in ``ranks``.
-
-    The weight is re-accumulated left to right over the traced edges — the
-    same float additions the sweep performed — so it is the exact path sum
-    rather than a metric that went through a telescoping correction.
+    Each source is (pred_edge, pred_rank, lead, finals): a sweep's pred
+    arrays, the index arrays that lead each walk's vertex into them, and the
+    final vertices its walks leave from.  ``pred_edge[p]`` is one sweep's
+    (V,) array with ``lead`` empty, a batch's (F, V) or swept rows' (K, V)
+    with ``lead`` naming each walk's frame or row, or, with ``pred_rank``, a
+    list sweep's (L, V) or (F, L, V) with the last of ``lead`` each walk's
+    starting rank.  Returns the walks' paths, (W, n + 1) int32 vertex ids,
+    and codewords, one row per walk, source after source.
     """
     trellis = ridx.trellis
     n = trellis.n_sections
-    v = np.asarray(final_vertices, dtype=np.intp)
-    if rows is None:
-        rows = frames
-    lead = () if rows is None else (rows,)  # each walk's entry is pred_edge[p][(*lead, v)]
-    rank = None if pred_rank is None else np.asarray(ranks, dtype=np.intp)
-    walk = [v]
+    if not sources:
+        return np.empty((0, n + 1), dtype=np.int32), np.empty((0, n * trellis.label_width), dtype=np.uint8)
+    heads = [[edge, rank, tuple(lead), np.asarray(v, dtype=np.intp)] for edge, rank, lead, v in sources]
+    walk = [v for *_, v in heads]
     edges = []
     for p in range(n - 1, -1, -1):
-        at = (*lead, v) if rank is None else (*lead, rank, v)
-        e = pred_edge[p][at].astype(np.intp)  # int32 indices gather slowly
-        if rank is not None:
-            rank = pred_rank[p][at]
-        v = ridx.frm[p][e]
-        walk.append(v)
-        edges.append(e)
-    paths = np.concatenate(walk[::-1]).reshape(n + 1, -1).T.astype(np.int32, order="C")
-    edges = np.concatenate(edges[::-1]).reshape(n, -1).T + trellis.edge_offsets[:-1]
-    bits = ridx.label_bit_table[edges].reshape(len(paths), -1)
-    table = weights.table
-    if table is None:
-        table = np.concatenate(weights.sections, axis=-1)
-    steps = np.zeros((len(paths), n + 1))
-    steps[:, 1:] = table[edges] if frames is None else table[frames[:, None], edges]
-    return paths, bits, np.cumsum(steps, axis=1)[:, -1]
+        for head in heads:
+            pred_edge, pred_rank, lead, v = head
+            at = (*lead, v)
+            e = pred_edge[p][at].astype(np.intp)  # int32 indices gather slowly
+            if pred_rank is not None:  # the next section is read at the rank this entry came from
+                head[2] = (*lead[:-1], pred_rank[p][at])
+            head[3] = ridx.frm[p][e]
+            walk.append(head[3])
+            edges.append(e)
+    paths = np.concatenate(walk).reshape(n + 1, -1)[::-1].T.astype(np.int32, order="C")
+    edges = np.concatenate(edges).reshape(n, -1)[::-1].T + trellis.edge_offsets[:-1]
+    return paths, ridx.label_bit_table[edges].reshape(len(paths), -1)
 
 
-def _outcomes(
-    ridx: ReachIndex,
-    weights: WeightAssignment,
-    stage: str,
-    subtrellises,
-    comparisons: int,
-    edge_visits: int,
-    pred_edge: list[np.ndarray] | None = None,
-    frames: np.ndarray | None = None,
-    pred_rank: list[np.ndarray] | None = None,
-    ranks=None,
-    rows=None,
-) -> list[DecodeOutcome]:
-    """The decisions for subtrellises ``subtrellises``, traced or swept (``_untraced`` defers a trace).
+class _Walks:
+    """Decisions made at their sweeps' weights, each waiting for its path and codeword until ``run``.
 
-    With ``pred_edge`` each codeword is traced back from its final, all in
-    one walk (``frames``, ``pred_rank``, ``ranks`` and ``rows`` as in
-    ``_traceback``).
-    Without, a restricted Viterbi sweep of the one subtrellis finds it; only a
-    fallback does that, and it reports the sweep's comparisons as
-    ``fallback_comparisons``.  ``comparisons`` and ``edge_visits`` are one
-    int for all, or a list of one per subtrellis.
+    A decision waits on its sweep's pred arrays from a start: its frame (or
+    swept row) if the sweep is batched, its rank if the sweep keeps lists,
+    and its subtrellis, whose final the walk leaves from.  Decisions with one
+    start share one walk, so no codeword is walked twice, and ``run`` walks
+    them all in one pass (``_walk``).
     """
-    if pred_edge is None:
-        (i,) = subtrellises
-        sub = viterbi_subtrellis(ridx, weights, i)
-        traced, extra = [(sub.path, sub.codeword, sub.weight)], sub.comparisons
-    elif len(subtrellises):
-        finals = ridx.trellis.finals[np.asarray(subtrellises, dtype=np.intp)]
-        paths, bits, weight = _traceback(ridx, pred_edge, finals, weights, frames, pred_rank, ranks, rows)
-        traced, extra = zip(paths, bits, weight.tolist()), 0
-    else:
-        return []
-    counts, visits = ([c] * len(subtrellises) if isinstance(c, int) else c for c in (comparisons, edge_visits))
-    return [
-        DecodeOutcome(
-            codeword=bits,
-            path=path,
-            weight=weight,
-            stage=stage,
-            subtrellis=int(i),
-            comparisons=c,
-            edge_visits=ev,
-            fallback_comparisons=extra,
-        )
-        for i, (path, bits, weight), c, ev in zip(subtrellises, traced, counts, visits)
-    ]
 
+    def __init__(self):
+        self.sources: dict[int, tuple] = {}  # id(pred_edge) -> (pred_edge, pred_rank, {start: outcomes})
+        self.waiting: dict[int, list[DecodeOutcome]] = {}  # id(outcome) -> the outcomes of its walk
 
-def _untraced(stage: str, i, weight, comparisons: int, edge_visits: int) -> DecodeOutcome:
-    """Phase 1's closed codeword of subtrellis i at its known weight, path and codeword None until ``_trace_closed``."""
-    return DecodeOutcome(None, None, float(weight), stage, int(i), comparisons, edge_visits)
+    def add(self, outcome: DecodeOutcome, pred_edge: list[np.ndarray], f: int, *start, pred_rank=None) -> DecodeOutcome:
+        """Make ``outcome`` wait for the walk along ``pred_edge`` from frame or row f's ([rank,] subtrellis)."""
+        if pred_edge[0].ndim > 1 + (pred_rank is not None):
+            start = (f, *start)
+        walks = self.sources.setdefault(id(pred_edge), (pred_edge, pred_rank, {}))[2]
+        group = self.waiting[id(outcome)] = walks.setdefault(tuple(map(int, start)), [])
+        group.append(outcome)
+        return outcome
 
+    def replace(self, outcome: DecodeOutcome, **changes) -> DecodeOutcome:
+        """``dataclasses.replace``; the copy of a waiting outcome waits for the same walk."""
+        copy = replace(outcome, **changes)
+        if id(outcome) in self.waiting:
+            self.waiting[id(outcome)].append(copy)
+        return copy
 
-def _trace_closed(ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State, *decided: list[DecodeOutcome]) -> None:
-    """Walk the closed codewords that the decision lists ``decided`` return untraced, and fill them in.
-
-    Any decoder's closed codeword is the frame's cheapest closed final's, so
-    all frames' are walked together, once each, and every outcome keeps its
-    own stage and counts.
-    """
-    finals = {f: o.subtrellis for d in decided for f, o in enumerate(d) if o.path is None}
-    if finals:
-        frames = np.array(list(finals)) if p1.delta_finals.ndim == 2 else None
-        paths, bits, _ = _traceback(ridx, p1.pred_edge, ridx.trellis.finals[list(finals.values())], weights, frames)
-        walked = dict(zip(finals, zip(paths, bits)))
-        for d in decided:
-            for f, o in enumerate(d):
-                if o.path is None:
-                    o.path, o.codeword = walked[f]
+    def run(self, ridx: ReachIndex) -> None:
+        """Walk every start once, all in one ``_walk``, and fill in the path and codeword of each waiting outcome."""
+        sources = list(self.sources.values())
+        starts = [np.array(list(walks), dtype=np.intp).T for *_, walks in sources]
+        paths, bits = _walk(ridx, [
+            (pred_edge, pred_rank, start[:-1], ridx.trellis.finals[start[-1]])
+            for (pred_edge, pred_rank, _), start in zip(sources, starts)
+        ])
+        groups = [group for *_, walks in sources for group in walks.values()]
+        for group, path, codeword in zip(groups, paths, bits):
+            for outcome in group:
+                outcome.path, outcome.codeword = path, codeword
 
 
 # ---------------------------------------------------------------------------
@@ -517,32 +478,34 @@ def phase1(ridx: ReachIndex, weights: WeightAssignment) -> Phase1State:
     )
 
 
-def _phase1_stops(
-    ridx: ReachIndex, p1: Phase1State, weights: WeightAssignment
-) -> list[DecodeOutcome | None]:
-    """The stop test on every frame of a sweep, with one traceback for all that stop.
+def _phase1_stops(ridx: ReachIndex, p1: Phase1State) -> list[DecodeOutcome | None]:
+    """The stop test on every frame of a sweep, with one walk for all that stop.
 
     A frame stops when its cheapest closed final is its cheapest final; its
-    entry is that codeword's outcome, the others' are None.
+    entry is that codeword's outcome, at its final's cost, and the others'
+    are None.
     """
-    closed, j, _ = p1.closed_finals
+    closed, j, weight = p1.closed_finals
     cheapest = p1.delta_finals.reshape(-1, ridx.t).argmin(axis=1)
     stopped = np.flatnonzero(closed.any(axis=1) & (j == cheapest))
-    frames = stopped if p1.delta_finals.ndim == 2 else None
-    traced = _outcomes(
-        ridx, weights, "phase1", j[stopped], p1.comparisons, p1.edge_visits, p1.pred_edge, frames
-    )
     decisions: list[DecodeOutcome | None] = [None] * len(j)
-    for f, outcome in zip(stopped, traced):
-        decisions[f] = outcome
+    if len(stopped):
+        i = j[stopped]
+        lead = (stopped,) if p1.delta_finals.ndim == 2 else ()
+        paths, bits = _walk(ridx, [(p1.pred_edge, None, lead, ridx.trellis.finals[i])])
+        for f, k, w, path, codeword in zip(stopped.tolist(), i.tolist(), weight[stopped].tolist(), paths, bits):
+            decisions[f] = DecodeOutcome(codeword, path, w, "phase1", k, p1.comparisons, p1.edge_visits)
     return decisions
 
 
 def phase1_decision(
     ridx: ReachIndex, p1: Phase1State, weights: WeightAssignment
 ) -> DecodeOutcome | None:
-    """Stop if the cheapest final's survivor closed its own subtrellis (one frame)."""
-    return _phase1_stops(ridx, p1, weights)[0]
+    """Stop if the cheapest final's survivor closed its own subtrellis (one frame).
+
+    The stop's weight is its final's phase-1 cost, so ``weights`` is not read.
+    """
+    return _phase1_stops(ridx, p1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +519,7 @@ def _participants(p1: Phase1State, prune: bool) -> np.ndarray:
     return crossed.reshape(p1.surv_finals.shape)
 
 
+@np.errstate(invalid="ignore")  # a masked candidate lane may compute inf - inf
 def phase2(
     ridx: ReachIndex,
     weights: WeightAssignment,
@@ -644,8 +608,9 @@ def final_decision(
     sweep on the most promising subtrellis so a codeword is always returned.
     This decides one frame; ``_final_decisions`` decides a batch.
     """
-    decisions = _final_decisions(ridx, weights, p1, p2)
-    _trace_closed(ridx, weights, p1, decisions)
+    walks = _Walks()
+    decisions = _final_decisions(ridx, weights, p1, p2, walks)
+    walks.run(ridx)
     return decisions[0]
 
 
@@ -654,15 +619,16 @@ def _final_decisions(
     weights: WeightAssignment,
     p1: Phase1State,
     p2: Phase2State | None,
+    walks: _Walks,
 ) -> list[DecodeOutcome]:
     """``final_decision`` for every frame of a sweep, one batch or one frame; phase1-only's without ``p2``.
 
     A frame's phase-1 candidate is its cheapest closed final
-    (``Phase1State.closed_finals``), returned untraced for ``_trace_closed``
-    to walk with the closed codewords the other decoders return.  Its phase-2
-    candidate, the first least phase-2 final, wins only if strictly cheaper;
-    those winners are traced together.  A frame with neither falls back to
-    one restricted sweep of its cheapest final's subtrellis.
+    (``Phase1State.closed_finals``) at its phase-1 cost.  Its phase-2
+    candidate, the first least phase-2 final, wins only if strictly cheaper,
+    at the path dist phase 2 carried to that final.  Both wait in ``walks``
+    for their codewords.  A frame with neither falls back to one restricted
+    sweep of its cheapest final's subtrellis.
     """
     closed, j, weight = p1.closed_finals
     batched = p1.delta_finals.ndim == 2
@@ -674,20 +640,20 @@ def _final_decisions(
         won = np.flatnonzero(metric[np.arange(len(i)), i] < weight)  # strictly cheaper, so finite
         comparisons = (p1.comparisons + np.array(p2.comparisons, ndmin=1)).tolist()
         edge_visits += p2.edge_visits
-        traced = _outcomes(
-            ridx, weights, "phase2", i[won], [comparisons[f] for f in won], edge_visits,
-            p2.pred_edge, won if batched else None,
-        )
-        for f, outcome in zip(won.tolist(), traced):
-            decisions[f] = outcome
+        dist = p2.dist[-1].reshape(len(j), -1)[won, ridx.trellis.finals[i[won]]]
+        for f, k, w in zip(won.tolist(), i[won].tolist(), dist.tolist()):
+            outcome = DecodeOutcome(None, None, w, "phase2", k, comparisons[f], edge_visits)
+            decisions[f] = walks.add(outcome, p2.pred_edge, f, k)
     bound = p1.delta_finals.reshape(closed.shape)
     for f in [f for f, d in enumerate(decisions) if d is None]:
         if closed[f].any():
-            decisions[f] = _untraced("phase1", j[f], weight[f], comparisons[f], edge_visits)
+            outcome = DecodeOutcome(None, None, float(weight[f]), "phase1", int(j[f]), comparisons[f], edge_visits)
+            decisions[f] = walks.add(outcome, p1.pred_edge, f, j[f])
         else:
-            (decisions[f],) = _outcomes(
-                ridx, weights.frame(f) if batched else weights, "fallback", [int(bound[f].argmin())],
-                comparisons[f], edge_visits,
+            cheapest = int(bound[f].argmin())
+            sub = viterbi_subtrellis(ridx, weights.frame(f) if batched else weights, cheapest)
+            decisions[f] = DecodeOutcome(
+                sub.codeword, sub.path, sub.weight, "fallback", cheapest, comparisons[f], edge_visits, sub.comparisons
             )
     return decisions
 
@@ -724,6 +690,7 @@ def _list_slots(ridx: ReachIndex, list_size: int) -> list[tuple[np.ndarray, ...]
     return slots
 
 
+@np.errstate(invalid="ignore")  # a masked candidate lane may compute inf - inf
 def _phase2_list(
     ridx: ReachIndex,
     weights: WeightAssignment,
@@ -798,11 +765,12 @@ def _phase2_list(
         at = keep % (v * width)  # slot within its frame's section
         for out, values in ((pred_edge, pred[0]), (pred_rank, pred[1])):
             out.append(np.where(kept, values[at], 0).reshape(*batch, v, list_size).swapaxes(-1, -2))
-    finals = metric.reshape(*batch, -1, list_size)[..., trellis.finals, :]
+    finals = [a.reshape(*batch, -1, list_size)[..., trellis.finals, :].swapaxes(-1, -2) for a in (metric, dist)]
     return ListState(
         pred_edge=pred_edge,
         pred_rank=pred_rank,
-        metric_finals=finals.swapaxes(-1, -2),
+        metric_finals=finals[0],
+        dist_finals=finals[1],
         comparisons=comparisons if batch else int(comparisons),
     )
 
@@ -814,28 +782,32 @@ def _list_decisions(
     p2: Phase2State,
     scalar: list[DecodeOutcome],
     list_size: int,
+    walks: _Walks,
 ) -> list[DecodeOutcome]:
-    """Pool each frame's list-sweep finals with its single-candidate decision."""
+    """Pool each frame's list-sweep finals with its single-candidate decision.
+
+    Each frame's list candidate is its least (metric, final, rank) entry, at
+    the path dist the sweep carried to it, and it is compared with the
+    single-candidate decision by weight before any walk, so only a returned
+    candidate waits in ``walks`` for its codeword.
+    """
     ls = _phase2_list(ridx, weights, p1, list_size, p2.participants)
     pool = ls.metric_finals.swapaxes(-1, -2).reshape(len(scalar), -1)  # by (final, rank)
     best = pool.argmin(axis=1)
-    frames = np.flatnonzero(np.isfinite(pool[np.arange(len(pool)), best]))
-    comparisons = np.array([s.comparisons for s in scalar]) + ls.comparisons
-    i, r = np.divmod(best[frames], list_size)
-    traced = _outcomes(
-        ridx, weights, "phase2", i, comparisons[frames].tolist(), [scalar[f].edge_visits for f in frames],
-        ls.pred_edge, frames if p1.delta_finals.ndim == 2 else None, ls.pred_rank, r,
-    )
-    found = dict(zip(frames.tolist(), traced))
+    frames = np.arange(len(scalar))
+    i, r = np.divmod(best, list_size)
+    found = np.isfinite(pool[frames, best]).tolist()
+    weight = ls.dist_finals.reshape(len(scalar), list_size, -1)[frames, r, i].tolist()
+    comparisons = (np.array([s.comparisons for s in scalar]) + ls.comparisons).tolist()
     decisions = []
     for f, single in enumerate(scalar):
-        out = found.get(f)
         # Compare true path weights; the single-candidate result wins ties so
         # a larger list can only strictly improve the decision.
-        if out is not None and (single.stage == "fallback" or out.weight < single.weight):
-            decisions.append(out)
+        if found[f] and (single.stage == "fallback" or weight[f] < single.weight):
+            outcome = DecodeOutcome(None, None, weight[f], "phase2", int(i[f]), comparisons[f], single.edge_visits)
+            decisions.append(walks.add(outcome, ls.pred_edge, f, r[f], i[f], pred_rank=ls.pred_rank))
         else:
-            decisions.append(replace(single, comparisons=int(comparisons[f])))
+            decisions.append(walks.replace(single, comparisons=comparisons[f]))
     return decisions
 
 
@@ -914,7 +886,7 @@ def _decode_batches(
     pooled = cap = 0
     for b, weights in enumerate(batches):
         p1 = phase1(ridx, weights)
-        stops = _phase1_stops(ridx, p1, weights)
+        stops = _phase1_stops(ridx, p1)
         settled = []
         for f, stopped in enumerate(stops):
             if stopped is not None:
@@ -983,26 +955,27 @@ def _decode_open(
     names: each frame's least weight among the other decoders' decisions is
     its ceiling, and a subtrellis whose phase-1 bound is above it is not
     swept.  Named alone, exact ML gets no ceiling; running phase 2 only to
-    make one costs more than the sweeps it saves.  A closed codeword stays
-    untraced, its weight known, until every decoder has decided; then one
-    walk covers every frame whose closed codeword some decoder returned.
+    make one costs more than the sweeps it saves.  Every decision is made at
+    its sweep's weight, with no path yet; once every decoder has decided, one
+    pass over the sections walks each returned codeword once (``_Walks``).
     """
     sizes = {name: int(m.group(1)) for name in decoders if (m := _TWO_PHASE.fullmatch(name))}
+    walks = _Walks()
     p2 = phase2(ridx, weights, p1, participation_prune) if sizes else None
-    scalar = _final_decisions(ridx, weights, p1, p2) if sizes else None
+    scalar = _final_decisions(ridx, weights, p1, p2, walks) if sizes else None
     decided = {}
     for name in decoders:
         if name == "phase1-only":
-            decided[name] = _final_decisions(ridx, weights, p1, None)
+            decided[name] = _final_decisions(ridx, weights, p1, None, walks)
         elif sizes.get(name) == 1:
             decided[name] = scalar
         elif name in sizes:
-            decided[name] = _list_decisions(ridx, weights, p1, p2, scalar, sizes[name])
+            decided[name] = _list_decisions(ridx, weights, p1, p2, scalar, sizes[name], walks)
     if "exact-ml" in decoders:
         # every other decision is a codeword, so its weight bounds each frame's ML weight from above
         ceiling = np.array([[o.weight for o in d] for d in decided.values()]).min(axis=0) if decided else None
-        decided["exact-ml"] = _exact_decisions(ridx, weights, p1, ceiling)
-    _trace_closed(ridx, weights, p1, *decided.values())
+        decided["exact-ml"] = _exact_decisions(ridx, weights, p1, walks, ceiling)
+    walks.run(ridx)
     return p2, decided
 
 
@@ -1063,9 +1036,9 @@ def viterbi_subtrellis(ridx: ReachIndex, weights: WeightAssignment, i: int) -> S
         comparisons += int(ok.sum())
     if not np.isfinite(cost[trellis.finals[i]]):
         raise NoPathError(f"subtrellis {i} has no start-to-final path")
-    paths, bits, weight = _traceback(ridx, preds, [trellis.finals[i]], weights)
+    paths, bits = _walk(ridx, [(preds, None, (), [trellis.finals[i]])])
     return SubtrellisResult(
-        weight=float(weight[0]), path=paths[0], codeword=bits[0], comparisons=comparisons
+        weight=float(cost[trellis.finals[i]]), path=paths[0], codeword=bits[0], comparisons=comparisons
     )
 
 
@@ -1129,7 +1102,7 @@ def all_pairs_start_final_distances(
 
 
 def _exact_decisions(
-    ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State, ceiling: np.ndarray | None = None
+    ridx: ReachIndex, weights: WeightAssignment, p1: Phase1State, walks: _Walks, ceiling: np.ndarray | None = None
 ) -> list[DecodeOutcome]:
     """Exact ML of every frame of a sweep from phase 1's lower bounds and as few sweeps as they allow.
 
@@ -1148,10 +1121,10 @@ def _exact_decisions(
     the first argmin.  The remaining (frame, subtrellis) rows of every frame
     are swept jointly, each over its own frame's weights (``_exact_chunks``).
     The first argmin over a frame's closed weights and swept diagonals is then
-    the first argmin of its full diagonal.  A closed winner is (w*, j),
-    returned untraced for ``_trace_closed`` to walk along phase 1's pred
-    edges, the path its own sweep would pick; the swept winners' pred edges
-    are recomputed from their rows' costs and traced here.
+    the first argmin of its full diagonal, at that weight.  A closed winner is
+    (w*, j) and waits in ``walks`` on phase 1's pred edges, the path its own
+    sweep would pick; a swept winner waits on its row's pred edges,
+    recomputed from the row's costs, and only the winners' are kept.
     """
     t = ridx.t
     finals = ridx.trellis.finals
@@ -1174,16 +1147,15 @@ def _exact_decisions(
         k = np.flatnonzero(weight[f].argmin(axis=1) == i)  # rows that won their frame
         if len(k):
             pred_edge = _start_pred_edges(ridx, weights, costs, k, f[k] if batched else None)
-            traced = _outcomes(
-                ridx, weights, "exact", i[k], pred_edge=pred_edge, frames=f[k] if batched else None,
-                rows=np.arange(len(k)), **work,
-            )
-            for frame, outcome in zip(f[k].tolist(), traced):
-                decisions[frame] = outcome
+            for row, (frame, sub) in enumerate(zip(f[k].tolist(), i[k].tolist())):
+                outcome = DecodeOutcome(None, None, float(weight[frame, sub]), "exact", sub, **work)
+                decisions[frame] = walks.add(outcome, pred_edge, row, sub)
     if not np.isfinite(weight.min(axis=1)).all():
         raise NoPathError("no subtrellis contains a start-to-final path")
-    # no swept row beat the cheapest closed final
-    return [_untraced("exact", j[f], best[f], **work) if d is None else d for f, d in enumerate(decisions)]
+    for f in [f for f, d in enumerate(decisions) if d is None]:  # no swept row beat the cheapest closed final
+        outcome = DecodeOutcome(None, None, float(best[f]), "exact", int(j[f]), **work)
+        decisions[f] = walks.add(outcome, p1.pred_edge, f, j[f])
+    return decisions
 
 
 def _exact_chunks(ridx: ReachIndex, frames: np.ndarray) -> Iterator[slice]:

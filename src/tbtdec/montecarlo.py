@@ -360,7 +360,9 @@ def run_monte_carlo(config: SimConfig) -> list[SimResultRow]:
 
     Tallies are integer sums, so how frames are split across workers cannot
     change any output; mismatch reports are gathered and written in frame
-    order at the end, replacing any earlier log at that path.
+    order at the end, replacing any earlier log at that path.  The log is
+    opened for appending before any frame is decoded, so a path that cannot
+    be written fails at once; this creates an empty file if there was none.
     """
     if not 1 <= config.frames <= _FRAME_LIMIT:
         raise LengthMismatchError("frames must be between 1 and 2**32")
@@ -371,6 +373,8 @@ def run_monte_carlo(config: SimConfig) -> list[SimResultRow]:
     for name in config.decoders:
         if name not in DECODER_NAMES:
             raise CatalogError(f"unknown decoder {name!r}; available: {', '.join(DECODER_NAMES)}")
+    if config.mismatch_log:
+        open(config.mismatch_log, "a", encoding="utf-8").close()
     ctx = build_context(config.code)
 
     bounds = _chunk_bounds(config.frames, config.workers)

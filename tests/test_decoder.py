@@ -10,7 +10,7 @@ from hypothesis import Phase, assume, find, given, settings, strategies as st
 import tbtdec as tb
 from tbtdec.codes import bits_to_int, gf2_rank
 from tbtdec import decoder
-from tbtdec.decoder import _phase1_stops, _start_pred_edges, _traceback
+from tbtdec.decoder import _phase1_stops
 
 from conftest import build_block, build_conv, enumerate_paths, random_received
 
@@ -512,6 +512,58 @@ def _scalar_start_sweep(ridx, weights, i, restricted):
     return costs, preds, comparisons
 
 
+def _scalar_walk(ridx, pred_edge, v, pred_rank=None, rank=0):
+    """One walk back from vertex v at the last index, a section at a time: its path and edges, index 0 first.
+
+    Vertex v's in-edge at index p+1 is ``pred_edge[p][v]``, or, with
+    ``pred_rank``, ``pred_edge[p][rank][v]``, and the next section is read at
+    rank ``pred_rank[p][rank][v]``.
+    """
+    trellis = ridx.trellis
+    path, edges = [int(v)], []
+    for p in range(trellis.n_sections - 1, -1, -1):
+        at = v if pred_rank is None else (rank, v)
+        edges.append(int(pred_edge[p][at]))
+        if pred_rank is not None:
+            rank = int(pred_rank[p][at])
+        v = int(trellis.sections[p].frm[edges[-1]])
+        path.append(v)
+    return path[::-1], edges[::-1]
+
+
+def _codeword(ridx, edges):
+    """The label bits of a path's edges, section after section."""
+    trellis = ridx.trellis
+    return np.concatenate([
+        tb.trellis.label_bits(int(trellis.sections[p].labels[e]), trellis.label_width) for p, e in enumerate(edges)
+    ])
+
+
+def _added_left_to_right(weights, edges):
+    """A path's weight: its edge weights added one at a time, first section first."""
+    weight = 0.0
+    for p, e in enumerate(edges):
+        weight += weights.sections[p][e]
+    return weight
+
+
+def _reweighed(ridx, weights, outcome):
+    """An outcome's weight re-added from its path and codeword alone.
+
+    Each section's edge is the one from path[p] to path[p + 1] whose label
+    is that section's codeword bits, and the edges' weights are added left to
+    right, as the sweeps add them.
+    """
+    trellis = ridx.trellis
+    width = trellis.label_width
+    edges = []
+    for p, sec in enumerate(trellis.sections):
+        label = int("".join(str(int(b)) for b in outcome.codeword[p * width : (p + 1) * width]), 2)
+        key = (int(outcome.path[p]), int(outcome.path[p + 1]), label)
+        edges.append(next(e for e in range(sec.num_edges) if (sec.frm[e], sec.to[e], sec.labels[e]) == key))
+    return _added_left_to_right(weights, edges)
+
+
 def _check_sweeps_against_scalar(ridx, weights):
     """Every sweep equals its scalar edge-order relaxation bit for bit, dtypes included."""
     trellis = ridx.trellis
@@ -526,24 +578,11 @@ def _check_sweeps_against_scalar(ridx, weights):
     _same_arrays(tb.parallel_start_costs(ridx, weights), [np.stack(rows) for rows in zip(*swept)])
     for i in range(ridx.t):
         costs, preds, comparisons = _scalar_start_sweep(ridx, weights, i, restricted=True)
-        v = int(trellis.finals[i])
-        path, edges = [v], []
-        for p in range(trellis.n_sections - 1, -1, -1):
-            edges.append(preds[p][v])
-            v = int(trellis.sections[p].frm[edges[-1]])
-            path.append(v)
-        edges.reverse()
-        weight = 0.0
-        for p, e in enumerate(edges):
-            weight += weights.sections[p][e]
-        codeword = np.concatenate([
-            tb.trellis.label_bits(int(trellis.sections[p].labels[e]), trellis.label_width)
-            for p, e in enumerate(edges)
-        ])
+        path, edges = _scalar_walk(ridx, preds, trellis.finals[i])
         sub = tb.viterbi_subtrellis(ridx, weights, i)
-        assert sub.path.dtype == np.int32 and sub.path.tolist() == path[::-1]
-        assert sub.codeword.dtype == np.uint8 and np.array_equal(sub.codeword, codeword)
-        assert (sub.weight, sub.comparisons) == (weight, comparisons)
+        assert sub.path.dtype == np.int32 and sub.path.tolist() == path
+        assert sub.codeword.dtype == np.uint8 and np.array_equal(sub.codeword, _codeword(ridx, edges))
+        assert (sub.weight, sub.comparisons) == (_added_left_to_right(weights, edges), comparisons)
 
 
 def test_sweeps_match_scalar_relaxation(ridx_conv_m2):
@@ -688,61 +727,77 @@ def test_batched_phase1_only_falls_back_mid_batch():
             _same_outcome(d.outcomes[name], one.outcomes[name])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")  # phase 2 masks its inf - inf lanes
 def test_closed_final_at_inf_cost_is_the_phase1_answer():
     # both finals cost inf and only final 1 closed: phase1-only and the
-    # two-phase decoder return its codeword, start 1 to final 1, not the path
-    # to final 0, which runs from start 1 and is no codeword; no subtrellis
-    # has a finite codeword, so exact ML finds none
+    # two-phase decoders, L1 and L2, return its codeword, start 1 to final 1,
+    # not the path to final 0, which runs from start 1 and is no codeword; no
+    # subtrellis has a finite codeword, so exact ML finds none.  The sweeps'
+    # masked inf - inf lanes raise no RuntimeWarning.
     ridx = tb.build_reach_index(_square_trellis())
     # edge order: s0->a, s1->a, s0->b, s1->b, then a->f0, b->f0, a->f1, b->f1
     weights = tb.WeightAssignment(sections=[np.array([np.inf, 0.0, np.inf, np.inf]), np.full(4, np.inf)])
     p1 = tb.phase1(ridx, weights)
     assert p1.surv_finals.tolist() == [1, 1] and not np.isfinite(p1.delta_finals).any()
-    for out in (tb.decode_phase1_only(ridx, weights), tb.decode_two_phase(ridx, weights)):
+    for out in (tb.decode_phase1_only(ridx, weights), tb.decode_two_phase(ridx, weights),
+                tb.decode_two_phase(ridx, weights, list_size=2)):
         assert (out.stage, out.subtrellis, out.path.tolist()) == ("phase1", 1, [1, 0, 1])
     with pytest.raises(tb.NoPathError):
         tb.decode_exact_ml(ridx, weights)
 
 
-def _recording_traceback(monkeypatch, calls):
-    """Patch ``_traceback`` to record each call's arguments in ``calls``."""
-    traceback = decoder._traceback
+def _recording_walk(monkeypatch, calls):
+    """Patch the walker to record each call in ``calls``: per walk, its pred arrays, start and path."""
+    walk = decoder._walk
 
-    def recording(ridx, pred_edge, final_vertices, weights, frames=None, pred_rank=None, ranks=None, rows=None):
-        calls.append(SimpleNamespace(pred_edge=pred_edge, finals=np.asarray(final_vertices), weights=weights,
-                                     frames=frames, walks_rows=pred_rank is not None or rows is not None))
-        return traceback(ridx, pred_edge, final_vertices, weights, frames, pred_rank, ranks, rows)
+    def recording(ridx, sources):
+        paths, bits = walk(ridx, sources)
+        starts = [
+            SimpleNamespace(pred_edge=pred_edge, pred_rank=pred_rank, lead=tuple(int(a[k]) for a in lead),
+                            final=int(finals[k]))
+            for pred_edge, pred_rank, lead, finals in sources for k in range(len(finals))
+        ]
+        for start, path in zip(starts, paths):
+            start.path = path
+        calls.append(SimpleNamespace(walks=starts, fallback=False))
+        return paths, bits
 
-    monkeypatch.setattr(decoder, "_traceback", recording)
+    monkeypatch.setattr(decoder, "_walk", recording)
 
 
 def test_no_closed_codeword_is_walked_twice(monkeypatch, ridx_block6, ridx_conv_m2):
     # phase 1's stop, the final decision, phase1-only and exact ML may all
     # return a frame's closed codeword, but in one decode of a batch of 1 or
     # 7 frames no (frame, final) walk through phase 1's pred arrays repeats
-    calls = []
-    _recording_traceback(monkeypatch, calls)
+    calls, sweeps = [], []
+    _recording_walk(monkeypatch, calls)
+    phase1, decode_open = decoder.phase1, decoder._decode_open
+
+    def recording_phase1(ridx, weights):
+        sweeps.append(phase1(ridx, weights))
+        return sweeps[-1]
+
+    def recording_open(ridx, weights, p1, *args):
+        sweeps.append(p1)
+        return decode_open(ridx, weights, p1, *args)
+
+    monkeypatch.setattr(decoder, "phase1", recording_phase1)
+    monkeypatch.setattr(decoder, "_decode_open", recording_open)
     shared = walks = 0
     for ridx, batch in ((ridx, batch) for ridx in (ridx_block6, ridx_conv_m2) for batch in (1, 7)):
         for first in range(0, 35, batch):
             received = [random_received(ridx, seed=101, frame=f) for f in range(first, first + batch)]
             rows = np.stack([rec.r for rec in received]) if batch > 1 else received[0].r
             weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=rows))
-            alone = [tb.edge_weights(ridx.trellis, rec) for rec in received]
-            sweeps = [tb.phase1(ridx, w) for w in alone]
             calls.clear()
+            sweeps.clear()
             decoded = list(tb.decode_frames(ridx, weights, tb.DECODER_NAMES))
-            walked = []
-            for call in calls:
-                if call.walks_rows:  # a list sweep's or exact ML's swept rows
-                    continue
-                for k, v in enumerate(call.finals.tolist()):
-                    at = (lambda a: a) if call.frames is None else (lambda a, f=call.frames[k]: a[f])
-                    row = np.concatenate([at(w) for w in call.weights.sections])
-                    (g,) = [g for g, w in enumerate(alone) if np.array_equal(np.concatenate(w.sections), row)]
-                    if all(np.array_equal(at(a), b) for a, b in zip(call.pred_edge, sweeps[g].pred_edge)):
-                        walked.append((g, v))
+            # the frame of each row of the batch's phase-1 state and, if a frame was open, of the pool's
+            batch_sweep, *pool = sweeps
+            frames = {id(batch_sweep.pred_edge): list(range(batch))}
+            if pool:
+                frames[id(pool[0].pred_edge)] = [g for g, d in enumerate(decoded) if d.p2 is not None]
+            walked = [(frames[id(walk.pred_edge)][walk.lead[0] if walk.lead else 0], walk.final)
+                      for call in calls for walk in call.walks if id(walk.pred_edge) in frames]
             assert len(walked) == len(set(walked))
             walks += len(walked)
             for d in decoded:  # open frames where two decoders returned the closed codeword
@@ -751,6 +806,48 @@ def test_no_closed_codeword_is_walked_twice(monkeypatch, ridx_block6, ridx_conv_
                     o.stage == "exact" and o.subtrellis == c.subtrellis for o in closed for c in closed if c is not o
                 )
     assert walks and shared
+
+
+def test_each_pass_walks_once_and_only_returned_codewords(monkeypatch, ridx_block6, ridx_conv_m2):
+    # every decoder decides on its sweep's weights before any walk, so each
+    # pass over open frames calls the walker once, a one-frame decode calls it
+    # once in all (a fallback's restricted sweep walks its own codeword), and
+    # every walk is the path some decoder returns: no list candidate that lost
+    # to the single-candidate decision is walked
+    calls, passes = [], []
+    _recording_walk(monkeypatch, calls)
+    decode_open, viterbi_subtrellis = decoder._decode_open, decoder.viterbi_subtrellis
+
+    def recording_open(*args):
+        before = len(calls)
+        result = decode_open(*args)
+        passes.append(sum(not call.fallback for call in calls[before:]))
+        return result
+
+    def recording_fallback(*args):
+        sub = viterbi_subtrellis(*args)
+        calls[-1].fallback = True
+        return sub
+
+    monkeypatch.setattr(decoder, "_decode_open", recording_open)
+    monkeypatch.setattr(decoder, "viterbi_subtrellis", recording_fallback)
+    names = tb.DECODER_NAMES + ("two-phase-L3",)
+    lost = 0
+    for ridx, batch in ((ridx, batch) for ridx in (ridx_block6, ridx_conv_m2) for batch in (1, 7)):
+        for first in range(0, 35, batch):
+            received = [random_received(ridx, seed=107, frame=f) for f in range(first, first + batch)]
+            rows = np.stack([rec.r for rec in received]) if batch > 1 else received[0].r
+            weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=rows))
+            calls.clear()
+            passes.clear()
+            decoded = list(tb.decode_frames(ridx, weights, names))
+            assert passes == ([1] if any(d.p2 is not None for d in decoded) else [])
+            if batch == 1:
+                assert sum(not call.fallback for call in calls) == 1
+            returned = {o.path.ctypes.data for d in decoded for o in d.outcomes.values()}
+            assert all(walk.path.ctypes.data in returned for call in calls for walk in call.walks)
+            lost += sum(d.p2 is not None and d.outcomes["two-phase-L3"].stage != "phase2" for d in decoded)
+    assert lost  # some open frame's list candidate was not returned
 
 
 def test_open_frame_won_by_phase2_walks_once(monkeypatch, ridx_block6):
@@ -766,10 +863,10 @@ def test_open_frame_won_by_phase2_walks_once(monkeypatch, ridx_block6):
     else:
         pytest.fail("no open frame with a closed final that phase 2 wins")
     calls = []
-    _recording_traceback(monkeypatch, calls)
+    _recording_walk(monkeypatch, calls)
     decoded = tb.decode_frame(ridx, weights, ("two-phase-L1",))
     _same_outcome(decoded.outcomes["two-phase-L1"], out)
-    assert len(calls) == 1 and calls[0].pred_edge is decoded.p2.pred_edge
+    assert len(calls) == 1 and len(calls[0].walks) == 1 and calls[0].walks[0].pred_edge is decoded.p2.pred_edge
 
 
 def test_repeated_decoder_names_rejected(ridx_block4):
@@ -889,7 +986,7 @@ def test_batched_decode_matches_one_frame_calls(ridx, seed, batch, rounded, prun
         rows = np.stack([rec.r for rec in received[first : first + batch]])
         weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=rows))
         p1 = tb.phase1(ridx, weights)
-        stops = _phase1_stops(ridx, p1, weights)
+        stops = _phase1_stops(ridx, p1)
         p2 = tb.phase2(ridx, weights, p1, prune)
         lists = {size: decoder._phase2_list(ridx, weights, p1, size, p2.participants) for size in (2, 3)}
         decoded = list(tb.decode_frames(ridx, weights, names, prune))
@@ -916,10 +1013,14 @@ def test_batched_decode_matches_one_frame_calls(ridx, seed, batch, rounded, prun
             assert list(decoded[row].outcomes) == list(one.outcomes)
             for name in names:
                 _same_outcome(decoded[row].outcomes[name], one.outcomes[name])
+                # the weight is the sweep's, and must equal the returned path's, bit for bit
+                out = decoded[row].outcomes[name]
+                assert out.weight == _reweighed(ridx, alone, out)
             for size, batched in lists.items():
                 ref = _lexsort_list_sweep(ridx, alone, single, size, single2.participants)
                 for ls in (_list_row(batched, row), decoder._phase2_list(ridx, alone, single, size, single2.participants)):
-                    _same_arrays([ls.metric_finals], [ref.metric[-1][:, ridx.trellis.finals]])
+                    _same_arrays([ls.metric_finals, ls.dist_finals],
+                                 [ref.metric[-1][:, ridx.trellis.finals], ref.dist[-1][:, ridx.trellis.finals]])
                     _same_arrays(ls.pred_edge, ref.pred_edge)
                     _same_arrays(ls.pred_rank, ref.pred_rank)
                     assert type(ls.comparisons) is int and ls.comparisons == ref.comparisons
@@ -944,6 +1045,7 @@ def _list_row(ls, row):
     """Frame ``row`` of a batched list state."""
     return SimpleNamespace(
         metric_finals=ls.metric_finals[row],
+        dist_finals=ls.dist_finals[row],
         pred_edge=[a[row] for a in ls.pred_edge],
         pred_rank=[a[row] for a in ls.pred_rank],
         comparisons=int(ls.comparisons[row]),
@@ -1015,7 +1117,7 @@ def _lexsort_list_sweep(ridx, weights, p1, list_size, participants):
 
 
 def _reference_list_outcome(ridx, weights, scalar, ref):
-    """The list decision from a reference sweep: least (metric, final, rank), traced, if it beats ``scalar``."""
+    """The list decision from a reference sweep: least (metric, final, rank), walked here, if it beats ``scalar``."""
     L = ref.metric[-1].shape[0]
     final_metrics = ref.metric[-1][:, ridx.trellis.finals]
     pool = [(float(final_metrics[r, i]), i, r) for i in range(ridx.t) for r in range(L)
@@ -1023,25 +1125,25 @@ def _reference_list_outcome(ridx, weights, scalar, ref):
     comparisons = scalar.comparisons + ref.comparisons
     if pool:
         _, i, r = min(pool)
-        (out,) = decoder._outcomes(ridx, weights, "phase2", [i], comparisons, scalar.edge_visits,
-                                   ref.pred_edge, None, ref.pred_rank, [r])
-        if scalar.stage == "fallback" or out.weight < scalar.weight:
-            return out
+        path, edges = _scalar_walk(ridx, ref.pred_edge, ridx.trellis.finals[i], ref.pred_rank, r)
+        weight = float(_added_left_to_right(weights, edges))
+        if scalar.stage == "fallback" or weight < scalar.weight:
+            return tb.DecodeOutcome(_codeword(ridx, edges), np.array(path, dtype=np.int32), weight, "phase2", i,
+                                    comparisons, scalar.edge_visits)
     return replace(scalar, comparisons=comparisons)
 
 
 def _matches_all_pairs_oracle(ridx, weights, exact):
-    """Exact ML is the first argmin of the all-pairs diagonal, traced along its sweep."""
-    costs = tb.parallel_start_costs(ridx, weights)
+    """Exact ML is the first argmin of the all-pairs diagonal, walked along the scalar sweep from its start."""
     diag = np.diagonal(tb.all_pairs_start_final_distances(ridx, weights).d)
     i = int(np.argmin(diag))
     assert (exact.subtrellis, exact.stage) == (i, "exact")
-    finals = [ridx.trellis.finals[i]]
-    pred_edge = _start_pred_edges(ridx, weights, costs, np.array([i]))
-    paths, bits, weight = _traceback(ridx, pred_edge, finals, weights, rows=[0])
+    _, preds, _ = _scalar_start_sweep(ridx, weights, i, restricted=False)
+    path, edges = _scalar_walk(ridx, preds, ridx.trellis.finals[i])
     sub = tb.viterbi_subtrellis(ridx, weights, i)
-    for path, codeword, w in ((paths[0], bits[0], float(weight[0])), (sub.path, sub.codeword, sub.weight)):
-        assert np.array_equal(exact.path, path) and np.array_equal(exact.codeword, codeword)
+    for p, codeword, w in ((path, _codeword(ridx, edges), _added_left_to_right(weights, edges)),
+                           (sub.path, sub.codeword, sub.weight)):
+        assert np.array_equal(exact.path, p) and np.array_equal(exact.codeword, codeword)
         assert exact.weight == w
 
 
@@ -1080,7 +1182,8 @@ def test_list_sweep_matches_reference_beyond_the_subtrellis_count(ridx_block6, r
             participants = tb.phase2(ridx, alone, single).participants
             ref = _lexsort_list_sweep(ridx, alone, single, list_size, participants)
             for ls in (_list_row(batched, row), decoder._phase2_list(ridx, alone, single, list_size, participants)):
-                _same_arrays([ls.metric_finals], [ref.metric[-1][:, ridx.trellis.finals]])
+                _same_arrays([ls.metric_finals, ls.dist_finals],
+                             [ref.metric[-1][:, ridx.trellis.finals], ref.dist[-1][:, ridx.trellis.finals]])
                 _same_arrays(ls.pred_edge, ref.pred_edge)
                 _same_arrays(ls.pred_rank, ref.pred_rank)
                 assert ls.comparisons == ref.comparisons

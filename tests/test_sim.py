@@ -429,6 +429,17 @@ def test_simulate_checks_output_paths_before_decoding(monkeypatch, capsys, tmp_p
     assert not chunks
 
 
+def test_run_checks_the_mismatch_log_path_before_decoding(monkeypatch, tmp_path):
+    # a library caller's log under a missing directory fails before any frame
+    # is decoded, not after the whole run
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran before the log path was checked")
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", no_chunk)
+    with pytest.raises(FileNotFoundError):
+        tb.run_monte_carlo(_config(frames=2, mismatch_log=str(tmp_path / "no-such-dir" / "mismatch.jsonl")))
+
+
 @pytest.mark.parametrize("frames", ["-5", "0"])
 def test_check_lemmas_rejects_frames_below_one(capsys, frames):
     rc = cli.main(["check-lemmas", "--code", "toy-block-n4-k2-c1", "--frames", frames])
