@@ -46,9 +46,12 @@ dist at a final, a start sweep's cost at its final.  Each of those adds the
 path's edge weights left to right, so it is the returned path's weight bit
 for bit.  Only then are the returned codewords walked, each once, all
 together in one pass over the sections (``_walk``).  The list sweep gives
-every vertex a fixed number of candidate slots, so one kernel of sorts
-along that axis serves every trellis.  ``decode_frame`` is the batch of
-one, and the ``decode_*`` functions are single-decoder calls into it.
+every vertex a fixed number of candidate slots, so one kernel along that
+axis serves every trellis: it keeps each entry's subtrellis and path dist,
+picks short lists by rounds of first minima and long ones by sorting each
+vertex's slots, and decodes the pred arrays of its entries only when a
+returned candidate is walked.  ``decode_frame`` is the batch of one, and
+the ``decode_*`` functions are single-decoder calls into it.
 """
 
 from __future__ import annotations
@@ -206,20 +209,38 @@ class Phase2State:
 class ListState:
     """What the list variant's decision reads: final metrics and weights, and the pred arrays to walk.
 
-    Entry [r, v] of ``pred_edge[p]`` and ``pred_rank[p]`` names the in-edge
-    and the source rank of vertex v's rank-r candidate at index p+1, both 0 in
-    an empty slot; ``metric_finals[r, i]`` is the rank-r metric at final i
-    (inf if empty), and ``dist_finals[r, i]`` the weight of that candidate's
-    path, its edge weights added left to right as the sweep went.  A batch
-    adds a leading frame axis to every array, and ``comparisons`` then holds
-    one count per frame.
+    ``metric_finals[r, i]`` is the rank-r metric at final i (inf if empty),
+    and ``dist_finals[r, i]`` the weight of that candidate's path, its edge
+    weights added left to right as the sweep went.  The sweep keeps, per
+    index past 0, only the slot each entry picked: ``picks[p]`` holds, per
+    (frame, vertex) row, each rank's flat index into that section's slots
+    (``_list_slots``), -1 if empty.  Entry [r, v] of ``pred_edge[p]`` and
+    ``pred_rank[p]`` names the in-edge and the source rank of vertex v's
+    rank-r candidate at index p+1, both 0 in an empty entry; they are
+    decoded from the picks the first time either is read, so a sweep whose
+    candidate nobody walks never decodes them.  A batch adds a leading
+    frame axis to every array, and ``comparisons`` then holds one count per
+    frame.
     """
 
-    pred_edge: list[np.ndarray]  # (L, V) per index past 0
-    pred_rank: list[np.ndarray]
+    picks: list[np.ndarray] = field(repr=False)  # (F * V, L) per index past 0
+    pred_tables: list[np.ndarray] = field(repr=False)  # ``_list_slots``' (edge, rank) of every slot
     metric_finals: np.ndarray  # (L, t)
     dist_finals: np.ndarray  # (L, t)
     comparisons: int | np.ndarray
+
+    @cached_property
+    def _preds(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        return _list_preds(self)
+
+    @property
+    def pred_edge(self) -> list[np.ndarray]:
+        """(L, V) per index past 0."""
+        return self._preds[0]
+
+    @property
+    def pred_rank(self) -> list[np.ndarray]:
+        return self._preds[1]
 
 
 @dataclass
@@ -661,33 +682,111 @@ def _final_decisions(
 # ---------------------------------------------------------------------------
 # List variant
 
+LIST_ROUNDS_MAX = 3  # longest list whose entries are picked by first-min rounds; longer lists sort each row
+RADIX_WIDTH = 64  # slots per row from which the subtrellis sort runs on 16-bit keys
+
+
 def _list_slots(ridx: ReachIndex, list_size: int) -> list[tuple[np.ndarray, ...]]:
     """Per section, the fixed-width candidate slots of the list sweep.
 
     Every vertex has W = L * g slots, g the section's largest in-degree: slot
     r * g + k holds in-edge k of the vertex (``ReachIndex.in_edges``) fed by
     rank r of its source, so the slots follow (rank, in-edge) order.  Each
-    entry is (src, edges, pred, real): the slot's source in one frame's
-    (V_prev, L) state, its edge, its int32 (edge, rank) flattened, and the
-    (V, W) mask of slots that are real in-edges (None if all are).  They
-    depend only on the trellis, so each list size's are built once and kept
-    in ``ridx``.
+    entry is (src, edges, vert, rows, members, pred), the first four (V, W):
+    the slot's source in one frame's flat (V_prev, L) state, its edge, its
+    vertex, and its row ``edge * t`` in the flat membership table
+    ``members``; then the int32 (edge, rank) of every slot flattened,
+    (2, V * W + 1), with a last column of zeros for empty entries.  A padding slot's row is an
+    appended row of False, so membership alone keeps it dead.  They depend
+    only on the trellis, so each list size's are built once and kept in
+    ``ridx``.
     """
     if list_size in ridx.list_slots:
         return ridx.list_slots[list_size]
     slots = ridx.list_slots[list_size] = []
-    for p, (in_edges, real) in enumerate(zip(ridx.in_edges, ridx.in_real)):
+    t = ridx.t
+    for p, (in_edges, real, members) in enumerate(zip(ridx.in_edges, ridx.in_real, ridx.membership)):
         g = in_edges.shape[1]
         edges = np.tile(in_edges, list_size)
         ranks = np.repeat(np.arange(list_size), g)
-        pred = np.stack(np.broadcast_arrays(edges, ranks)).astype(np.int32).reshape(2, -1)
-        slots.append((
-            ridx.frm[p][edges] * list_size + ranks,
-            edges,
-            pred,
-            None if real is None else np.tile(real, list_size),
-        ))
+        rows = edges * t
+        if real is not None:
+            rows[~np.tile(real, list_size)] = len(members) * t
+            members = np.vstack([members, np.zeros((1, t), dtype=bool)])
+        pred = np.zeros((2, edges.size + 1), dtype=np.int32)
+        pred[:, :-1] = np.stack(np.broadcast_arrays(edges, ranks)).reshape(2, -1)
+        vert = np.repeat(np.arange(len(edges)), edges.shape[1]).reshape(edges.shape)
+        slots.append((ridx.frm[p][edges] * list_size + ranks, edges, vert, rows, members.reshape(-1), pred))
     return slots
+
+
+def _first_min_rounds(
+    cand: np.ndarray, ids: np.ndarray, list_size: int, base: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's list picks as flat indices into ``cand``, (R, L), and which of them are live.
+
+    ``cand`` holds R rows of W slot metrics, inf where dead, and ``ids`` each
+    slot's subtrellis.  Rank 0 is the row's first least slot.  Each later
+    rank is the first least slot whose subtrellis is not yet listed or, if
+    no live slot is left outside the listed subtrellises, the first least
+    slot not yet taken.  A rank is live if its pick is; once a row's live
+    slots run out, its later picks are arbitrary slots of the row.
+    """
+    flat = cand.reshape(-1)
+    picks = np.empty((len(cand), list_size), dtype=np.intp)
+    live = np.empty(picks.shape, dtype=bool)
+    picks[:, 0] = last = cand.argmin(axis=1) + base
+    live[:, 0] = np.isfinite(flat[last])
+    fresh = cand
+    taken = cand.copy()
+    for k in range(1, list_size):
+        fresh = np.where(ids == ids.reshape(-1)[last][:, None], np.inf, fresh)
+        taken.reshape(-1)[last] = np.inf
+        new = fresh.argmin(axis=1) + base
+        again = taken.argmin(axis=1) + base
+        picks[:, k] = last = np.where(np.isfinite(fresh.reshape(-1)[new]), new, again)
+        live[:, k] = np.isfinite(taken.reshape(-1)[again])  # a live slot is left to pick
+    return picks, live
+
+
+def _sorted_picks(
+    cand: np.ndarray, ids: np.ndarray, list_size: int, base: np.ndarray, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_first_min_rounds`` by three stable argsorts per row, (R, L): cheaper for long lists.
+
+    A stable argsort orders the slots by (metric, slot), and a stable
+    argsort of their subtrellises in that order groups each subtrellis's
+    slots, cheapest first.  A slot is in stage 1 if it is dead or not first
+    in its group, and sorting by (stage, metric position) puts the picks
+    first.
+    """
+    width = cand.shape[1]
+    if width >= RADIX_WIDTH and t <= np.iinfo(np.int16).max:
+        ids = ids.astype(np.int16)  # numpy's stable sort of 16-bit keys is a radix sort
+    by_metric = cand.argsort(axis=1, kind="stable") + base
+    ids_sorted = ids.reshape(-1)[by_metric]
+    by_id = ids_sorted.argsort(axis=1, kind="stable") + base
+    runs = ids_sorted.reshape(-1)[by_id]
+    late = ~np.isfinite(cand.reshape(-1)[by_metric.reshape(-1)[by_id]])
+    late[:, 1:] |= runs[:, 1:] == runs[:, :-1]
+    # (stage, metric position) keys are distinct, so any sort gives one order;
+    # the stable sort is the fastest on these short rows
+    first = np.where(late, by_id + width, by_id).argsort(axis=1, kind="stable")[:, :list_size]
+    picks = by_metric.reshape(-1)[by_id.reshape(-1)[first + base]]
+    return picks, np.isfinite(cand.reshape(-1)[picks])
+
+
+def _list_preds(ls: "ListState") -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The in-edge and source rank of every entry of a list sweep, (..., L, V) per index past 0; 0 if empty."""
+    batch = ls.metric_finals.shape[:-2]
+    list_size = ls.metric_finals.shape[-2]
+    pred_edge, pred_rank = [], []
+    for picks, pred in zip(ls.picks, ls.pred_tables):
+        width = pred.shape[1] - 1  # slots in one frame's section
+        at = np.where(picks < 0, width, picks % width)
+        for out, values in ((pred_edge, pred[0]), (pred_rank, pred[1])):
+            out.append(values[at].reshape(*batch, -1, list_size).swapaxes(-1, -2))
+    return pred_edge, pred_rank
 
 
 @np.errstate(invalid="ignore")  # a masked candidate lane may compute inf - inf
@@ -705,70 +804,70 @@ def _phase2_list(
     leftovers by metric.  Ordering ties follow (metric, source rank, edge io
     order), which reduces to the scalar rule on rank 0.
 
-    Each vertex weighs its W candidate slots (``_list_slots``) at once.  A
-    stable argsort orders them by (metric, slot), and a stable argsort of
-    their subtrellises in that order groups each subtrellis's slots, cheapest
-    first.  A slot is in stage 1 if it is dead (no finite metric) or not
-    first in its group, and sorting by (stage, metric position) puts the
-    first L slots in the list: O(W log W) work per vertex.  Dead slots leave
-    their entries at the initial values.  Batched weights and phase-1 state
-    sweep F frames at once, each frame's (V, L) state in its own block; only
-    the pred arrays and final metrics are kept.
+    The state is two arrays, each entry's subtrellis id and path dist; an
+    entry is live iff its dist is finite, so a participant whose phase-1
+    final cost is inf starts dead.  Each vertex weighs its W candidate slots
+    (``_list_slots``) at once, a slot being live if its source is and its
+    edge is a member of the source's subtrellis.  Its L entries follow
+    (stage, metric, slot) order, stage 0 being the cheapest slot of each
+    subtrellis and stage 1 the rest: for L <= ``LIST_ROUNDS_MAX`` by L
+    rounds of first minima along the slot axis (``_first_min_rounds``),
+    O(L * W) work per vertex in O(L) numpy calls per section, and for longer
+    lists by three sorts of each vertex's slots (``_sorted_picks``), O(W log
+    W) work per vertex.  Empty entries have dist inf and metric inf.
+    Batched weights and phase-1 state sweep F frames at once, each frame's
+    (V, L) state in its own block, and frame f's ids carry the offset t * f,
+    so they index the frames' phase-1 final costs as they are; only each
+    entry's chosen slot and the final metrics and dists are kept, and the
+    pred arrays are decoded from the slots when first read.
     """
     trellis = ridx.trellis
     t = ridx.t
     batch = weights.sections[0].shape[:-1]
     n_frames = prod(batch)
-    shift = np.arange(n_frames)[:, None, None]
+    if n_frames == 1:
+        def take(a, index):  # slots of one frame's flat array
+            return a.reshape(-1)[index]
+    else:
+        def take(a, index):  # slots of each frame's flat array
+            return np.take(a.reshape(n_frames, -1), index, axis=1)
     d_final = p1.delta_finals.reshape(-1)
-    v0 = trellis.v_counts[0]
-    metric = np.full((n_frames, v0, list_size), np.inf)
-    tr = np.zeros((n_frames, v0, list_size), dtype=np.int32)
-    dist = np.full((n_frames, v0, list_size), np.inf)
-    tr[:, trellis.starts, 0] = np.arange(t, dtype=np.int32)
-    frames, i = np.nonzero(participants.reshape(n_frames, t))
-    metric[frames, trellis.starts[i], 0] = d_final[frames * t + i]
-    dist[frames, trellis.starts[i], 0] = 0.0
+    starts = trellis.starts * list_size  # rank 0 of each start
+    ids = np.zeros((n_frames, trellis.v_counts[0] * list_size), dtype=np.intp)
+    ids[:, starts] = np.arange(t)
+    dist = np.full(ids.shape, np.inf)
+    alive = participants.reshape(n_frames, t) & np.isfinite(d_final.reshape(n_frames, t))
+    dist[:, starts] = np.where(alive, 0.0, np.inf)
+    offset = t * np.arange(n_frames)[:, None, None]  # frame f's ids start at t * f, so they index d_final
+    if n_frames > 1:
+        ids += offset[:, 0]
     comparisons = 0
-    pred_edge: list[np.ndarray] = []
-    pred_rank: list[np.ndarray] = []
-    for p, (src, edges, pred, real) in enumerate(_list_slots(ridx, list_size)):
-        v, width = edges.shape
-        if n_frames > 1:
-            src = src + trellis.v_counts[p] * list_size * shift
-        tr_u = tr.reshape(-1)[src]
-        ok = np.isfinite(metric.reshape(-1)[src]) & ridx.member_bit(p, tr_u, edges)
-        if real is not None:
-            ok &= real
-        step = dist.reshape(-1)[src] + weights.sections[p][..., edges]
-        d_tr = d_final[tr_u + t * shift]
-        cand = np.where(ok, (step + d_tr) - p1.cost[p + 1][..., None], np.inf)
-        comparisons = comparisons + ok.reshape(*batch, -1).sum(axis=-1)
+    picks: list[np.ndarray] = []
+    for p, (src, edges, vert, rows, members, pred) in enumerate(_list_slots(ridx, list_size)):
+        width = edges.shape[1]
+        ids_u, dist_u = take(ids, src), take(dist, src)
+        local = ids_u if n_frames == 1 else ids_u - offset  # each frame's own subtrellis numbers
+        ok = np.isfinite(dist_u) & members[rows + local]
+        step = dist_u + take(weights.sections[p], edges)
+        cand = np.where(ok, (step + d_final[ids_u]) - take(p1.cost[p + 1], vert), np.inf)
+        comparisons = comparisons + (ok.reshape(*batch, -1).sum(axis=-1) if batch else np.count_nonzero(ok))
         cand = cand.reshape(-1, width)  # one row of slots per (frame, vertex)
-        base = np.arange(0, cand.size, width)[:, None]
-        by_metric = cand.argsort(axis=1, kind="stable") + base
-        # each row's metric positions in (subtrellis, metric) order: the first
-        # of each run of equal subtrellises is stage 0 unless dead, the rest stage 1
-        tr_sorted = tr_u.reshape(-1)[by_metric]
-        by_tr = tr_sorted.argsort(axis=1, kind="stable") + base
-        runs = tr_sorted.reshape(-1)[by_tr]
-        late = ~np.isfinite(cand.reshape(-1)[by_metric.reshape(-1)[by_tr]])
-        late[:, 1:] |= runs[:, 1:] == runs[:, :-1]
-        # (stage, metric position) keys are distinct, so any sort gives one order;
-        # the stable sort is the fastest on these short rows
-        first = np.where(late, by_tr + width, by_tr).argsort(axis=1, kind="stable")[:, :list_size]
-        keep = by_metric.reshape(-1)[by_tr.reshape(-1)[first + base]]
-        kept = np.isfinite(cand.reshape(-1)[keep])
-        metric = cand.reshape(-1)[keep]
-        tr = np.where(kept, tr_u.reshape(-1)[keep], 0)
-        dist = np.where(kept, step.reshape(-1)[keep], np.inf)
-        at = keep % (v * width)  # slot within its frame's section
-        for out, values in ((pred_edge, pred[0]), (pred_rank, pred[1])):
-            out.append(np.where(kept, values[at], 0).reshape(*batch, v, list_size).swapaxes(-1, -2))
-    finals = [a.reshape(*batch, -1, list_size)[..., trellis.finals, :].swapaxes(-1, -2) for a in (metric, dist)]
+        base = np.arange(0, cand.size, width)
+        local = local.reshape(-1, width)
+        if list_size <= LIST_ROUNDS_MAX:
+            at, live = _first_min_rounds(cand, local, list_size, base)
+        else:
+            at, live = _sorted_picks(cand, local, list_size, base[:, None], t)
+        ids = ids_u.reshape(-1)[at]
+        dist = np.where(live, step.reshape(-1)[at], np.inf)
+        picks.append(np.where(live, at, -1))
+    finals = [
+        a.reshape(*batch, -1, list_size)[..., trellis.finals, :].swapaxes(-1, -2)
+        for a in (np.where(live, cand.reshape(-1)[at], np.inf), dist)
+    ]
     return ListState(
-        pred_edge=pred_edge,
-        pred_rank=pred_rank,
+        picks=picks,
+        pred_tables=[pred for *_, pred in _list_slots(ridx, list_size)],
         metric_finals=finals[0],
         dist_finals=finals[1],
         comparisons=comparisons if batch else int(comparisons),

@@ -1,5 +1,6 @@
 """Two-phase decoder tests: exactness, dominance, lists, fallback."""
 
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -1187,3 +1188,151 @@ def test_list_sweep_matches_reference_beyond_the_subtrellis_count(ridx_block6, r
                 _same_arrays(ls.pred_edge, ref.pred_edge)
                 _same_arrays(ls.pred_rank, ref.pred_rank)
                 assert ls.comparisons == ref.comparisons
+
+
+def _padded_ridx():
+    """Three starts and finals with 1-3 in-edges per vertex, so both sections pad their in-edge rows."""
+    edge_lists = [  # (from, to, label); i -> i at each index keeps a codeword in every subtrellis
+        [(0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1), (0, 1, 1), (2, 2, 0)],
+        [(0, 0, 1), (2, 0, 0), (1, 1, 1), (0, 1, 0), (2, 2, 1)],
+    ]
+    return tb.build_reach_index(tb.Trellis.from_edge_lists(1, [3, 3, 3], edge_lists, [0, 1, 2], [0, 1, 2]))
+
+
+def _selection_cases(rows, list_size):
+    """Which edge cases the recorded (metrics, subtrellises) slot rows of a list sweep reached."""
+    seen = set()
+    for cand, ids in rows:
+        live = np.isfinite(cand)
+        n = live.sum(axis=1)
+        seen |= {name for name, hit in (("all dead", n == 0), ("one live", n == 1),
+                                          ("fewer live than L", (0 < n) & (n < list_size))) if hit.any()}
+        for c, i, m in zip(cand, ids, live):
+            if m.sum() < 2:
+                continue
+            c, i = c[m], i[m]
+            same, equal = i[:, None] == i, c[:, None] == c
+            if (i == i[0]).all():
+                seen.add("one subtrellis")
+            if (same & equal & ~np.eye(len(i), dtype=bool)).any():
+                seen.add("tie within")
+            if (~same & equal).any():
+                seen.add("tie across")
+    return seen
+
+
+@pytest.mark.parametrize("list_size", sorted({2, 3, decoder.LIST_ROUNDS_MAX - 1, decoder.LIST_ROUNDS_MAX + 1}))
+def test_list_selection_edge_cases(monkeypatch, ridx_block6, ridx_conv_m2, list_size):
+    # rows forced into every selection case, on block6 (in-degree 2 and 1), conv-m2 and a
+    # trellis with padded in-edge rows, in batches of 1 and 7, at both sides of the
+    # rounds/sorts crossover: every ListState field and the list decision equal the
+    # lexsort reference, empty entries (pred 0, finals inf) included
+    rows = []
+    for name in ("_first_min_rounds", "_sorted_picks"):
+        monkeypatch.setattr(decoder, name, lambda cand, ids, *args, _f=getattr(decoder, name): (
+            rows.append((cand.copy(), ids.copy())) or _f(cand, ids, *args)))
+    for ridx in (ridx_block6, ridx_conv_m2, _padded_ridx()):
+        t, sections = ridx.t, len(ridx.trellis.sections)
+        received = [random_received(ridx, seed=97, frame=f).r for f in range(7)]
+        raw = [tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=r)).sections for r in received]
+        rounded = [tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=np.round(r))).sections for r in received]
+        zero = [np.zeros(n) for n in ridx.trellis.edge_counts]
+        everyone, nobody, one = np.ones(t, bool), np.zeros(t, bool), np.arange(t) == 0
+        frames = [  # (weights, participants)
+            (zero, nobody),  # every slot dead
+            (zero, everyone),  # all metrics equal, within and across subtrellises
+            (zero, one),  # one live slot, all live slots in one subtrellis, fewer live slots than L
+            (rounded[3], everyone),  # ties
+            (raw[4], np.arange(t) == t - 1),
+            (rounded[5], np.arange(t) < 2),
+            (raw[6], everyone),
+        ]
+        weights = tb.WeightAssignment(sections=[np.stack([w[p] for w, _ in frames]) for p in range(sections)])
+        participants = np.stack([part for _, part in frames])
+        p1 = tb.phase1(ridx, weights)
+        rows.clear()
+        batched = decoder._phase2_list(ridx, weights, p1, list_size, participants)
+        walks = decoder._Walks()
+        p2 = replace(tb.phase2(ridx, weights, p1), participants=participants)
+        scalar = decoder._final_decisions(ridx, weights, p1, p2, walks)
+        decided = decoder._list_decisions(ridx, weights, p1, p2, scalar, list_size, walks)
+        walks.run(ridx)
+        empty = 0
+        for f, part in enumerate(participants):
+            alone = weights.frame(f)
+            ref = _lexsort_list_sweep(ridx, alone, p1.frame(f), list_size, part)
+            for ls in (_list_row(batched, f), decoder._phase2_list(ridx, alone, p1.frame(f), list_size, part)):
+                _same_arrays([ls.metric_finals, ls.dist_finals],
+                             [ref.metric[-1][:, ridx.trellis.finals], ref.dist[-1][:, ridx.trellis.finals]])
+                _same_arrays(ls.pred_edge, ref.pred_edge)
+                _same_arrays(ls.pred_rank, ref.pred_rank)
+                assert type(ls.comparisons) is int and ls.comparisons == ref.comparisons
+            dead = ~np.isfinite(ref.metric[-1][:, ridx.trellis.finals])
+            assert np.isinf(_list_row(batched, f).dist_finals[dead]).all()
+            empty += dead.sum()
+            _same_outcome(decided[f], _reference_list_outcome(ridx, alone, scalar[f], ref))
+        assert empty > 0
+        assert _selection_cases(rows, list_size) == {
+            "all dead", "one live", "fewer live than L", "one subtrellis", "tie within", "tie across"}
+
+
+@pytest.mark.parametrize("list_size", [2, 3])
+def test_list_liveness_follows_the_path_dist(list_size):
+    # inf edge weights without pruning: a participant whose phase-1 final cost is inf
+    # starts dead, and a vertex no finite path reaches computes inf - inf on every
+    # slot; liveness by path dist keeps the entries the old metric test kept, so the
+    # sweep equals the lexsort reference, and no RuntimeWarning is raised
+    ridx = tb.build_reach_index(_square_trellis())
+    inf = np.inf
+    # edge order: s0->a, s1->a, s0->b, s1->b, then a->f0, b->f0, a->f1, b->f1
+    cases = [
+        ([inf, 0.0, inf, inf], [inf] * 4),  # both finals cost inf; final 0 crossed, so it starts dead
+        ([0.0, 0.0, 1.0, 2.0], [inf, inf, 0.0, 3.0]),  # f0 is reached at inf only
+        ([1.0, inf, 0.0, 2.0], [0.0, inf, 1.0, 0.0]),
+    ]
+    started_dead = 0
+    for first, second in cases:
+        weights = tb.WeightAssignment(sections=[np.array(first), np.array(second)])
+        names = ("two-phase-L1", f"two-phase-L{list_size}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p1 = tb.phase1(ridx, weights)
+            participants = tb.phase2(ridx, weights, p1, participation_prune=False).participants
+            ls = decoder._phase2_list(ridx, weights, p1, list_size, participants)
+            one = tb.decode_frame(ridx, weights, names, participation_prune=False)
+        started_dead += (participants & ~np.isfinite(p1.delta_finals)).sum()
+        with np.errstate(invalid="ignore"):  # the reference computes the masked inf - inf lanes
+            ref = _lexsort_list_sweep(ridx, weights, p1, list_size, participants)
+        _same_arrays([ls.metric_finals, ls.dist_finals],
+                     [ref.metric[-1][:, ridx.trellis.finals], ref.dist[-1][:, ridx.trellis.finals]])
+        _same_arrays(ls.pred_edge, ref.pred_edge)
+        _same_arrays(ls.pred_rank, ref.pred_rank)
+        assert ls.comparisons == ref.comparisons
+        if one.p2 is not None:  # phase 1 left the frame open
+            _same_outcome(one.outcomes[names[1]], _reference_list_outcome(ridx, weights, one.outcomes[names[0]], ref))
+    assert started_dead > 0
+
+
+def test_list_pred_arrays_are_decoded_only_for_a_returned_candidate(monkeypatch, ridx_conv_m2):
+    # the list sweep keeps each entry's slot; a pass decodes its pred arrays once
+    # if it returns a list candidate, and never if every list candidate loses
+    ridx = ridx_conv_m2
+    names = ("two-phase-L1", "two-phase-L2")
+    returned, lost = [], []
+    for frame in range(100):
+        rec = random_received(ridx, seed=89, frame=frame)
+        d = tb.decode_frame(ridx, tb.edge_weights(ridx.trellis, rec), names)
+        if d.p2 is not None:
+            single, listed = (d.outcomes[name] for name in names)
+            (returned if listed.weight < single.weight or single.stage == "fallback" else lost).append(rec.r)
+    assert len(returned) >= 2 and len(lost) >= 2
+    decodes = []
+    list_preds = decoder._list_preds
+    monkeypatch.setattr(decoder, "_list_preds", lambda ls: decodes.append(ls) or list_preds(ls))
+    for samples, expected in ((lost[:1], 0), (lost, 0), (returned[:1], 1), (returned[:2] + lost, 1)):
+        weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=np.stack(samples)))
+        decodes.clear()
+        decoded = list(tb.decode_frames(ridx, weights, names))
+        assert len(decodes) == expected
+        assert sum(d.outcomes[names[1]].stage == "phase2" and d.outcomes[names[1]].weight < d.outcomes[names[0]].weight
+                   for d in decoded) == min(len(samples), 2) * expected
