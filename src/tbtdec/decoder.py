@@ -696,10 +696,10 @@ def _list_slots(ridx: ReachIndex, list_size: int) -> list[tuple[np.ndarray, ...]
     the slot's source in one frame's flat (V_prev, L) state, its edge, its
     vertex, and its row ``edge * t`` in the flat membership table
     ``members``; then the int32 (edge, rank) of every slot flattened,
-    (2, V * W + 1), with a last column of zeros for empty entries.  A padding slot's row is an
-    appended row of False, so membership alone keeps it dead.  They depend
-    only on the trellis, so each list size's are built once and kept in
-    ``ridx``.
+    (2, V * W + 1), with a last column of zeros for empty entries.  A
+    padding slot's row is an appended row of False, so membership alone
+    keeps it dead.  They depend only on the trellis, so each list size's are
+    built once and kept in ``ridx``.
     """
     if list_size in ridx.list_slots:
         return ridx.list_slots[list_size]
