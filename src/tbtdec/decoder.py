@@ -14,7 +14,9 @@ The decoder makes two Viterbi-like passes over the trellis:
   test.  Each surviving candidate carries the identity of its subtrellis and
   a corrected metric ``dist[u] + cost_to_come_lower_bound`` so that at a
   final state the metric equals the true path weight.  The final decision
-  picks the best codeword seen by either phase.
+  picks the best codeword seen by either phase.  The list variant is the
+  same sweep keeping L candidates per vertex, and one kernel
+  (``_phase2_list``) runs it for every L, phase 2 itself being L = 1.
 
 Both passes do one cost comparison per scanned edge (phase 2 only for edges
 that pass membership), so the comparison count is at most twice that of a
@@ -35,10 +37,10 @@ and the traceback of the frames it settles run over a whole batch of frames
 at once.  Every decoder then decides the frames phase 1 left open in one
 batched pass over just those frames, pooled across successive batches by
 ``_decode_batches`` up to ``batch_frames`` frames a pass: phase 2, its final
-decision and the list sweep; exact ML, whose remaining (frame, subtrellis)
-rows of all open frames are swept jointly, each over its own frame's
-weights; and phase1-only.  Phase 1's closed decision, each frame's cheapest
-final that closed its own loop, is made in one place
+decision and one list sweep per larger list size; exact ML, whose remaining
+(frame, subtrellis) rows of all open frames are swept jointly, each over its
+own frame's weights; and phase1-only.  Phase 1's closed decision, each
+frame's cheapest final that closed its own loop, is made in one place
 (``Phase1State.closed_finals``) for the stop test, phase 2's participants
 and every decoder.  Every decoder decides by comparing weights its own
 sweep already holds: phase 1's final cost, phase 2's and the list's path
@@ -47,11 +49,14 @@ path's edge weights left to right, so it is the returned path's weight bit
 for bit.  Only then are the returned codewords walked, each once, all
 together in one pass over the sections (``_walk``).  The list sweep gives
 every vertex a fixed number of candidate slots, so one kernel along that
-axis serves every trellis: it keeps each entry's subtrellis and path dist,
-picks short lists by rounds of first minima and long ones by sorting each
-vertex's slots, and decodes the pred arrays of its entries only when a
-returned candidate is walked.  ``decode_frame`` is the batch of one, and
-the ``decode_*`` functions are single-decoder calls into it.
+axis serves every trellis and list size: it keeps each entry's subtrellis
+and path dist, picks short lists by rounds of first minima and long ones by
+sorting each vertex's slots, and decodes the pred arrays of its entries only
+when a returned candidate is walked.  ``phase2`` wraps its L = 1 sweep as a
+``Phase2State``, whose per-index arrays are decoded only when read: the pred
+edges when a phase-2 winner is walked, the rest by traces, audits and tests.
+``decode_frame`` is the batch of one, and the ``decode_*`` functions are
+single-decoder calls into it.
 """
 
 from __future__ import annotations
@@ -170,42 +175,6 @@ class Phase1State:
 
 
 @dataclass
-class Phase2State:
-    """Subtrellis-restricted sweep: metric / trellis id / path dist / pred arrays.
-
-    Shaped as ``Phase1State``: (V,) per index for one frame, (F, V) for a
-    batch.  ``comparisons`` counts one frame's work, so a batch holds one
-    count per frame, (F,); ``edge_visits`` is the same for every frame.
-    """
-
-    metric: list[np.ndarray]
-    trellis: list[np.ndarray]
-    dist: list[np.ndarray]
-    pred_edge: list[np.ndarray]
-    participants: np.ndarray  # bool (t,)
-    comparisons: int | np.ndarray
-    edge_visits: int
-    metric_finals: np.ndarray
-    trellis_finals: np.ndarray
-
-    def frame(self, f: int) -> "Phase2State":
-        """Frame f of a batched sweep as row views; one frame's state is itself."""
-        if self.metric_finals.ndim == 1:
-            return self
-        return Phase2State(
-            metric=[a[f] for a in self.metric],
-            trellis=[a[f] for a in self.trellis],
-            dist=[a[f] for a in self.dist],
-            pred_edge=[a[f] for a in self.pred_edge],
-            participants=self.participants[f],
-            comparisons=int(self.comparisons[f]),
-            edge_visits=self.edge_visits,
-            metric_finals=self.metric_finals[f],
-            trellis_finals=self.trellis_finals[f],
-        )
-
-
-@dataclass
 class ListState:
     """What the list variant's decision reads: final metrics and weights, and the pred arrays to walk.
 
@@ -213,14 +182,14 @@ class ListState:
     and ``dist_finals[r, i]`` the weight of that candidate's path, its edge
     weights added left to right as the sweep went.  The sweep keeps, per
     index past 0, only the slot each entry picked: ``picks[p]`` holds, per
-    (frame, vertex) row, each rank's flat index into that section's slots
-    (``_list_slots``), -1 if empty.  Entry [r, v] of ``pred_edge[p]`` and
-    ``pred_rank[p]`` names the in-edge and the source rank of vertex v's
-    rank-r candidate at index p+1, both 0 in an empty entry; they are
-    decoded from the picks the first time either is read, so a sweep whose
-    candidate nobody walks never decodes them.  A batch adds a leading
-    frame axis to every array, and ``comparisons`` then holds one count per
-    frame.
+    (frame, vertex) row, each rank's flat index into its frame's slots of
+    that section (``_list_slots``), -1 if empty.  Entry [r, v] of
+    ``pred_edge[p]`` and ``pred_rank[p]`` names the in-edge and the source
+    rank of vertex v's rank-r candidate at index p+1, both 0 in an empty
+    entry; they are decoded from the picks the first time either is read, so
+    a sweep whose candidate nobody walks never decodes them.  A batch adds a
+    leading frame axis to every array, and ``comparisons`` then holds one
+    count per frame.
     """
 
     picks: list[np.ndarray] = field(repr=False)  # (F * V, L) per index past 0
@@ -241,6 +210,58 @@ class ListState:
     @property
     def pred_rank(self) -> list[np.ndarray]:
         return self._preds[1]
+
+
+@dataclass
+class Phase2State:
+    """Subtrellis-restricted sweep: the list sweep at list size 1, over ``inputs``, and its participants.
+
+    ``inputs`` is the (ridx, weights, phase-1 state) swept, maybe a batch,
+    and a frame's state (``frame``) shares its batch's sweep and names its
+    ``row``.  Shaped as ``Phase1State``: (t,) finals and (V,) per index for
+    one frame, (F, t) and (F, V) for a batch.  ``comparisons`` counts one
+    frame's work, so a batch holds one count per frame, (F,).  The per-index
+    arrays are decoded from the sweep the first time one is read: the pred
+    edges, which walks read, alone, and the rest together, frame by frame
+    (``_phase2_arrays``).  An entry with no live candidate has metric inf,
+    dist inf, trellis -1 and pred edge 0.
+    """
+
+    sweep: ListState = field(repr=False)
+    inputs: tuple = field(repr=False)
+    participants: np.ndarray  # bool (t,)
+    comparisons: int | np.ndarray
+    edge_visits: int
+    metric_finals: np.ndarray
+    row: int | None = None
+
+    def frame(self, f: int) -> "Phase2State":
+        """Frame f of a batched sweep; one frame's state is itself."""
+        if self.metric_finals.ndim == 1:
+            return self
+        return Phase2State(
+            self.sweep, self.inputs, self.participants[f], int(self.comparisons[f]), self.edge_visits,
+            self.metric_finals[f], f,
+        )
+
+    @cached_property
+    def pred_edge(self) -> list[np.ndarray]:
+        """Entry p is for time index p+1."""
+        batch = self.sweep.metric_finals.shape[:-2]
+        edges = [pred[0][picks].reshape(*batch, -1) for pred, picks in zip(self.sweep.pred_tables, self.sweep.picks)]
+        return edges if self.row is None else [a[self.row] for a in edges]
+
+    @cached_property
+    def _arrays(self) -> list[list[np.ndarray]]:
+        if self.metric_finals.ndim == 1:
+            return _phase2_arrays(self)
+        frames = [self.frame(f)._arrays for f in range(len(self.metric_finals))]  # a batch's, frame by frame
+        return [[np.stack(a) for a in zip(*arrays)] for arrays in zip(*frames)]
+
+    metric = property(lambda self: self._arrays[0])
+    trellis = property(lambda self: self._arrays[1])
+    dist = property(lambda self: self._arrays[2])
+    trellis_finals = property(lambda self: self.trellis[-1][..., self.inputs[0].trellis.finals])
 
 
 @dataclass
@@ -532,22 +553,13 @@ def phase1_decision(
 # ---------------------------------------------------------------------------
 # Phase 2
 
-def _participants(p1: Phase1State, prune: bool) -> np.ndarray:
-    closed, _, weight = p1.closed_finals
-    crossed = ~closed
-    if prune:
-        crossed &= p1.delta_finals.reshape(closed.shape) <= weight[:, None]
-    return crossed.reshape(p1.surv_finals.shape)
-
-
-@np.errstate(invalid="ignore")  # a masked candidate lane may compute inf - inf
 def phase2(
     ridx: ReachIndex,
     weights: WeightAssignment,
     p1: Phase1State,
     participation_prune: bool = True,
 ) -> Phase2State:
-    """Second sweep restricted to membership-consistent paths.
+    """Second sweep restricted to membership-consistent paths: the list sweep at list size 1.
 
     A subtrellis participates when phase 1 crossed its final (and, under the
     default pruning rule, when its phase-1 final cost does not exceed the best
@@ -556,61 +568,26 @@ def phase2(
     an edge (u, v) inside subtrellis j adds the edge weight to the path dist
     and corrects the heuristic part: metric = dist + cost(final j) - cost(v).
     At final j the correction telescopes away and metric is the exact weight
-    of the traced path.
+    of the traced path.  Each vertex keeps its first least candidate in edge
+    order, so a later in-edge wins only when strictly cheaper.
 
     Batched weights and phase-1 state, as ``phase1`` takes and gives them,
-    sweep F frames at once on the same flat shifted-block arrays, with the
-    same tie rule; row f is bit for bit the sweep of frame f alone.
+    sweep F frames at once, with the same tie rule; row f is bit for bit the
+    sweep of frame f alone.
     """
-    trellis = ridx.trellis
-    t = ridx.t
-    batch = weights.sections[0].shape[:-1]
-    n_frames = prod(batch)
-    shift = np.arange(n_frames)[:, None]
-    participants = _participants(p1, participation_prune)
-    d_final = p1.delta_finals.reshape(-1)
-    v0 = trellis.v_counts[0]
-    metric = [np.full(n_frames * v0, np.inf)]
-    tr = [np.zeros(n_frames * v0, dtype=np.int32)]
-    dist = [np.full(n_frames * v0, np.inf)]
-    pred_edge: list[np.ndarray] = []
-    starts = (trellis.starts + v0 * shift).ravel()
-    tr[0][starts] = np.tile(np.arange(t, dtype=np.int32), n_frames)
-    active = participants.reshape(-1)
-    metric[0][starts[active]] = d_final[active]
-    dist[0][starts[active]] = 0.0
-    comparisons = 0
-    for p, sec in enumerate(trellis.sections):
-        frm, to = ridx.frm[p], sec.to
-        if n_frames > 1:
-            frm = (frm + trellis.v_counts[p] * shift).ravel()
-        tr_u = tr[p][frm]
-        ids = tr_u.reshape(n_frames, -1)  # each frame's subtrellises, for membership and final costs
-        ok = np.isfinite(metric[p][frm]) & ridx.member_bit(p, ids).ravel()
-        step = dist[p][frm] + weights.sections[p].reshape(-1)
-        d_tr = d_final[(ids + t * shift).ravel()]
-        cand = np.where(ok, (step + d_tr) - p1.cost[p + 1][..., to].ravel(), np.inf)
-        win = _grouped_first_min(cand if n_frames == 1 else cand.reshape(n_frames, -1), ridx, p)
-        at = win if n_frames == 1 else (win + len(to) * shift).ravel()  # into cand
-        metric.append(cand[at])
-        tr.append(tr_u[at])
-        dist.append(step[at])
-        pred_edge.append(win.astype(np.int32))
-        comparisons = comparisons + ok.reshape(*batch, -1).sum(axis=-1)
-    if batch:
-        metric, tr, dist, pred_edge = (
-            [a.reshape(*batch, -1) for a in arrays] for arrays in (metric, tr, dist, pred_edge)
-        )
+    closed, _, weight = p1.closed_finals
+    participants = ~closed
+    if participation_prune:
+        participants &= p1.delta_finals.reshape(closed.shape) <= weight[:, None]
+    participants = participants.reshape(p1.surv_finals.shape)
+    sweep = _phase2_list(ridx, weights, p1, 1, participants)
     return Phase2State(
-        metric=metric,
-        trellis=tr,
-        dist=dist,
-        pred_edge=pred_edge,
+        sweep=sweep,
+        inputs=(ridx, weights, p1),
         participants=participants,
-        comparisons=comparisons if batch else int(comparisons),
-        edge_visits=trellis.num_edges,
-        metric_finals=metric[-1][..., trellis.finals],
-        trellis_finals=tr[-1][..., trellis.finals],
+        comparisons=sweep.comparisons,
+        edge_visits=ridx.trellis.num_edges,
+        metric_finals=sweep.metric_finals[..., 0, :],
     )
 
 
@@ -646,22 +623,23 @@ def _final_decisions(
 
     A frame's phase-1 candidate is its cheapest closed final
     (``Phase1State.closed_finals``) at its phase-1 cost.  Its phase-2
-    candidate, the first least phase-2 final, wins only if strictly cheaper,
-    at the path dist phase 2 carried to that final.  Both wait in ``walks``
-    for their codewords.  A frame with neither falls back to one restricted
-    sweep of its cheapest final's subtrellis.
+    candidate, the first least phase-2 final (rank 0 of the list sweep at
+    L = 1), wins only if strictly cheaper, at the path dist the sweep carried
+    to that final.  Both wait in ``walks`` for their codewords.  A frame
+    with neither falls back to one restricted sweep of its cheapest final's
+    subtrellis.
     """
     closed, j, weight = p1.closed_finals
     batched = p1.delta_finals.ndim == 2
     decisions: list[DecodeOutcome | None] = [None] * len(j)
     comparisons, edge_visits = [p1.comparisons] * len(j), p1.edge_visits
     if p2 is not None:
-        metric = p2.metric_finals.reshape(-1, ridx.t)
+        metric = p2.metric_finals.reshape(len(j), -1)
         i = metric.argmin(axis=1)
         won = np.flatnonzero(metric[np.arange(len(i)), i] < weight)  # strictly cheaper, so finite
         comparisons = (p1.comparisons + np.array(p2.comparisons, ndmin=1)).tolist()
         edge_visits += p2.edge_visits
-        dist = p2.dist[-1].reshape(len(j), -1)[won, ridx.trellis.finals[i[won]]]
+        dist = p2.sweep.dist_finals.reshape(len(j), -1)[won, i[won]]
         for f, k, w in zip(won.tolist(), i[won].tolist(), dist.tolist()):
             outcome = DecodeOutcome(None, None, w, "phase2", k, comparisons[f], edge_visits)
             decisions[f] = walks.add(outcome, p2.pred_edge, f, k)
@@ -782,11 +760,45 @@ def _list_preds(ls: "ListState") -> tuple[list[np.ndarray], list[np.ndarray]]:
     list_size = ls.metric_finals.shape[-2]
     pred_edge, pred_rank = [], []
     for picks, pred in zip(ls.picks, ls.pred_tables):
-        width = pred.shape[1] - 1  # slots in one frame's section
-        at = np.where(picks < 0, width, picks % width)
-        for out, values in ((pred_edge, pred[0]), (pred_rank, pred[1])):
-            out.append(values[at].reshape(*batch, -1, list_size).swapaxes(-1, -2))
+        for out, values in ((pred_edge, pred[0]), (pred_rank, pred[1])):  # an empty entry's -1 reads the zeros
+            out.append(values[picks].reshape(*batch, -1, list_size).swapaxes(-1, -2))
     return pred_edge, pred_rank
+
+
+@np.errstate(invalid="ignore")  # a dead entry's stand-in slot may compute inf - inf; it is masked
+def _phase2_arrays(p2: Phase2State) -> list[list[np.ndarray]]:
+    """Metric, trellis id and path dist of every entry of one frame's phase-2 state, (V,) per index.
+
+    Past index 0, each live entry's values are worked out again from the slot
+    it picked by the list sweep's own float operations in the same order, so
+    they are the sweep's bit for bit.
+    """
+    ridx, weights, p1 = p2.inputs
+    trellis, t = ridx.trellis, ridx.t
+    n_frames, row = prod(p2.sweep.metric_finals.shape[:-2]), p2.row or 0
+
+    def frame(a):  # this frame's row of a per-frame array of the sweep
+        return a.reshape(n_frames, -1)[row]
+
+    d_final = frame(p1.delta_finals)
+    alive = p2.participants & np.isfinite(d_final)  # the seeded starts
+    ids = np.full(trellis.v_counts[0], -1, dtype=np.int32)
+    ids[trellis.starts] = np.where(alive, np.arange(t, dtype=np.int32), -1)
+    dist = np.full(ids.shape, np.inf)
+    dist[trellis.starts] = np.where(alive, 0.0, np.inf)
+    metric = np.full(ids.shape, np.inf)
+    metric[trellis.starts] = np.where(alive, d_final, np.inf)
+    arrays = [[metric], [ids], [dist]]
+    for frm, w, cost, edge, picks in zip(ridx.frm, weights.sections, p1.cost[1:], p2.pred_edge, p2.sweep.picks):
+        live = frame(picks) >= 0
+        u = frm[edge]
+        step = dist[u] + frame(w)[edge]
+        j = ids[u]
+        cand = (step + d_final[j]) - frame(cost)
+        metric, ids, dist = np.where(live, cand, np.inf), np.where(live, j, -1), np.where(live, step, np.inf)
+        for out, a in zip(arrays, (metric, ids, dist)):
+            out.append(a)
+    return arrays
 
 
 @np.errstate(invalid="ignore")  # a masked candidate lane may compute inf - inf
@@ -797,7 +809,7 @@ def _phase2_list(
     list_size: int,
     participants: np.ndarray,
 ) -> ListState:
-    """Keep the best `list_size` candidates per vertex instead of one.
+    """Phase 2 keeping the best `list_size` candidates per vertex; at L = 1 it is ``phase2``'s sweep.
 
     Candidate lists hold at most one entry per subtrellis first (each
     subtrellis's cheapest), then fill remaining slots with the next-best
@@ -860,7 +872,7 @@ def _phase2_list(
             at, live = _sorted_picks(cand, local, list_size, base[:, None], t)
         ids = ids_u.reshape(-1)[at]
         dist = np.where(live, step.reshape(-1)[at], np.inf)
-        picks.append(np.where(live, at, -1))
+        picks.append(np.where(live, at if n_frames == 1 else at % edges.size, -1))  # each frame's own slots
     finals = [
         a.reshape(*batch, -1, list_size)[..., trellis.finals, :].swapaxes(-1, -2)
         for a in (np.where(live, cand.reshape(-1)[at], np.inf), dist)
@@ -874,15 +886,7 @@ def _phase2_list(
     )
 
 
-def _list_decisions(
-    ridx: ReachIndex,
-    weights: WeightAssignment,
-    p1: Phase1State,
-    p2: Phase2State,
-    scalar: list[DecodeOutcome],
-    list_size: int,
-    walks: _Walks,
-) -> list[DecodeOutcome]:
+def _list_decisions(ls: ListState, scalar: list[DecodeOutcome], walks: _Walks) -> list[DecodeOutcome]:
     """Pool each frame's list-sweep finals with its single-candidate decision.
 
     Each frame's list candidate is its least (metric, final, rank) entry, at
@@ -890,7 +894,7 @@ def _list_decisions(
     single-candidate decision by weight before any walk, so only a returned
     candidate waits in ``walks`` for its codeword.
     """
-    ls = _phase2_list(ridx, weights, p1, list_size, p2.participants)
+    list_size = ls.metric_finals.shape[-2]
     pool = ls.metric_finals.swapaxes(-1, -2).reshape(len(scalar), -1)  # by (final, rank)
     best = pool.argmin(axis=1)
     frames = np.arange(len(scalar))
@@ -1047,9 +1051,10 @@ def _decode_open(
 
     ``weights`` and ``p1`` hold just the open frames, one frame or a batch.
     Returns their phase-2 state (None if no two-phase decoder was named) and,
-    per decoder name, the frames' outcomes in order.  Phase 2 and
-    ``_final_decisions`` run once, every list size above 1 adds one list
-    sweep over the same frames, and exact ML and phase1-only each decide all
+    per decoder name, the frames' outcomes in order.  The list sweep runs
+    once per list size over the same frames: at L = 1 it is phase 2, which
+    ``_final_decisions`` reads once, and every larger size adds one sweep
+    pooled with that decision.  Exact ML and phase1-only each decide all
     of them in one pass.  Exact ML goes last, whatever the order of the
     names: each frame's least weight among the other decoders' decisions is
     its ceiling, and a subtrellis whose phase-1 bound is above it is not
@@ -1069,7 +1074,8 @@ def _decode_open(
         elif sizes.get(name) == 1:
             decided[name] = scalar
         elif name in sizes:
-            decided[name] = _list_decisions(ridx, weights, p1, p2, scalar, sizes[name], walks)
+            ls = _phase2_list(ridx, weights, p1, sizes[name], p2.participants)
+            decided[name] = _list_decisions(ls, scalar, walks)
     if "exact-ml" in decoders:
         # every other decision is a codeword, so its weight bounds each frame's ML weight from above
         ceiling = np.array([[o.weight for o in d] for d in decided.values()]).min(axis=0) if decided else None

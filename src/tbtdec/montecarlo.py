@@ -487,7 +487,10 @@ def trace_frame(
 
     The frame is reconstructed from the same streams the Monte-Carlo loop
     uses, so the outcome here equals the outcome inside a full run.
+    ``point_idx`` indexes ``config.ebn0_db``.
     """
+    if not 0 <= point_idx < len(config.ebn0_db):
+        raise ToolkitError(f"Eb/N0 point index {point_idx} outside [0, {len(config.ebn0_db)})")
     ctx = build_context(config.code)
     ridx = ctx.ridx
     trellis = ridx.trellis

@@ -259,8 +259,7 @@ class ReachIndex:
     variable).  An edge (u, w) belongs to subtrellis i exactly when bit i
     survives in fwd[u] & bwd[w]; ``membership[p]`` holds that fact for section
     p as a bool (E_p, t) table, which is what makes the membership test O(1)
-    during decoding, and ``member_rows[p]`` is the flat start of each edge's
-    row in it.  ``label_bit_table`` unpacks every edge's label once, rows
+    during decoding.  ``label_bit_table`` unpacks every edge's label once, rows
     ordered as ``trellis.edge_offsets``, so tracebacks gather codeword bits
     instead of unpacking them per edge; ``frm`` holds each section's ``frm``
     as intp, which numpy gathers with several times faster than int32.
@@ -280,7 +279,6 @@ class ReachIndex:
         self.bwd = bwd
         self.v_offsets = np.concatenate([[0], np.cumsum(trellis.v_counts)]).astype(np.int64)
         self.membership = []
-        self.member_rows = []
         self.in_edges = []
         self.in_real = []
         self.list_slots = {}
@@ -288,7 +286,6 @@ class ReachIndex:
             words = (fwd[p][sec.frm] & bwd[p + 1][sec.to]).astype("<u8").view(np.uint8)
             bits = np.unpackbits(words, axis=1, bitorder="little")  # bit i of the mask in column i
             self.membership.append(bits[:, : self.t].astype(bool))
-            self.member_rows.append(np.arange(sec.num_edges) * self.t)
             v_next = trellis.v_counts[p + 1]
             if sec.num_edges == 0 or not np.array_equal(
                 np.unique(sec.to), np.arange(v_next)
@@ -309,15 +306,6 @@ class ReachIndex:
     def member(self, section: int, edge: int, i: int) -> bool:
         """Does edge `edge` of 0-based `section` lie on some start-i..final-i path?"""
         return bool(self.membership[section][edge, i])
-
-    def member_bit(self, section: int, trellis_ids: np.ndarray, edges=None) -> np.ndarray:
-        """Vectorized membership of edges in `section` w.r.t. per-edge ids.
-
-        Id k along the last axis is tested against edge k, or against edge
-        ``edges[..., k]`` when an edge array (broadcasting with the ids) is given.
-        """
-        rows = self.member_rows[section] if edges is None else edges * self.t
-        return self.membership[section].reshape(-1)[rows + trellis_ids]
 
     def global_vertex(self, index: int, local: int) -> int:
         return int(self.v_offsets[index]) + int(local)

@@ -489,6 +489,12 @@ def _scalar_phase2(ridx, weights, p1, participants):
         tr.append(np.array([state[v][0] for v in vs], dtype=np.int32))
         dist.append(np.array([state[v][1] for v in vs]))
         pred_edge.append(np.array([state[v][2] for v in vs], dtype=np.int32))
+    # a dead entry, one without a finite metric, reads metric inf, dist inf, trellis -1 and pred edge 0
+    for p, m in enumerate(metric):
+        dead = ~np.isfinite(m)
+        m[dead], dist[p][dead], tr[p][dead] = np.inf, np.inf, -1
+        if p:
+            pred_edge[p - 1][dead] = 0
     return metric, tr, dist, pred_edge, comparisons
 
 
@@ -1079,7 +1085,7 @@ def _lexsort_list_sweep(ridx, weights, p1, list_size, participants):
         E = sec.num_edges
         frm = ridx.frm[p]
         tr_u = tr[p][:, frm]  # (L, E)
-        ok = np.isfinite(metric[p][:, frm]) & ridx.member_bit(p, tr_u)
+        ok = np.isfinite(metric[p][:, frm]) & ridx.membership[p][np.arange(E), tr_u]
         step = dist[p][:, frm] + weights.sections[p][None, :]
         cand = np.where(ok, (step + d_final[tr_u]) - p1.cost[p + 1][sec.to][None, :], np.inf)
         comparisons += int(ok.sum())
@@ -1253,9 +1259,8 @@ def test_list_selection_edge_cases(monkeypatch, ridx_block6, ridx_conv_m2, list_
         rows.clear()
         batched = decoder._phase2_list(ridx, weights, p1, list_size, participants)
         walks = decoder._Walks()
-        p2 = replace(tb.phase2(ridx, weights, p1), participants=participants)
-        scalar = decoder._final_decisions(ridx, weights, p1, p2, walks)
-        decided = decoder._list_decisions(ridx, weights, p1, p2, scalar, list_size, walks)
+        scalar = decoder._final_decisions(ridx, weights, p1, tb.phase2(ridx, weights, p1), walks)
+        decided = decoder._list_decisions(batched, scalar, walks)
         walks.run(ridx)
         empty = 0
         for f, part in enumerate(participants):
@@ -1274,6 +1279,36 @@ def test_list_selection_edge_cases(monkeypatch, ridx_block6, ridx_conv_m2, list_
         assert empty > 0
         assert _selection_cases(rows, list_size) == {
             "all dead", "one live", "fewer live than L", "one subtrellis", "tie within", "tie across"}
+
+
+def test_phase2_dead_entries_have_no_path(ridx_block6):
+    # inf edge weights without pruning, on padded in-edge rows: some participants
+    # start at an inf final cost and some vertices no live candidate reaches;
+    # batched and alone, every entry with metric inf has dist inf, trellis -1 and
+    # pred edge 0, and every other entry is the one-frame sweep's
+    started_dead = dead = 0
+    for ridx in (_padded_ridx(), ridx_block6):
+        rng = np.random.default_rng(11)
+        sections = [rng.normal(size=(8, n)) for n in ridx.trellis.edge_counts]
+        for w in sections:
+            w[rng.random(w.shape) < 0.3] = np.inf
+        weights = tb.WeightAssignment(sections=sections)
+        p1 = tb.phase1(ridx, weights)
+        batched = tb.phase2(ridx, weights, p1, participation_prune=False)
+        for f in range(len(sections[0])):
+            alone = tb.phase2(ridx, weights.frame(f), p1.frame(f), participation_prune=False)
+            started_dead += (alone.participants & np.isinf(p1.frame(f).delta_finals)).sum()
+            for p2 in (alone, batched.frame(f)):
+                for p, metric in enumerate(p2.metric):
+                    gone = np.isinf(metric)
+                    assert np.isfinite(metric[~gone]).all() and np.isinf(p2.dist[p][gone]).all()
+                    assert (p2.trellis[p][gone] == -1).all() and (p2.trellis[p][~gone] >= 0).all()
+                    assert p == 0 or (p2.pred_edge[p - 1][gone] == 0).all()
+                    dead += gone.sum()
+            _same_phase2(batched.frame(f), alone)
+            for name in ("metric", "trellis", "dist", "pred_edge"):  # the whole batch's arrays, row f
+                _same_arrays([a[f] for a in getattr(batched, name)], getattr(alone, name))
+    assert started_dead > 0 and dead > 0
 
 
 @pytest.mark.parametrize("list_size", [2, 3])
@@ -1311,6 +1346,29 @@ def test_list_liveness_follows_the_path_dist(list_size):
         if one.p2 is not None:  # phase 1 left the frame open
             _same_outcome(one.outcomes[names[1]], _reference_list_outcome(ridx, weights, one.outcomes[names[0]], ref))
     assert started_dead > 0
+
+
+def test_phase2_arrays_are_decoded_only_when_read(monkeypatch, ridx_conv_m2):
+    # deciding reads phase 2's finals only: a batch and a simulate run decode none
+    # of its per-index arrays, and a trace, which prints and audits them, decodes
+    # them once if phase 1 left its frame open
+    decodes = []
+    arrays = decoder._phase2_arrays
+    monkeypatch.setattr(decoder, "_phase2_arrays", lambda p2: decodes.append(p2) or arrays(p2))
+    ridx = ridx_conv_m2
+    samples = np.stack([random_received(ridx, seed=89, frame=f).r for f in range(40)])
+    decoded = list(tb.decode_frames(ridx, tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=samples)),
+                                    tb.DECODER_NAMES + ("two-phase-L3",)))
+    assert sum(d.p2 is not None for d in decoded) > 1
+    config = tb.SimConfig(code="toy-conv-m2-l8", ebn0_db=(1.0,), frames=40, seed=5, decoders=tb.DECODER_NAMES)
+    tb.run_monte_carlo(config)
+    assert decodes == []
+    traced = 0
+    for frame in range(20):
+        _, text = tb.trace_frame(config, frame, list_size=2)
+        traced += "phase=2 " in text
+        assert len(decodes) == traced
+    assert traced > 0
 
 
 def test_list_pred_arrays_are_decoded_only_for_a_returned_candidate(monkeypatch, ridx_conv_m2):

@@ -514,6 +514,12 @@ def test_trace_matches_monte_carlo_outcome():
     assert np.array_equal(outcome.codeword, outcome2.codeword)
 
 
+def test_trace_rejects_a_point_index_outside_the_ebn0_list():
+    # two Eb/N0 points: index 2 is past the list
+    with pytest.raises(tb.ToolkitError, match="point index 2"):
+        tb.trace_frame(_config(ebn0_db=(1.0, 3.0)), 0, point_idx=2)
+
+
 def test_trace_golden_noiseless_toy_block():
     config = tb.SimConfig(
         code="toy-block-n4-k2-c1",

@@ -32,3 +32,48 @@ def test_bench_ab_summary_reports_each_sides_checks():
     assert bench_ab.flat({"metrics": {"frames_per_s": {"value": 1.0}}, "correct": False,
                           "failed": 2, "attempted": 9}) == {
         "frames_per_s": 1.0, "correct": False, "failed": 2, "attempted": 9}
+
+
+def _pairs(parent, change, name="frame_us_p99"):
+    """Bench rows of pairs on seeds 0, 1, ... with these metric values."""
+    rows = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        rows += [{"side": side, "seed": seed, name: value, "correct": True, "failed": 0, "attempted": 9}
+                 for side, value in (("parent", p), ("change", c))]
+    return rows
+
+
+def test_bench_ab_gain_holds_on_nine_tenths_of_pairs_beyond_the_parents_spread():
+    bench_ab = _load("bench_ab")
+    metric = {"name": "frame_us_p99", "better": "lower", "bound": 0.24}
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 102.0, 98.0, 100.0, 101.0]  # IQR 1.625
+    cases = {
+        "ten of ten, well apart": ([p - 5 for p in parent], True),
+        "nine of ten": ([p - 5 for p in parent[:9]] + [parent[9] + 1], True),
+        "eight of ten": ([p - 5 for p in parent[:8]] + [p + 1 for p in parent[8:]], False),
+        "ten of ten, within the spread": ([p - 0.5 for p in parent], False),
+        "ten of ten the wrong way": ([p + 5 for p in parent], False),
+    }
+    for name, (change, holds) in cases.items():
+        entry = bench_ab.summarize(_pairs(parent, change), [metric])["frame_us_p99"]
+        assert entry["gain_holds"] is holds, name
+        assert entry["unresolved"] is False, name
+    higher = {"name": "frames_per_s", "better": "higher", "bound": 0.24}
+    entry = bench_ab.summarize(_pairs(parent, [p + 5 for p in parent], "frames_per_s"), [higher])["frames_per_s"]
+    assert entry["gain_holds"] is True
+
+
+def test_bench_ab_unresolved_when_the_parents_spread_exceeds_the_bound():
+    bench_ab = _load("bench_ab")
+    metric = {"name": "frame_us_p99", "better": "lower", "bound": 0.1}
+    parent = [80.0, 120.0, 90.0, 110.0, 100.0, 130.0, 70.0, 100.0]  # IQR 35, 35% of the median
+    cases = {
+        "overlapping runs": ([p + 1 for p in parent], True),
+        "every change run beats every parent run": ([60.0 - i for i in range(8)], False),
+        "every change run loses to every parent run": ([140.0 + i for i in range(8)], True),
+    }
+    for name, (change, unresolved) in cases.items():
+        entry = bench_ab.summarize(_pairs(parent, change), [metric])["frame_us_p99"]
+        assert entry["unresolved"] is unresolved, name
+    quiet = {"name": "frame_us_p99", "better": "lower", "bound": 0.5}
+    assert bench_ab.summarize(_pairs(parent, parent), [quiet])["frame_us_p99"]["unresolved"] is False

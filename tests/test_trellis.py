@@ -201,11 +201,11 @@ def test_member_agrees_with_path_enumeration(ridx_block6):
                 assert ridx.member(p, e, i) == ((p, e, i) in on_path)
 
 
-def test_member_bit_vector_matches_scalar(ridx_block6):
+def test_membership_table_gather_matches_scalar(ridx_block6):
     ridx = ridx_block6
     for p, sec in enumerate(ridx.trellis.sections):
         ids = np.arange(sec.num_edges) % ridx.t
-        vec = ridx.member_bit(p, ids)
+        vec = ridx.membership[p][np.arange(sec.num_edges), ids]
         scalar = [ridx.member(p, e, int(ids[e])) for e in range(sec.num_edges)]
         assert list(vec) == scalar
 
@@ -267,15 +267,8 @@ def test_membership_beyond_64_subtrellises():
             bwd[p][sec.frm[bwd[p + 1][sec.to]]] = True
         for p, sec in enumerate(trellis.sections):
             expected[p][:, i] = fwd[p][sec.frm] & bwd[p + 1][sec.to]
-    rng = np.random.default_rng(5)
-    for p, sec in enumerate(trellis.sections):
-        edges = np.arange(sec.num_edges)
-        for i in range(ridx.t):
-            assert np.array_equal(ridx.member_bit(p, np.full(sec.num_edges, i)), expected[p][:, i])
-        ids = rng.integers(0, ridx.t, (3, sec.num_edges))
-        assert np.array_equal(ridx.member_bit(p, ids), expected[p][edges, ids])
-        picked = rng.integers(0, sec.num_edges, (3, 5))
-        assert np.array_equal(ridx.member_bit(p, ids[:, :5], picked), expected[p][picked, ids[:, :5]])
+    for table, want in zip(ridx.membership, expected):
+        assert table.dtype == bool and np.array_equal(table, want)
     assert np.array_equal(ridx.member_counts, sum(table.sum(axis=0) for table in expected))
     # exact ML is the first argmin of the all-pairs diagonal
     for frame in range(4):

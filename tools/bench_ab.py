@@ -10,7 +10,11 @@ both sides of a pair on the same seed and the parent first in odd pairs, and
 then one ``--trace 1 --seed 7`` run per side for the exact counts and the
 per-layer times.  The summary gives, per workload and end-to-end metric, each
 side's median and quartiles, the pairs the change won, and whether the
-change's median is within the metric's bound of the parent's.  Per side it
+change's median is within the metric's bound of the parent's.  It also gives
+two verdicts: ``gain_holds`` when the change won at least nine tenths of the
+pairs and its median beats the parent's by more than the parent's
+interquartile range, and ``unresolved`` when that range is wider than the
+metric's bound, unless every change run beats every parent run.  Per side it
 also gives the frames that failed their checks, summed over the pairs, and
 whether every run reported itself correct, so a gain from runs that failed
 their checks shows.  If ``--out`` exists, a workload run again keeps its
@@ -54,17 +58,22 @@ def summarize(rows: list[dict], end_to_end: list[dict]) -> dict:
         sides = {side: [r[name] for r in rows if r["side"] == side] for side in ("parent", "change")}
         pairs = zip(*(sorted((r["seed"], r[name]) for r in rows if r["side"] == side) for side in sides))
         won = sum((c > p) if higher else (c < p) for (_, p), (_, c) in pairs)
+        parent, change = sorted(sides["parent"]), sorted(sides["change"])
+        separated = change[0] > parent[-1] if higher else change[-1] < parent[0]
         entry = {}
         for side, values in sides.items():
             q1, median, q3 = statistics.quantiles(values, n=4)
             entry.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
         p, c = entry["parent_median"], entry["change_median"]
+        iqr = entry["parent_q3"] - entry["parent_q1"]
         entry.update(
             change_better_pairs=won,
             median_change_frac=c / p - 1,
-            parent_iqr=entry["parent_q3"] - entry["parent_q1"],
-            parent_spread_frac=(entry["parent_q3"] - entry["parent_q1"]) / p,
+            parent_iqr=iqr,
+            parent_spread_frac=iqr / p,
             within_bound=c >= p * (1 - bound) if higher else c <= p * (1 + bound),
+            gain_holds=won >= 0.9 * len(parent) and ((c - p) if higher else (p - c)) > iqr,
+            unresolved=iqr / p > bound and not separated,
         )
         summary[name] = {k: round(v, 4) if isinstance(v, float) else v for k, v in entry.items()}
     return summary
