@@ -716,7 +716,7 @@ def _first_min_rounds(
     picks[:, 0] = last = cand.argmin(axis=1) + base
     live[:, 0] = np.isfinite(flat[last])
     fresh = cand
-    taken = cand.copy()
+    taken = cand.copy() if list_size > 1 else None  # only ranks past 0 read it
     for k in range(1, list_size):
         fresh = np.where(ids == ids.reshape(-1)[last][:, None], np.inf, fresh)
         taken.reshape(-1)[last] = np.inf
@@ -842,7 +842,7 @@ def _phase2_list(
             return a.reshape(-1)[index]
     else:
         def take(a, index):  # slots of each frame's flat array
-            return np.take(a.reshape(n_frames, -1), index, axis=1)
+            return a.reshape(n_frames, -1).take(index, axis=1)
     d_final = p1.delta_finals.reshape(-1)
     starts = trellis.starts * list_size  # rank 0 of each start
     ids = np.zeros((n_frames, trellis.v_counts[0] * list_size), dtype=np.intp)

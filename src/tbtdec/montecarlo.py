@@ -5,6 +5,11 @@ Every frame's randomness comes from counter-based streams keyed by
 number.  Results are therefore a pure function of the configuration: the same
 seed gives byte-identical CSV and trace output at any worker count, and every
 decoder sees exactly the same noisy frames.
+
+A run's frames are taken in (point, frame) order and split into one
+contiguous share per worker.  Each share is decoded as one stream, so its
+phase-1 batches and open-frame pools fill across Eb/N0 points; every frame
+is still tallied and reported under its own point.
 """
 
 from __future__ import annotations
@@ -225,36 +230,62 @@ class _Tally:
         self.comparisons += other.comparisons
 
 
-def _run_chunk(config: SimConfig, point_idx: int, lo: int, hi: int):
-    """Simulate frames [lo, hi) of one Eb/N0 point; returns tallies and reports.
+def _segments(first: int, last: int, frames: int):
+    """(point, frames range) of each Eb/N0 point that positions [first, last) of the (point, frame) order cover."""
+    while first < last:
+        point, frame = divmod(first, frames)
+        stop = min(last - point * frames, frames)
+        yield point, range(frame, stop)
+        first = point * frames + stop
 
-    Frames are generated and swept by phase 1 in batches of ``batch_frames``.
-    ``_decode_batches`` yields each batch's settled frames at once and pools
-    the open frames of successive batches, up to the same cap, for one pass
-    of every decoder; each group it yields is tallied as it comes
-    (``_tally``).  Every per-frame result is the same as decoding the frame
+
+def _run_chunk(config: SimConfig, lo: int, hi: int):
+    """Simulate positions [lo, hi) of the (point, frame) order; returns per-point tallies and (point, report) pairs.
+
+    Position ``i`` is frame ``i % config.frames`` of Eb/N0 point ``i //
+    config.frames``, so a chunk is one stream of consecutive frames that may
+    span several points.  Frames are generated and swept by phase 1 in
+    batches of ``batch_frames`` consecutive positions: a batch that straddles
+    a point boundary draws each point's frames with that point's channel
+    (``_make_frames`` once per point) and weighs all of them in one
+    ``edge_weights`` call.  ``_decode_batches`` yields each batch's settled
+    frames at once and pools the open frames of successive batches, up to
+    the same cap and across points, for one pass of every decoder; each
+    group it yields is tallied as it comes (``_tally``), every frame to its
+    own point.  Every per-frame result is the same as decoding the frame
     alone, and tallies are integer sums, so the grouping changes no output.
     A batch's messages, codewords and samples are kept until the last of its
     frames is tallied, for the comparisons and the reports.
     """
     ctx = build_context(config.code)
-    params = ChannelParams(ebn0_db=config.ebn0_db[point_idx], rate=ctx.rate, seed=config.seed)
-    tallies = {name: _Tally() for name in config.decoders}
-    reports: list[MismatchReport] = []
+    tallies = [{name: _Tally() for name in config.decoders} for _ in config.ebn0_db]
+    reports: list[tuple[int, MismatchReport]] = []
     size = batch_frames(ctx.ridx)
     made: dict[int, _Batch] = {}
 
     def batches():
         for b, first in enumerate(range(lo, hi, size)):
-            frames = range(first, min(first + size, hi))
-            msgs, codewords, received = _make_frames(ctx, params, point_idx, frames, config.genie_zero)
-            made[b] = _Batch(frames, msgs, codewords, received.r, len(frames))
-            yield edge_weights(ctx.ridx.trellis, received)
+            segments = list(_segments(first, min(first + size, hi), config.frames))
+            msgs, codewords, received = zip(*(
+                _make_frames(ctx, ChannelParams(ebn0_db=config.ebn0_db[point], rate=ctx.rate, seed=config.seed),
+                             point, span, config.genie_zero)
+                for point, span in segments
+            ))
+            samples = np.concatenate([r.r for r in received])
+            made[b] = _Batch(
+                points=np.concatenate([np.full(len(span), point) for point, span in segments]),
+                frames=np.concatenate([np.arange(span.start, span.stop) for _, span in segments]),
+                messages=np.concatenate(msgs),
+                codewords=np.concatenate(codewords),
+                samples=samples,
+                left=len(samples),
+            )
+            yield edge_weights(ctx.ridx.trellis, ReceivedVector(r=samples))
 
     for group in _decode_batches(ctx.ridx, batches(), config.decoders, config.participation_prune):
         rows = [(made[b], f) for b, f, _ in group]
         keys = [b for b, _, _ in group]
-        _tally(ctx, config, params, rows, group, tallies, reports)
+        _tally(ctx, config, rows, group, tallies, reports)
         for b in keys:
             made[b].left -= 1
             if not made[b].left:
@@ -266,7 +297,8 @@ def _run_chunk(config: SimConfig, point_idx: int, lo: int, hi: int):
 class _Batch:
     """One batch's generated frames, kept until the last of them is tallied."""
 
-    frames: range
+    points: np.ndarray  # (F,) each row's Eb/N0 point index
+    frames: np.ndarray  # (F,) each row's frame number within its point
     messages: np.ndarray  # (F, k)
     codewords: np.ndarray  # (F, n)
     samples: np.ndarray  # (F, n)
@@ -276,23 +308,26 @@ class _Batch:
 def _tally(
     ctx: SimContext,
     config: SimConfig,
-    params: ChannelParams,
     rows: list[tuple[_Batch, int]],
     group: list,
-    tallies: dict[str, _Tally],
-    reports: list[MismatchReport],
+    tallies: list[dict[str, _Tally]],
+    reports: list[tuple[int, MismatchReport]],
 ) -> None:
-    """Add one group of decoded frames to the tallies and reports.
+    """Add one group of decoded frames to their points' tallies and reports.
 
     ``group`` holds the (batch, row, FrameDecode) of each frame and ``rows``
-    its batch's generated arrays and its row in them.  Every decoder's
-    codewords (or, for message errors, paths) are stacked and compared with
-    the group's codeword (message) matrix at once, and so are its codewords
-    with exact ML's, which counts ``ml_mismatches``.  Reports are built only
-    for the mismatch rows, in group order, and each frame's ``FrameDecode`` is
-    dropped from ``group`` once its reports are written, so at most one
-    frame's all-pairs table is alive at a time.
+    its batch's generated arrays and its row in them; the frames may belong
+    to several Eb/N0 points.  Every decoder's codewords (or, for message
+    errors, paths) are stacked and compared with the group's codeword
+    (message) matrix at once, and so are its codewords with exact ML's,
+    which counts ``ml_mismatches``; the per-frame counts are then summed
+    into each point's tallies.  Reports are built only for the mismatch
+    rows, in group order, each with its own point's Eb/N0, and each frame's
+    ``FrameDecode`` is dropped from ``group`` once its reports are written,
+    so at most one frame's all-pairs table is alive at a time.
     """
+    points = np.array([batch.points[f] for batch, f in rows])
+    by_point = [(int(point), points == point) for point in np.unique(points)]
     messages = np.stack([batch.messages[f] for batch, f in rows])
     sent = np.stack([batch.codewords[f] for batch, f in rows])
     words = {name: np.stack([d.outcomes[name].codeword for _, _, d in group]) for name in config.decoders}
@@ -303,27 +338,35 @@ def _tally(
             wrong = _conv_message_from_path(np.stack([o.path for o in outcomes])) != messages
         else:
             wrong = words[name] != sent
-        tally = tallies[name]
-        tally.frames += len(outcomes)
-        tally.bit_errors += int(np.count_nonzero(wrong))
-        tally.frame_errors += int((words[name] != sent).any(axis=1).sum())
-        tally.phase1_stops += sum(o.stage == "phase1" for o in outcomes)
-        tally.fallbacks += sum(o.stage == "fallback" for o in outcomes)
-        tally.comparisons += sum(o.comparisons + o.fallback_comparisons for o in outcomes)
+        bit_errors = np.count_nonzero(wrong, axis=1)
+        frame_errors = (words[name] != sent).any(axis=1)
+        stops = np.array([o.stage == "phase1" for o in outcomes])
+        fallbacks = np.array([o.stage == "fallback" for o in outcomes])
+        comparisons = np.array([o.comparisons + o.fallback_comparisons for o in outcomes])
         if "exact-ml" in words and name != "exact-ml":
             mismatched[name] = (words[name] != words["exact-ml"]).any(axis=1)
-            tally.ml_mismatches += int(mismatched[name].sum())
+        for point, mine in by_point:
+            tallies[point][name].merge(_Tally(
+                frames=int(np.count_nonzero(mine)),
+                bit_errors=int(bit_errors[mine].sum()),
+                frame_errors=int(np.count_nonzero(frame_errors & mine)),
+                ml_mismatches=int(np.count_nonzero(mismatched[name] & mine)) if name in mismatched else 0,
+                phase1_stops=int(np.count_nonzero(stops & mine)),
+                fallbacks=int(np.count_nonzero(fallbacks & mine)),
+                comparisons=int(comparisons[mine].sum()),
+            ))
     for k, (batch, f) in enumerate(rows):
         decoded = group[k][2]
         exact = decoded.outcomes.get("exact-ml")
+        point = int(batch.points[f])
         for name, wrong_rows in mismatched.items():
             if not wrong_rows[k]:
                 continue
             outcome = decoded.outcomes[name]
             witness = crossing_pair_witness(decoded.table, exact.subtrellis)
             report = MismatchReport(
-                frame=batch.frames[f],
-                ebn0_db=params.ebn0_db,
+                frame=int(batch.frames[f]),
+                ebn0_db=config.ebn0_db[point],
                 decoder=name,
                 ml_subtrellis=exact.subtrellis,
                 ml_weight=exact.weight,
@@ -339,7 +382,7 @@ def _tally(
                     report.semi_witness = "".join(str(int(b)) for b in semi.witness)
                     report.semi_witness_start = semi.start
                     report.semi_witness_final = semi.final
-            reports.append(report)
+            reports.append((point, report))
         decoded = group[k] = None  # drop this frame's all-pairs table before the next frame builds one
 
 
@@ -358,11 +401,15 @@ def _chunk_bounds(frames: int, workers: int) -> list[tuple[int, int]]:
 def run_monte_carlo(config: SimConfig) -> list[SimResultRow]:
     """Simulate every (Eb/N0 point, decoder) pair in the configuration.
 
+    The run's frames, taken in (point, frame) order, are split into
+    ``workers`` contiguous shares, and each share is one decode stream whose
+    batches and open-frame pools span Eb/N0 points (``_run_chunk``).
     Tallies are integer sums, so how frames are split across workers cannot
-    change any output; mismatch reports are gathered and written in frame
-    order at the end, replacing any earlier log at that path.  The log is
-    opened for appending before any frame is decoded, so a path that cannot
-    be written fails at once; this creates an empty file if there was none.
+    change any output; mismatch reports are gathered and written in (point,
+    frame, decoder) order at the end, replacing any earlier log at that
+    path.  The log is opened for appending before any frame is decoded, so a
+    path that cannot be written fails at once; this creates an empty file if
+    there was none.
     """
     if not 1 <= config.frames <= _FRAME_LIMIT:
         raise LengthMismatchError("frames must be between 1 and 2**32")
@@ -377,20 +424,20 @@ def run_monte_carlo(config: SimConfig) -> list[SimResultRow]:
         open(config.mismatch_log, "a", encoding="utf-8").close()
     ctx = build_context(config.code)
 
-    bounds = _chunk_bounds(config.frames, config.workers)
-    jobs = [(point_idx, lo, hi) for point_idx in range(len(config.ebn0_db)) for lo, hi in bounds]
+    bounds = _chunk_bounds(len(config.ebn0_db) * config.frames, config.workers)
     if config.workers > 1 and len(bounds) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_chunk, config, *job) for job in jobs]
+            futures = [pool.submit(_run_chunk, config, lo, hi) for lo, hi in bounds]
             chunk_results = [f.result() for f in futures]
     else:
-        chunk_results = [_run_chunk(config, *job) for job in jobs]
+        chunk_results = [_run_chunk(config, lo, hi) for lo, hi in bounds]
     tallies = [{name: _Tally() for name in config.decoders} for _ in config.ebn0_db]
     all_reports: list[tuple[int, MismatchReport]] = []
-    for (point_idx, _, _), (chunk_tallies, chunk_reports) in zip(jobs, chunk_results):
-        for name in config.decoders:
-            tallies[point_idx][name].merge(chunk_tallies[name])
-        all_reports.extend((point_idx, r) for r in chunk_reports)
+    for chunk_tallies, chunk_reports in chunk_results:
+        for point_tallies, chunk_point in zip(tallies, chunk_tallies):
+            for name in config.decoders:
+                point_tallies[name].merge(chunk_point[name])
+        all_reports.extend(chunk_reports)
 
     rows: list[SimResultRow] = []
     for point_idx, ebn0 in enumerate(config.ebn0_db):

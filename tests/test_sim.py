@@ -278,8 +278,51 @@ def test_no_batch_sweep_outlives_its_tally(monkeypatch):
     monkeypatch.setattr(montecarlo, "batch_frames", lambda ridx: 3)
     monkeypatch.setattr(decoder, "batch_frames", lambda ridx: 3)
     rows = tb.run_monte_carlo(_config(ebn0_db=(1.0, 3.0), frames=40))
-    assert len(alive) == 2 * 14
+    assert len(alive) == 27  # one stream of 80 frames in batches of 3
     assert 0 < rows[0].phase1_stops < rows[0].frames  # both settled and open frames
+
+
+def test_multi_point_run_equals_its_one_point_runs(monkeypatch, tmp_path):
+    # a worker's share of a run is one stream across Eb/N0 points, so batches
+    # and pools mix points; at caps 3 and 7 batches straddle point boundaries,
+    # and at 2 workers a share ends inside a point.  Each point's CSV rows and
+    # log lines still equal a one-point run that draws that point's streams.
+    config = _config(ebn0_db=(0.5, 1.5, 3.0), frames=25, seed=5)
+    make_frames = montecarlo._make_frames
+    single_csv, single_logs = [], []
+    for k, ebn0 in enumerate(config.ebn0_db):
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_make_frames", lambda ctx, params, point, frames, genie_zero, k=k:
+                          make_frames(ctx, params, point + k, frames, genie_zero))
+            log = tmp_path / f"point-{k}.jsonl"
+            single_csv += tb.run_monte_carlo(replace(config, ebn0_db=(ebn0,), mismatch_log=str(log)))
+            single_logs += [(k, line) for line in log.read_text().splitlines()]
+    assert len({k for k, _ in single_logs}) > 1  # the merge interleaves several points' reports
+    single_logs.sort(key=lambda item: (item[0], json.loads(item[1])["frame"], json.loads(item[1])["decoder"]))
+    expected = (tb.emit_results(single_csv), "".join(line + "\n" for _, line in single_logs))
+    for cap in (None, 3, 7):
+        if cap is not None:
+            monkeypatch.setattr(montecarlo, "batch_frames", lambda ridx: cap)
+            monkeypatch.setattr(decoder, "batch_frames", lambda ridx: cap)
+        for workers in (1, 2, 3):
+            log = tmp_path / f"mismatch-{cap}-{workers}.jsonl"
+            rows = tb.run_monte_carlo(replace(config, workers=workers, mismatch_log=str(log)))
+            assert (tb.emit_results(rows), log.read_text()) == expected, (cap, workers)
+
+
+def test_simulate_batches_span_eb_n0_points(monkeypatch):
+    # 2 points x 10 frames in batches of 4: the third batch holds frames 8
+    # and 9 of the first point and frames 0 and 1 of the second
+    sizes = []
+
+    def counting(ridx, weights):
+        sizes.append(len(weights.sections[0]))
+        return phase1(ridx, weights)
+
+    monkeypatch.setattr(decoder, "phase1", counting)
+    monkeypatch.setattr(montecarlo, "batch_frames", lambda ridx: 4)
+    tb.run_monte_carlo(_config(ebn0_db=(1.0, 3.0), frames=10))
+    assert sizes == [4, 4, 4, 4, 4]
 
 
 @pytest.mark.parametrize("genie_zero", [False, True])
