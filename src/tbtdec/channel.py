@@ -17,6 +17,7 @@ bit for bit the call on stream s alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,42 +65,51 @@ class ReceivedVector:
 
 
 class WeightAssignment:
-    """Squared-Euclidean edge weights for one received frame or a batch of frames.
+    """Squared-Euclidean edge weights for one received frame or a batch of frames, as a gather.
 
-    One float64 array per section, aligned with that section's edge order:
-    (E_p,) for one frame, (F, E_p) for a batch of F frames.  ``table``, when
-    given, holds every section's weights side by side, (E,) or (F, E), with
-    ``sections`` as its views; tracebacks gather path weights from it.
+    ``values`` holds float64 weights along its last axis, (K,) for one frame
+    and (F, K) for a batch of F frames, and ``index`` holds one int array per
+    section: section p's weights, aligned with its edge order, are
+    ``values[..., index[p]]``.  ``edge_weights`` keeps the per-label table,
+    K = n_sections * 2**label_width, with ``trellis.label_index`` as the
+    index, so no (F, E) per-edge array is built; every sweep gathers a
+    section's weights when it reaches that section.  ``sections``, given
+    instead of ``values`` and ``index``, are one array per section,
+    concatenated into ``values`` under an identity index.  ``sections`` as an
+    attribute builds the per-edge arrays on first read, for oracles, audits
+    and tests; the decode path never reads it.
     """
 
-    def __init__(self, sections: list[np.ndarray], table: np.ndarray | None = None):
-        self.sections = sections
-        self.table = table
+    def __init__(self, sections: list[np.ndarray] | None = None, *, values=None, index=None):
+        if sections is not None:
+            values = np.concatenate(sections, axis=-1)
+            bounds = np.cumsum([0] + [np.shape(w)[-1] for w in sections])
+            index = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.values = values
+        self.index = index
+
+    @cached_property
+    def sections(self) -> list[np.ndarray]:
+        """Each section's weights in its edge order: (E_p,), or (F, E_p) for a batch."""
+        return [self.values[..., index] for index in self.index]
 
     @property
     def total_edges(self) -> int:
-        return sum(w.shape[-1] for w in self.sections)
+        return sum(len(index) for index in self.index)
 
     def frame(self, f: int) -> "WeightAssignment":
-        """Frame f of a batch as a single-frame assignment (views, no copies)."""
-        table = None if self.table is None else self.table[f]
-        return WeightAssignment([w[f] for w in self.sections], table)
+        """Frame f of a batch as a single-frame assignment (a view of its values)."""
+        return WeightAssignment(values=self.values[f], index=self.index)
 
     def take(self, rows) -> "WeightAssignment":
         """Frames ``rows`` of a batch as a batch of their own (copies)."""
-        if self.table is None:
-            return WeightAssignment([w[rows] for w in self.sections])
-        return self._with_table(self.table[rows])
+        return WeightAssignment(values=self.values[rows], index=self.index)
 
     @staticmethod
     def concat(parts: list["WeightAssignment"]) -> "WeightAssignment":
-        """Assignments with tables, of one frame or a batch each, one after another as one batch (copies)."""
-        return parts[0]._with_table(np.concatenate([part.table.reshape(-1, part.table.shape[-1]) for part in parts]))
-
-    def _with_table(self, table: np.ndarray) -> "WeightAssignment":
-        """An assignment over ``table``, cut into sections as wide as this one's."""
-        bounds = np.cumsum([0] + [w.shape[-1] for w in self.sections])
-        return WeightAssignment([table[..., a:b] for a, b in zip(bounds[:-1], bounds[1:])], table)
+        """Assignments over one index, of one frame or a batch each, one after another as one batch (copies)."""
+        values = np.concatenate([part.values.reshape(-1, part.values.shape[-1]) for part in parts])
+        return WeightAssignment(values=values, index=parts[0].index)
 
 
 def bpsk_modulate(bits) -> np.ndarray:
@@ -191,12 +201,12 @@ def awgn_transmit(signal: np.ndarray, params: ChannelParams, stream) -> Received
 
 
 def edge_weights(trellis, received: ReceivedVector) -> WeightAssignment:
-    """Per-edge weights: sum over the edge's bits of (r_l - s(bit))^2.
+    """Edge weights as a per-label table: sum over the label's bits of (r_l - s(bit))^2.
 
-    ``received.r`` is one frame, (n,), or a batch of F frames, (F, n), which
-    gives (F, E_p) weights per section.  A per-section lookup table over the
-    2^width possible labels is built once per frame, and one gather over
-    ``trellis.label_index`` reads every edge's weight from it.
+    ``received.r`` is one frame, (n,), or a batch of F frames, (F, n).  The
+    table holds every section's weight of each of the 2^width possible
+    labels, (n_sections * 2^width,) per frame, and ``trellis.label_index``
+    names each edge's entry in it.
     """
     width = trellis.label_width
     n_bits = trellis.n_sections * width
@@ -213,8 +223,4 @@ def edge_weights(trellis, received: ReceivedVector) -> WeightAssignment:
         (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)[None, :]) & 1
     )
     table = ((r[..., None, :] - signs) ** 2).sum(axis=-1)
-    flat = table.reshape(*table.shape[:-2], -1)[..., trellis.label_index]
-    bounds = trellis.edge_offsets
-    return WeightAssignment(
-        [flat[..., a:b] for a, b in zip(bounds[:-1], bounds[1:])], table=flat
-    )
+    return WeightAssignment(values=table.reshape(*table.shape[:-2], -1), index=trellis.label_index)

@@ -62,7 +62,7 @@ single-decoder calls into it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 from typing import Iterable, Iterator
@@ -105,20 +105,23 @@ __all__ = [
 
 @dataclass
 class Phase1State:
-    """Multi-source sweep results: per-index cost / survivor-start / pred arrays.
+    """Multi-source sweep results: per-index cost and pred-edge arrays, and the finals' survivor starts.
 
     Arrays of one frame's sweep are (V,) per index; a batch of F frames swept
     together has (F, V) arrays whose row f is frame f's state.  ``comparisons``
-    and ``edge_visits`` count one frame's work.
+    and ``edge_visits`` count one frame's work.  The sweep keeps each
+    vertex's survivor start only until the next index is swept, and stores
+    the finals' (``surv_finals``); ``surv`` works out every index's from the
+    pred edges when first read, for traces and tests.
     """
 
     cost: list[np.ndarray]
-    surv: list[np.ndarray]
     pred_edge: list[np.ndarray]  # entry p is for time index p+1
     comparisons: int
     edge_visits: int
     delta_finals: np.ndarray  # (t,) cost at final i
     surv_finals: np.ndarray  # (t,) survivor start at final i
+    ridx: ReachIndex = field(repr=False)  # the trellis swept, whose ``frm`` the pred edges index
 
     def frame(self, f: int) -> "Phase1State":
         """Frame f of a batched sweep as row views; one frame's state is itself."""
@@ -128,12 +131,12 @@ class Phase1State:
         """Rows ``rows`` of a batched sweep: one frame's state for an int, a batch for an array."""
         return Phase1State(
             cost=[a[rows] for a in self.cost],
-            surv=[a[rows] for a in self.surv],
             pred_edge=[a[rows] for a in self.pred_edge],
             comparisons=self.comparisons,
             edge_visits=self.edge_visits,
             delta_finals=self.delta_finals[rows],
             surv_finals=self.surv_finals[rows],
+            ridx=self.ridx,
         )
 
     @staticmethod
@@ -145,13 +148,29 @@ class Phase1State:
 
         return Phase1State(
             cost=[stack(a) for a in zip(*(s.cost for s in states))],
-            surv=[stack(a) for a in zip(*(s.surv for s in states))],
             pred_edge=[stack(a) for a in zip(*(s.pred_edge for s in states))],
             comparisons=states[0].comparisons,
             edge_visits=states[0].edge_visits,
             delta_finals=stack([s.delta_finals for s in states]),
             surv_finals=stack([s.surv_finals for s in states]),
+            ridx=states[0].ridx,
         )
+
+    @cached_property
+    def surv(self) -> list[np.ndarray]:
+        """Each vertex's survivor start, (V,) or (F, V) per index, worked out from the pred edges on first read.
+
+        Index 0 holds each start's own number (0 elsewhere), and index p+1
+        takes the survivor start of its pred edge's source, as the sweep did:
+        ``surv[p+1] = surv[p][frm[pred_edge[p]]]``.
+        """
+        trellis = self.ridx.trellis
+        first = np.zeros(trellis.v_counts[0], dtype=np.int32)
+        first[trellis.starts] = np.arange(self.ridx.t, dtype=np.int32)
+        surv = [np.tile(first, (*self.delta_finals.shape[:-1], 1))]
+        for frm, edge in zip(self.ridx.frm, self.pred_edge):
+            surv.append(np.take_along_axis(surv[-1], frm[edge], axis=-1))
+        return surv
 
     @cached_property
     def closed_finals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -311,7 +330,7 @@ class FrameDecode:
     def costs(self) -> list[np.ndarray]:
         """Per-start costs, (t, V) per index: the all-pairs oracle, swept on first access."""
         weights = self.weights
-        if weights.sections[0].ndim > 1:
+        if weights.values.ndim > 1:
             weights = weights.frame(self.row)
         return parallel_start_costs(self.ridx, weights)
 
@@ -326,7 +345,7 @@ class FrameDecode:
 
 def _check_weights(ridx: ReachIndex, weights: WeightAssignment) -> None:
     """Every section's weights must be as wide as its edge count, and every section needs weights."""
-    widths = tuple([w.shape[-1] for w in weights.sections])
+    widths = tuple([len(index) for index in weights.index])
     counts = ridx.trellis.edge_counts
     if widths != counts:
         p = next((p for p, (a, b) in enumerate(zip(widths, counts)) if a != b), min(len(widths), len(counts)))
@@ -428,9 +447,12 @@ class _Walks:
         group.append(outcome)
         return outcome
 
-    def replace(self, outcome: DecodeOutcome, **changes) -> DecodeOutcome:
-        """``dataclasses.replace``; the copy of a waiting outcome waits for the same walk."""
-        copy = replace(outcome, **changes)
+    def recount(self, outcome: DecodeOutcome, comparisons: int) -> DecodeOutcome:
+        """A copy of ``outcome`` at ``comparisons``; the copy of a waiting outcome waits for the same walk."""
+        copy = DecodeOutcome(
+            outcome.codeword, outcome.path, outcome.weight, outcome.stage, outcome.subtrellis,
+            comparisons, outcome.edge_visits, outcome.fallback_comparisons,
+        )
         if id(outcome) in self.waiting:
             self.waiting[id(outcome)].append(copy)
         return copy
@@ -452,18 +474,20 @@ class _Walks:
 # ---------------------------------------------------------------------------
 # Phase 1
 
-PHASE1_BATCH_BYTES = 1 << 20  # phase-1 state of the frames one batch sweeps together
+PHASE1_BATCH_BYTES = 3 << 20  # phase-1 state and weights of the frames one batch sweeps together
 
 
 def batch_frames(ridx: ReachIndex) -> int:
-    """Frames per batch: as many as keep their phase-1 state within PHASE1_BATCH_BYTES.
+    """Frames per batch: as many as keep what the batch holds within PHASE1_BATCH_BYTES.
 
-    A frame's state is a float64 cost and an int32 survivor per vertex, plus
-    an int32 pred edge per vertex past index 0; the batch's (F, E) edge
-    weights take about as much again.
+    A frame's phase-1 state is a float64 cost per vertex and an int32 pred
+    edge per vertex past index 0, and its weights are a float64 label table
+    of 2^width entries per section.  That is 39 KB per mem6-circle48 frame,
+    80 frames a batch, and 4.5 KB per mem4-circle20 frame.
     """
-    v = ridx.trellis.v_counts
-    per_frame = 12 * sum(v) + 4 * sum(v[1:])
+    trellis = ridx.trellis
+    v = trellis.v_counts
+    per_frame = 8 * sum(v) + 4 * sum(v[1:]) + 8 * trellis.n_sections * (1 << trellis.label_width)
     return max(1, PHASE1_BATCH_BYTES // per_frame)
 
 
@@ -474,49 +498,54 @@ def phase1(ridx: ReachIndex, weights: WeightAssignment) -> Phase1State:
     section's canonical order, so results are deterministic and match a
     scalar edge-by-edge relaxation with strict-improvement updates.
 
-    Batched weights, (F, E_p) per section, sweep F frames at once and give a
+    Batched weights, (F, K) values, sweep F frames at once and give a
     batched state; row f is bit for bit the sweep of frame f alone, because
     the frames share no arithmetic.  The sweep runs on flat arrays holding
     the frames one after another, with each frame's indices shifted into its
-    own block.
+    own block.  Each section's weights are gathered from the values when the
+    sweep reaches it, and the survivor starts are carried from one index to
+    the next and kept at the finals only.
     """
     _check_weights(ridx, weights)
     trellis = ridx.trellis
     t = ridx.t
-    batch = weights.sections[0].shape[:-1]
+    batch = weights.values.shape[:-1]
     n_frames = prod(batch)
+    values = weights.values.reshape(-1) if n_frames == 1 else weights.values.reshape(n_frames, -1)
     shift = np.arange(n_frames)[:, None]
     v0 = trellis.v_counts[0]
     cost = [np.full(n_frames * v0, np.inf)]
-    surv = [np.zeros(n_frames * v0, dtype=np.int32)]
+    surv = np.zeros(n_frames * v0, dtype=np.int32)
     pred_edge: list[np.ndarray] = []
     starts = (trellis.starts + v0 * shift).ravel()
     cost[0][starts] = 0.0
-    surv[0][starts] = np.tile(np.arange(t, dtype=np.int32), n_frames)
-    for p in range(trellis.n_sections):
-        frm, w = ridx.frm[p], weights.sections[p]
-        if n_frames > 1:
+    surv[starts] = np.tile(np.arange(t, dtype=np.int32), n_frames)
+    for p, index in enumerate(weights.index):
+        frm = ridx.frm[p]
+        if n_frames == 1:
+            w = values[index]
+        else:
             frm = (frm + trellis.v_counts[p] * shift).ravel()
+            w = values.take(index, axis=1).reshape(-1)  # frame after frame, as cand
         cand = cost[p][frm]
-        cand += w.reshape(-1) if batch else w
+        cand += w
         win = _grouped_first_min(cand if n_frames == 1 else cand.reshape(n_frames, -1), ridx, p)
-        at = win if n_frames == 1 else (win + w.shape[-1] * shift).ravel()  # into cand
+        at = win if n_frames == 1 else (win + len(index) * shift).ravel()  # into cand
         cost.append(cand[at])
-        surv.append(surv[p][frm[at]])
+        surv = surv[frm[at]]
         pred_edge.append(win.astype(np.int32))
     if batch:
-        cost, surv, pred_edge = (
-            [a.reshape(*batch, -1) for a in arrays] for arrays in (cost, surv, pred_edge)
-        )
+        cost, pred_edge = ([a.reshape(*batch, -1) for a in arrays] for arrays in (cost, pred_edge))
+        surv = surv.reshape(*batch, -1)
     num_edges = trellis.num_edges
     return Phase1State(
         cost=cost,
-        surv=surv,
         pred_edge=pred_edge,
         comparisons=num_edges,
         edge_visits=num_edges,
         delta_finals=cost[-1][..., trellis.finals],
-        surv_finals=surv[-1][..., trellis.finals],
+        surv_finals=surv[..., trellis.finals],
+        ridx=ridx,
     )
 
 
@@ -789,10 +818,11 @@ def _phase2_arrays(p2: Phase2State) -> list[list[np.ndarray]]:
     metric = np.full(ids.shape, np.inf)
     metric[trellis.starts] = np.where(alive, d_final, np.inf)
     arrays = [[metric], [ids], [dist]]
-    for frm, w, cost, edge, picks in zip(ridx.frm, weights.sections, p1.cost[1:], p2.pred_edge, p2.sweep.picks):
+    values = frame(weights.values)
+    for frm, index, cost, edge, picks in zip(ridx.frm, weights.index, p1.cost[1:], p2.pred_edge, p2.sweep.picks):
         live = frame(picks) >= 0
         u = frm[edge]
-        step = dist[u] + frame(w)[edge]
+        step = dist[u] + values[index[edge]]
         j = ids[u]
         cand = (step + d_final[j]) - frame(cost)
         metric, ids, dist = np.where(live, cand, np.inf), np.where(live, j, -1), np.where(live, step, np.inf)
@@ -835,7 +865,7 @@ def _phase2_list(
     """
     trellis = ridx.trellis
     t = ridx.t
-    batch = weights.sections[0].shape[:-1]
+    batch = weights.values.shape[:-1]
     n_frames = prod(batch)
     if n_frames == 1:
         def take(a, index):  # slots of one frame's flat array
@@ -860,7 +890,7 @@ def _phase2_list(
         ids_u, dist_u = take(ids, src), take(dist, src)
         local = ids_u if n_frames == 1 else ids_u - offset  # each frame's own subtrellis numbers
         ok = np.isfinite(dist_u) & members[rows + local]
-        step = dist_u + take(weights.sections[p], edges)
+        step = dist_u + take(weights.values, weights.index[p][edges])
         cand = np.where(ok, (step + d_final[ids_u]) - take(p1.cost[p + 1], vert), np.inf)
         comparisons = comparisons + (ok.reshape(*batch, -1).sum(axis=-1) if batch else np.count_nonzero(ok))
         cand = cand.reshape(-1, width)  # one row of slots per (frame, vertex)
@@ -910,7 +940,7 @@ def _list_decisions(ls: ListState, scalar: list[DecodeOutcome], walks: _Walks) -
             outcome = DecodeOutcome(None, None, weight[f], "phase2", int(i[f]), comparisons[f], single.edge_visits)
             decisions.append(walks.add(outcome, ls.pred_edge, f, r[f], i[f], pred_rank=ls.pred_rank))
         else:
-            decisions.append(walks.replace(single, comparisons=comparisons[f]))
+            decisions.append(walks.recount(single, comparisons[f]))
     return decisions
 
 
@@ -948,7 +978,7 @@ def decode_frames(
     are named, is no more than the least weight they decided.  The frames
     are put back in their order before the first is yielded.
     """
-    decoded: list[FrameDecode | None] = [None] * prod(weights.sections[0].shape[:-1])
+    decoded: list[FrameDecode | None] = [None] * prod(weights.values.shape[:-1])
     for group in _decode_batches(ridx, [weights], decoders, participation_prune):
         for _, row, frame in group:
             decoded[row] = frame
@@ -996,7 +1026,9 @@ def _decode_batches(
                 outcomes = dict.fromkeys(decoders, stopped)
                 if exact_work is not None:
                     # the stop is on the cheapest final, so no subtrellis can beat it
-                    outcomes["exact-ml"] = replace(stopped, stage="exact", **exact_work)
+                    outcomes["exact-ml"] = DecodeOutcome(
+                        stopped.codeword, stopped.path, stopped.weight, "exact", stopped.subtrellis, **exact_work
+                    )
                 settled.append((b, f, FrameDecode(outcomes, sweep=p1, row=f, ridx=ridx, weights=weights)))
         if settled:
             yield settled
@@ -1134,7 +1166,7 @@ def viterbi_subtrellis(ridx: ReachIndex, weights: WeightAssignment, i: int) -> S
     comparisons = 0
     for p in range(trellis.n_sections):
         ok = ridx.membership[p][:, i]
-        cand = np.where(ok, cost[ridx.frm[p]] + weights.sections[p], np.inf)
+        cand = np.where(ok, cost[ridx.frm[p]] + weights.values.take(weights.index[p], axis=-1), np.inf)
         win = _grouped_first_min(cand, ridx, p)
         cost = cand[win]
         preds.append(win.astype(np.int32))
@@ -1167,11 +1199,12 @@ def _start_costs(
     ``weights`` holds when ``frames`` is None.
     """
     trellis = ridx.trellis
+    values = weights.values if frames is None else weights.values[frames]
     cost = np.full((len(rows), trellis.v_counts[0]), np.inf)
     cost[np.arange(len(rows)), trellis.starts[rows]] = 0.0
     costs = [cost]
-    for p, w in enumerate(weights.sections):
-        cand = costs[p][:, ridx.frm[p]] + (w if frames is None else w[frames])
+    for p, index in enumerate(weights.index):
+        cand = costs[p][:, ridx.frm[p]] + values.take(index, axis=-1)
         costs.append(_group_min(cand, ridx, p))
     return costs
 
@@ -1192,9 +1225,10 @@ def _start_pred_edges(
     weights, i)``.
     """
     column = k[:, None]
+    values = weights.values if frames is None else weights.values[frames]
     return [
-        _grouped_first_min(costs[p][column, ridx.frm[p]] + (w if frames is None else w[frames]), ridx, p)
-        for p, w in enumerate(weights.sections)
+        _grouped_first_min(costs[p][column, ridx.frm[p]] + values.take(index, axis=-1), ridx, p)
+        for p, index in enumerate(weights.index)
     ]
 
 
@@ -1264,13 +1298,15 @@ def _exact_decisions(
 
 
 def _exact_chunks(ridx: ReachIndex, frames: np.ndarray) -> Iterator[slice]:
-    """Runs of whole frames in ``frames`` (sorted) whose swept rows fit PHASE1_BATCH_BYTES.
+    """Runs of whole frames in ``frames`` (sorted) whose swept rows fit a third of PHASE1_BATCH_BYTES.
 
-    A row keeps a float64 cost per vertex.  Each run holds as many frames as
+    A row keeps a float64 cost per vertex, and a run's rows get a third of
+    the batch budget: 41 mem6-circle48 rows, the run size before the budget
+    grew with the smaller phase-1 state.  Each run holds as many frames as
     fit, and at least one: a frame's rows are swept together, so its winner
     is known once its run is swept and no other run's costs need keeping.
     """
-    size = PHASE1_BATCH_BYTES // (8 * sum(ridx.trellis.v_counts))
+    size = PHASE1_BATCH_BYTES // (3 * 8 * sum(ridx.trellis.v_counts))
     ends = (np.flatnonzero(frames[1:] != frames[:-1]) + 1).tolist() + [len(frames)]  # past each frame's rows
     lo = last = 0
     for end in ends:

@@ -210,7 +210,7 @@ def audit_decode_invariants(
 
     triangle_ok = True
     for p, sec in enumerate(trellis.sections):
-        bound = p1.cost[p][sec.frm] + weights.sections[p]
+        bound = p1.cost[p][sec.frm] + weights.values.take(weights.index[p], axis=-1)
         if np.any(p1.cost[p + 1][sec.to] > bound):
             triangle_ok = False
             check("edge-triangle", False, f"section {p + 1}")

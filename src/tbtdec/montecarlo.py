@@ -25,9 +25,9 @@ from .catalog import get_code
 from .channel import (
     ChannelParams,
     ReceivedVector,
-    awgn_transmit,
     bpsk_modulate,
     edge_weights,
+    gaussian_samples,
     random_bits,
 )
 from .codes import (
@@ -178,22 +178,31 @@ def frame_streams(point_idx: int, frame: int) -> tuple[int, int]:
     return base, base | 1
 
 
-def _make_frames(ctx: SimContext, params: ChannelParams, point_idx: int, frames, genie_zero: bool):
-    """Messages (F, k), codewords (F, n) and received samples (F, n) of frames ``frames`` of one point.
+def _make_frames(ctx: SimContext, params, points, frames, genie_zero: bool):
+    """Messages (F, k), codewords (F, n) and received samples (F, n) of frames ``frames``.
 
-    Every stream of the batch is drawn in one call, and row f equals the
-    frame generated alone.
+    ``params`` and ``points`` are one channel and point index for every
+    frame, or one per frame, all channels sharing one seed.  Every message
+    stream of the batch is drawn in one call and every noise stream in
+    another, and each row's noise is scaled by its own channel's
+    ``sqrt(sigma2)``, so row f equals the frame generated alone
+    (``awgn_transmit``).
     """
-    noise_streams, msg_streams = np.array([frame_streams(point_idx, f) for f in frames], dtype=np.uint64).T
+    if isinstance(params, ChannelParams):
+        params, points = [params] * len(frames), [points] * len(frames)
+    pairs = [frame_streams(int(point), frame) for point, frame in zip(points, frames)]
+    noise_streams, msg_streams = np.array(pairs, dtype=np.uint64).T
+    seed = params[0].seed
     spec = ctx.spec
     if genie_zero:
         msgs = np.zeros((len(noise_streams), spec.k), dtype=np.uint8)
     else:
-        msgs = random_bits(params.seed, msg_streams, spec.k)
+        msgs = random_bits(seed, msg_streams, spec.k)
     encode = encode_conv_tailbiting if isinstance(spec, ConvCodeSpec) else encode_block
     codewords = encode(spec, msgs)
-    received = awgn_transmit(bpsk_modulate(codewords), params, noise_streams)
-    return msgs, codewords, received
+    noise = gaussian_samples(seed, noise_streams, codewords.shape[-1])
+    scale = np.sqrt([channel.sigma2 for channel in params])[:, None]
+    return msgs, codewords, ReceivedVector(r=bpsk_modulate(codewords) + scale * noise)
 
 
 def _make_frame(ctx: SimContext, params: ChannelParams, point_idx: int, frame: int, genie_zero: bool):
@@ -245,10 +254,10 @@ def _run_chunk(config: SimConfig, lo: int, hi: int):
     Position ``i`` is frame ``i % config.frames`` of Eb/N0 point ``i //
     config.frames``, so a chunk is one stream of consecutive frames that may
     span several points.  Frames are generated and swept by phase 1 in
-    batches of ``batch_frames`` consecutive positions: a batch that straddles
-    a point boundary draws each point's frames with that point's channel
-    (``_make_frames`` once per point) and weighs all of them in one
-    ``edge_weights`` call.  ``_decode_batches`` yields each batch's settled
+    batches of ``batch_frames`` consecutive positions: a batch draws all its
+    frames in one ``_make_frames`` call, each frame with its own point's
+    channel, even where it straddles a point boundary, and weighs them in
+    one ``edge_weights`` call.  ``_decode_batches`` yields each batch's settled
     frames at once and pools the open frames of successive batches, up to
     the same cap and across points, for one pass of every decoder; each
     group it yields is tallied as it comes (``_tally``), every frame to its
@@ -261,26 +270,19 @@ def _run_chunk(config: SimConfig, lo: int, hi: int):
     tallies = [{name: _Tally() for name in config.decoders} for _ in config.ebn0_db]
     reports: list[tuple[int, MismatchReport]] = []
     size = batch_frames(ctx.ridx)
+    channels = [ChannelParams(ebn0_db=ebn0, rate=ctx.rate, seed=config.seed) for ebn0 in config.ebn0_db]
     made: dict[int, _Batch] = {}
 
     def batches():
         for b, first in enumerate(range(lo, hi, size)):
             segments = list(_segments(first, min(first + size, hi), config.frames))
-            msgs, codewords, received = zip(*(
-                _make_frames(ctx, ChannelParams(ebn0_db=config.ebn0_db[point], rate=ctx.rate, seed=config.seed),
-                             point, span, config.genie_zero)
-                for point, span in segments
-            ))
-            samples = np.concatenate([r.r for r in received])
-            made[b] = _Batch(
-                points=np.concatenate([np.full(len(span), point) for point, span in segments]),
-                frames=np.concatenate([np.arange(span.start, span.stop) for _, span in segments]),
-                messages=np.concatenate(msgs),
-                codewords=np.concatenate(codewords),
-                samples=samples,
-                left=len(samples),
+            points = np.concatenate([np.full(len(span), point) for point, span in segments])
+            frames = np.concatenate([np.arange(span.start, span.stop) for _, span in segments])
+            msgs, codewords, received = _make_frames(
+                ctx, [channels[point] for point in points.tolist()], points, frames.tolist(), config.genie_zero
             )
-            yield edge_weights(ctx.ridx.trellis, ReceivedVector(r=samples))
+            made[b] = _Batch(points, frames, msgs, codewords, received.r, left=len(frames))
+            yield edge_weights(ctx.ridx.trellis, received)
 
     for group in _decode_batches(ctx.ridx, batches(), config.decoders, config.participation_prune):
         rows = [(made[b], f) for b, f, _ in group]

@@ -99,12 +99,10 @@ class Trellis:
         return tuple(s.num_edges for s in self.sections)
 
     @cached_property
-    def label_index(self) -> np.ndarray:
-        """Every edge's entry in a flattened (n_sections, 2**label_width) label table."""
+    def label_index(self) -> list[np.ndarray]:
+        """Per section, each edge's entry in a flattened (n_sections, 2**label_width) label table."""
         size = 1 << self.label_width
-        return np.concatenate(
-            [p * size + sec.labels.astype(np.intp) for p, sec in enumerate(self.sections)]
-        )
+        return [p * size + sec.labels.astype(np.intp) for p, sec in enumerate(self.sections)]
 
     @classmethod
     def from_edge_lists(cls, label_width, v_counts, edge_lists, starts, finals):

@@ -10,7 +10,7 @@ from hypothesis import Phase, assume, find, given, settings, strategies as st
 
 import tbtdec as tb
 from tbtdec.codes import bits_to_int, gf2_rank
-from tbtdec import decoder
+from tbtdec import decoder, montecarlo
 from tbtdec.decoder import _phase1_stops
 
 from conftest import build_block, build_conv, enumerate_paths, random_received
@@ -1036,6 +1036,37 @@ def test_batched_decode_matches_one_frame_calls(ridx, seed, batch, rounded, prun
                     _same_outcome(one.outcomes[f"two-phase-L{size}"], expected)
             assert np.array_equal(decoded[row].table.d, one.table.d)
             _matches_all_pairs_oracle(ridx, alone, decoded[row].outcomes["exact-ml"])
+
+
+@pytest.mark.parametrize("batch", [1, 3, 84])
+def test_label_table_and_per_edge_weights_decode_alike(ridx_block6, batch):
+    # every sweep gathers a section's weights from edge_weights' label table
+    # through trellis.label_index; the same weights given per edge, as
+    # sections under an identity index, give every phase-1 state (derived
+    # survivors included), list sweep and decoder outcome bit for bit
+    names = tb.DECODER_NAMES + ("two-phase-L4",)
+    for code in ("mem6-circle48", "mem4-circle20", None):
+        if code is None:
+            ridx = ridx_block6
+            samples = np.stack([random_received(ridx, seed=97, frame=f).r for f in range(batch)])
+        else:
+            ctx = tb.build_context(code)
+            ridx = ctx.ridx
+            params = tb.ChannelParams(ebn0_db=2.0, rate=ctx.rate, seed=97)
+            samples = montecarlo._make_frames(ctx, params, 0, range(batch), False)[2].r
+        table = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=samples[0] if batch == 1 else samples))
+        per_edge = tb.WeightAssignment(sections=table.sections)
+        assert per_edge.values.shape[-1] == ridx.trellis.num_edges
+        states = [tb.phase1(ridx, w) for w in (table, per_edge)]
+        _same_arrays(*(s.cost + s.surv + s.pred_edge + [s.delta_finals, s.surv_finals] for s in states))
+        participants = tb.phase2(ridx, table, states[0]).participants
+        for size in (1, 2, 4):
+            a, b = (decoder._phase2_list(ridx, w, s, size, participants) for w, s in zip((table, per_edge), states))
+            _same_arrays(a.picks + [a.metric_finals, a.dist_finals, np.asarray(a.comparisons)],
+                         b.picks + [b.metric_finals, b.dist_finals, np.asarray(b.comparisons)])
+        for a, b in zip(*(tb.decode_frames(ridx, w, names) for w in (table, per_edge))):
+            for name in names:
+                _same_outcome(a.outcomes[name], b.outcomes[name])
 
 
 def _same_phase2(a, b):

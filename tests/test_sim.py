@@ -325,6 +325,59 @@ def test_simulate_batches_span_eb_n0_points(monkeypatch):
     assert sizes == [4, 4, 4, 4, 4]
 
 
+def test_a_batch_draws_its_frames_in_two_philox_calls(monkeypatch):
+    # 3 points x 5 frames in batches of 7: the first two batches span two
+    # points each, and every batch draws all its message streams in one
+    # Philox pass and all its noise streams in another; each row is still
+    # the frame drawn alone with its own point's channel
+    ctx = build_context("toy-conv-m2-l8")
+    channels = [tb.ChannelParams(ebn0_db=e, rate=ctx.rate, seed=5) for e in (1.0, 2.0, 3.0)]
+    points, frames = [0, 0, 1, 2, 2], [3, 4, 0, 1, 9]
+    batched = montecarlo._make_frames(ctx, [channels[p] for p in points], np.array(points), frames, False)
+    for row, (point, f) in enumerate(zip(points, frames)):
+        alone = montecarlo._make_frame(ctx, channels[point], point, f, False)
+        for a, b in zip((batched[0], batched[1], batched[2].r), (alone[0], alone[1], alone[2].r)):
+            assert a[row].dtype == b.dtype and np.array_equal(a[row], b)
+    calls = []
+    philox = tb.channel._philox
+    monkeypatch.setattr(tb.channel, "_philox", lambda seed, streams, count: calls.append(len(streams))
+                        or philox(seed, streams, count))
+    monkeypatch.setattr(montecarlo, "batch_frames", lambda ridx: 7)
+    tb.run_monte_carlo(_config(ebn0_db=(1.0, 2.0, 3.0), frames=5, decoders=("two-phase-L1",)))
+    assert calls == [7, 7, 7, 7, 1, 1]
+
+
+def test_simulate_builds_no_per_edge_weights(monkeypatch, tmp_path):
+    # every sweep of simulate, the mismatch reports' all-pairs tables
+    # included, gathers each section's weights from the label table, so no
+    # run builds the (F, E) per-edge arrays of WeightAssignment.sections
+    built = []
+    sections = tb.WeightAssignment.sections
+    monkeypatch.setattr(tb.WeightAssignment, "sections", property(lambda self: built.append(self) or sections.func(self)))
+    log = tmp_path / "mismatch.jsonl"
+    rows = tb.run_monte_carlo(_config(code="mem6-circle48", ebn0_db=(1.0, 4.0), frames=30, seed=7, mismatch_log=str(log)))
+    assert rows[0].phase1_stops < rows[0].frames and log.read_text()  # open frames and mismatch reports
+    assert not built
+
+
+def test_batch_byte_model_counts_what_a_batch_keeps(monkeypatch):
+    # a mem6 batch holds at least 80 frames, and the per-frame bytes of
+    # batch_frames' model are within 10% of what a real batch keeps: its
+    # phase-1 arrays and its weights' values, with no survivor per vertex
+    ctx = build_context("mem6-circle48")
+    ridx = ctx.ridx
+    size = decoder.batch_frames(ridx)
+    assert size >= 80
+    params = tb.ChannelParams(ebn0_db=4.0, rate=ctx.rate, seed=5)
+    weights = tb.edge_weights(ridx.trellis, montecarlo._make_frames(ctx, params, 0, range(size), False)[2])
+    p1 = phase1(ridx, weights)
+    assert "surv" not in vars(p1)
+    kept = sum(a.nbytes for a in p1.cost + p1.pred_edge + [p1.delta_finals, p1.surv_finals, weights.values])
+    monkeypatch.setattr(decoder, "PHASE1_BATCH_BYTES", 10**9)
+    modelled = 10**9 / decoder.batch_frames(ridx)
+    assert abs(kept / size - modelled) <= 0.1 * modelled
+
+
 @pytest.mark.parametrize("genie_zero", [False, True])
 @pytest.mark.parametrize("code", ["mem4-circle20", "toy-block-n6-k3-c2"])
 def test_batched_frames_equal_numpy_generator_frames(code, genie_zero):
