@@ -12,6 +12,12 @@ Box-Muller transform of ``Generator.random``.  ``random_bits``,
 ``gaussian_samples`` and ``awgn_transmit`` take one stream id and give one
 stream's (count,) array, or an array of S ids and give (S, count), row s
 bit for bit the call on stream s alone.
+
+``edge_weights`` turns received samples into a ``WeightAssignment``: the
+per-label table of every section, one float64 weight per possible label,
+and ``trellis.label_index`` naming each edge's entry in it.  The decoders
+gather a section's edge weights from it as they sweep that section, so a
+batch of frames never holds an (F, E) per-edge array.
 """
 
 from __future__ import annotations
@@ -80,7 +86,13 @@ class WeightAssignment:
     and tests; the decode path never reads it.
     """
 
-    def __init__(self, sections: list[np.ndarray] | None = None, *, values=None, index=None):
+    def __init__(
+        self,
+        sections: list[np.ndarray] | None = None,
+        *,
+        values: np.ndarray | None = None,
+        index: list[np.ndarray] | None = None,
+    ):
         if sections is not None:
             values = np.concatenate(sections, axis=-1)
             bounds = np.cumsum([0] + [np.shape(w)[-1] for w in sections])

@@ -5,9 +5,12 @@ The decoder makes two Viterbi-like passes over the trellis:
 * Phase 1 (estimation) relaxes every edge once with *all* starts seeded at
   cost zero.  Afterwards ``cost[v]`` is the cheapest way to reach v from any
   start — a lower bound obtained on the semi-codeword space — and each vertex
-  remembers which start its survivor came from.  If the cheapest final's
-  survivor is its own paired start, that survivor is already the cheapest
-  path overall and decoding stops: nothing, codeword or not, can beat it.
+  remembers which start its survivor came from (the sweep carries that
+  start from index to index and keeps it at the finals only; the other
+  indices' are worked out from the pred edges when read).  If the cheapest
+  final's survivor is its own paired start, that survivor is already the
+  cheapest path overall and decoding stops: nothing, codeword or not, can
+  beat it.
 
 * Phase 2 (revision) re-walks the trellis restricted to paths that stay
   inside a single subtrellis, using the membership table for an O(1) edge
@@ -34,7 +37,9 @@ out of the decode path, as the oracle of the audits, witnesses and tests.
 ``decode_frames`` runs each phase at most once per frame and derives every
 requested decoder's decision from that shared state.  Phase 1, its stop test
 and the traceback of the frames it settles run over a whole batch of frames
-at once.  Every decoder then decides the frames phase 1 left open in one
+at once.  Every sweep reads its weights as a gather: a section's edge
+weights are ``weights.values[..., weights.index[p]]``, taken from the
+frames' label tables when the sweep reaches section p.  Every decoder then decides the frames phase 1 left open in one
 batched pass over just those frames, pooled across successive batches by
 ``_decode_batches`` up to ``batch_frames`` frames a pass: phase 2, its final
 decision and one list sweep per larger list size; exact ML, whose remaining
