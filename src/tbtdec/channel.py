@@ -82,8 +82,8 @@ class WeightAssignment:
     section's weights when it reaches that section.  ``sections``, given
     instead of ``values`` and ``index``, are one array per section,
     concatenated into ``values`` under an identity index.  ``sections`` as an
-    attribute builds the per-edge arrays on first read, for oracles, audits
-    and tests; the decode path never reads it.
+    attribute builds the per-edge arrays on first read, for oracles and
+    tests; no sweep or audit reads it.
     """
 
     def __init__(
