@@ -41,7 +41,7 @@ at once.  Every sweep reads its weights as a gather: a section's edge
 weights are ``weights.values[..., weights.index[p]]``, taken from the
 frames' label tables when the sweep reaches section p.  Every decoder then decides the frames phase 1 left open in one
 batched pass over just those frames, pooled across successive batches by
-``_decode_batches`` up to ``batch_frames`` frames a pass: phase 2, its final
+``_decode_batches`` up to ``pool_frames`` frames a pass: phase 2, its final
 decision and one list sweep per larger list size; exact ML, whose remaining
 (frame, subtrellis) rows of all open frames are swept jointly, each over its
 own frame's weights; and phase1-only.  Phase 1's closed decision, each
@@ -480,6 +480,8 @@ class _Walks:
 # Phase 1
 
 PHASE1_BATCH_BYTES = 3 << 20  # phase-1 state and weights of the frames one batch sweeps together
+POOL_BYTES = 1 << 20  # one list rank's state of the open frames every decoder decides in one pass
+EXACT_ROWS_BYTES = 1 << 20  # costs of the subtrellis rows exact ML sweeps together
 
 
 def batch_frames(ridx: ReachIndex) -> int:
@@ -494,6 +496,21 @@ def batch_frames(ridx: ReachIndex) -> int:
     v = trellis.v_counts
     per_frame = 8 * sum(v) + 4 * sum(v[1:]) + 8 * trellis.n_sections * (1 << trellis.label_width)
     return max(1, PHASE1_BATCH_BYTES // per_frame)
+
+
+def pool_frames(ridx: ReachIndex) -> int:
+    """Open frames per pass: as many as keep one list rank's state within POOL_BYTES, and at most a batch.
+
+    A list sweep keeps an int64 pick per vertex and rank, and decodes an
+    int32 pred edge and pred rank from it: 16 bytes per vertex, 20
+    mem6-circle48 frames a pass and 195 mem4-circle20 frames.  A pass keeps
+    that for every rank of every list size named, and a copy of each open
+    frame's phase-1 state besides: simulate's peak memory grows by about
+    230 KB per open mem6-circle48 frame a pass holds with all four of
+    ``DECODER_NAMES``.  So a pass holds fewer
+    frames than a phase-1 batch, whose state per frame is far smaller.
+    """
+    return max(1, min(batch_frames(ridx), POOL_BYTES // (16 * sum(ridx.trellis.v_counts))))
 
 
 def phase1(ridx: ReachIndex, weights: WeightAssignment) -> Phase1State:
@@ -972,7 +989,7 @@ def decode_frames(
     ``weights`` holds one frame, or a batch as ``edge_weights`` builds it for
     (F, n) samples.  Names are those of ``DECODER_NAMES``, or
     "two-phase-L<k>" for any list size k, each at most once.  This is
-    ``_decode_batches`` on one batch: phase 1 and its stop test run once for
+    ``_decode_batches`` on one batch, its pool capped at the batch: phase 1 and its stop test run once for
     the whole batch, and a frame phase 1 settled takes that outcome for every
     decoder, exact ML included.  Every decoder then decides all the frames
     phase 1 left open in one pass (``_decode_open``): phase 2, its final
@@ -984,7 +1001,7 @@ def decode_frames(
     are put back in their order before the first is yielded.
     """
     decoded: list[FrameDecode | None] = [None] * prod(weights.values.shape[:-1])
-    for group in _decode_batches(ridx, [weights], decoders, participation_prune):
+    for group in _decode_batches(ridx, [weights], decoders, participation_prune, cap=len(decoded)):
         for _, row, frame in group:
             decoded[row] = frame
     for row in range(len(decoded)):
@@ -997,6 +1014,7 @@ def _decode_batches(
     batches: Iterable[WeightAssignment],
     decoders: tuple[str, ...],
     participation_prune: bool = True,
+    cap: int | None = None,
 ) -> Iterator[list[tuple[int, int, FrameDecode]]]:
     """Decode a stream of batches, pooling the frames phase 1 leaves open across batches.
 
@@ -1006,12 +1024,11 @@ def _decode_batches(
     batch, and each batch's settled frames are yielded at once.  The rows of
     its open frames are copied out of its sweep and weights into a pool, and
     every decoder decides the pool in one pass (``_decode_open``) whenever it
-    holds ``batch_frames`` frames, and once more after the last batch; a
-    batch's open frames may straddle two passes.  A batch larger than
-    ``batch_frames`` raises the cap to its own size, so its open frames take
-    one pass, as its phase 1 took one sweep.  A group's frames refer to
-    no state but their own batch's sweep (settled) or their pass's (open), so
-    each batch's sweep is freed once its settled frames are.
+    holds ``cap`` frames (``pool_frames`` if None), and once more after the
+    last batch; a batch's open frames may straddle several passes.  A group's
+    frames refer to no state but their own batch's sweep (settled) or their
+    pass's (open), so each batch's sweep is freed once its settled frames
+    are.
     """
     for name in decoders:
         if name not in ("exact-ml", "phase1-only") and not _TWO_PHASE.fullmatch(name):
@@ -1020,8 +1037,9 @@ def _decode_batches(
         # outcomes are keyed by name, so a repeated name would be decoded once and reported once
         raise CatalogError(f"decoder names must be distinct, got {', '.join(decoders)}")
     exact_work = _exact_work(ridx) if "exact-ml" in decoders else None
+    cap = cap or pool_frames(ridx)
     pool: list[tuple[int, list[int], WeightAssignment, Phase1State]] = []  # (batch, rows, their weights and sweep)
-    pooled = cap = 0
+    pooled = 0
     for b, weights in enumerate(batches):
         p1 = phase1(ridx, weights)
         stops = _phase1_stops(ridx, p1)
@@ -1038,8 +1056,6 @@ def _decode_batches(
         if settled:
             yield settled
         open_rows = [f for f, stopped in enumerate(stops) if stopped is None]
-        if open_rows:
-            cap = max(cap or batch_frames(ridx), len(stops))
         while open_rows:
             rows, open_rows = open_rows[: cap - pooled], open_rows[cap - pooled:]
             if len(rows) < len(stops):
@@ -1303,15 +1319,14 @@ def _exact_decisions(
 
 
 def _exact_chunks(ridx: ReachIndex, frames: np.ndarray) -> Iterator[slice]:
-    """Runs of whole frames in ``frames`` (sorted) whose swept rows fit a third of PHASE1_BATCH_BYTES.
+    """Runs of whole frames in ``frames`` (sorted) whose swept rows fit EXACT_ROWS_BYTES.
 
-    A row keeps a float64 cost per vertex, and a run's rows get a third of
-    the batch budget: 41 mem6-circle48 rows, the run size before the budget
-    grew with the smaller phase-1 state.  Each run holds as many frames as
-    fit, and at least one: a frame's rows are swept together, so its winner
-    is known once its run is swept and no other run's costs need keeping.
+    A row keeps a float64 cost per vertex: 41 mem6-circle48 rows a run.
+    Each run holds as many frames as fit, and at least one: a frame's rows
+    are swept together, so its winner is known once its run is swept and no
+    other run's costs need keeping.
     """
-    size = PHASE1_BATCH_BYTES // (3 * 8 * sum(ridx.trellis.v_counts))
+    size = EXACT_ROWS_BYTES // (8 * sum(ridx.trellis.v_counts))
     ends = (np.flatnonzero(frames[1:] != frames[:-1]) + 1).tolist() + [len(frames)]  # past each frame's rows
     lo = last = 0
     for end in ends:

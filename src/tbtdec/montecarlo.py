@@ -178,21 +178,18 @@ def frame_streams(point_idx: int, frame: int) -> tuple[int, int]:
     return base, base | 1
 
 
-def _make_frames(ctx: SimContext, params, points, frames, genie_zero: bool):
-    """Messages (F, k), codewords (F, n) and received samples (F, n) of frames ``frames``.
+def _make_frames(ctx: SimContext, seed: int, sigma2: np.ndarray, points, frames, genie_zero: bool):
+    """Messages (F, k), codewords (F, n) and received samples (F, n) of F frames.
 
-    ``params`` and ``points`` are one channel and point index for every
-    frame, or one per frame, all channels sharing one seed.  Every message
-    stream of the batch is drawn in one call and every noise stream in
-    another, and each row's noise is scaled by its own channel's
-    ``sqrt(sigma2)``, so row f equals the frame generated alone
+    Row f is frame ``frames[f]`` of Eb/N0 point ``points[f]``, sent with
+    noise variance ``sigma2[f]``, its streams keyed by ``seed``.  Every
+    message stream of the batch is drawn in one call and every noise stream
+    in another, and each row's noise is scaled by its own
+    ``sqrt(sigma2[f])``, so row f equals the frame generated alone
     (``awgn_transmit``).
     """
-    if isinstance(params, ChannelParams):
-        params, points = [params] * len(frames), [points] * len(frames)
     pairs = [frame_streams(int(point), frame) for point, frame in zip(points, frames)]
     noise_streams, msg_streams = np.array(pairs, dtype=np.uint64).T
-    seed = params[0].seed
     spec = ctx.spec
     if genie_zero:
         msgs = np.zeros((len(noise_streams), spec.k), dtype=np.uint8)
@@ -201,13 +198,13 @@ def _make_frames(ctx: SimContext, params, points, frames, genie_zero: bool):
     encode = encode_conv_tailbiting if isinstance(spec, ConvCodeSpec) else encode_block
     codewords = encode(spec, msgs)
     noise = gaussian_samples(seed, noise_streams, codewords.shape[-1])
-    scale = np.sqrt([channel.sigma2 for channel in params])[:, None]
-    return msgs, codewords, ReceivedVector(r=bpsk_modulate(codewords) + scale * noise)
+    return msgs, codewords, ReceivedVector(r=bpsk_modulate(codewords) + np.sqrt(sigma2)[:, None] * noise)
 
 
 def _make_frame(ctx: SimContext, params: ChannelParams, point_idx: int, frame: int, genie_zero: bool):
     """Message, codeword and received samples of one frame: ``_make_frames`` on a batch of one."""
-    msgs, codewords, received = _make_frames(ctx, params, point_idx, [frame], genie_zero)
+    sigma2 = np.array([params.sigma2])
+    msgs, codewords, received = _make_frames(ctx, params.seed, sigma2, [point_idx], [frame], genie_zero)
     return msgs[0], codewords[0], ReceivedVector(r=received.r[0])
 
 
@@ -270,7 +267,7 @@ def _run_chunk(config: SimConfig, lo: int, hi: int):
     tallies = [{name: _Tally() for name in config.decoders} for _ in config.ebn0_db]
     reports: list[tuple[int, MismatchReport]] = []
     size = batch_frames(ctx.ridx)
-    channels = [ChannelParams(ebn0_db=ebn0, rate=ctx.rate, seed=config.seed) for ebn0 in config.ebn0_db]
+    sigma2 = np.array([ChannelParams(ebn0_db=ebn0, rate=ctx.rate, seed=config.seed).sigma2 for ebn0 in config.ebn0_db])
     made: dict[int, _Batch] = {}
 
     def batches():
@@ -279,7 +276,7 @@ def _run_chunk(config: SimConfig, lo: int, hi: int):
             points = np.concatenate([np.full(len(span), point) for point, span in segments])
             frames = np.concatenate([np.arange(span.start, span.stop) for _, span in segments])
             msgs, codewords, received = _make_frames(
-                ctx, [channels[point] for point in points.tolist()], points, frames.tolist(), config.genie_zero
+                ctx, config.seed, sigma2[points], points, frames.tolist(), config.genie_zero
             )
             made[b] = _Batch(points, frames, msgs, codewords, received.r, left=len(frames))
             yield edge_weights(ctx.ridx.trellis, received)

@@ -361,7 +361,7 @@ def test_exact_ml_skips_rows_above_the_other_decoders_weights(
 
 @pytest.mark.parametrize("rows_per_chunk", [0, 3])
 def test_exact_ml_chunks_hold_whole_frames(monkeypatch, ridx_block6, ridx_conv_m2, rows_per_chunk):
-    # with PHASE1_BATCH_BYTES shrunk to a few rows' costs the open frames'
+    # with EXACT_ROWS_BYTES shrunk to a few rows' costs the open frames'
     # rows are swept in several calls, each holding whole frames and no more
     # rows than fit unless it holds one frame only; every outcome equals the
     # unchunked run's and the all-pairs oracle's
@@ -373,7 +373,7 @@ def test_exact_ml_chunks_hold_whole_frames(monkeypatch, ridx_block6, ridx_conv_m
         swept = []
         with monkeypatch.context() as patch:
             _recording_start_costs(patch, swept)
-            patch.setattr(decoder, "PHASE1_BATCH_BYTES", rows_per_chunk * 8 * sum(ridx.trellis.v_counts))
+            patch.setattr(decoder, "EXACT_ROWS_BYTES", rows_per_chunk * 8 * sum(ridx.trellis.v_counts))
             chunked = [d.outcomes["exact-ml"] for d in tb.decode_frames(ridx, weights, ("exact-ml",))]
         assert len(swept) > 1
         frames = [sorted({f for f, _ in rows}) for rows in swept]
@@ -1053,7 +1053,8 @@ def test_label_table_and_per_edge_weights_decode_alike(ridx_block6, batch):
             ctx = tb.build_context(code)
             ridx = ctx.ridx
             params = tb.ChannelParams(ebn0_db=2.0, rate=ctx.rate, seed=97)
-            samples = montecarlo._make_frames(ctx, params, 0, range(batch), False)[2].r
+            sigma2 = np.full(batch, params.sigma2)
+            samples = montecarlo._make_frames(ctx, params.seed, sigma2, [0] * batch, range(batch), False)[2].r
         table = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=samples[0] if batch == 1 else samples))
         per_edge = tb.WeightAssignment(sections=table.sections)
         assert per_edge.values.shape[-1] == ridx.trellis.num_edges

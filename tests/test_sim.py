@@ -187,7 +187,7 @@ def test_weight_tie_with_exact_ml_counts_as_mismatch(monkeypatch, tmp_path):
     # different codeword is counted and logged although it is no heavier.
     received = tb.ReceivedVector(r=np.array([-1.0, 0.0, 0.0, 0.0]))
 
-    def tied_frames(ctx, params, point_idx, frames, genie_zero):
+    def tied_frames(ctx, seed, sigma2, points, frames, genie_zero):
         msgs = np.zeros((len(frames), ctx.spec.k), dtype=np.uint8)
         sent = np.zeros((len(frames), ctx.spec.n), dtype=np.uint8)
         return msgs, sent, tb.ReceivedVector(r=np.tile(received.r, (len(frames), 1)))
@@ -292,8 +292,8 @@ def test_multi_point_run_equals_its_one_point_runs(monkeypatch, tmp_path):
     single_csv, single_logs = [], []
     for k, ebn0 in enumerate(config.ebn0_db):
         with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_make_frames", lambda ctx, params, point, frames, genie_zero, k=k:
-                          make_frames(ctx, params, point + k, frames, genie_zero))
+            patch.setattr(montecarlo, "_make_frames", lambda ctx, seed, sigma2, points, frames, genie_zero, k=k:
+                          make_frames(ctx, seed, sigma2, points + k, frames, genie_zero))
             log = tmp_path / f"point-{k}.jsonl"
             single_csv += tb.run_monte_carlo(replace(config, ebn0_db=(ebn0,), mismatch_log=str(log)))
             single_logs += [(k, line) for line in log.read_text().splitlines()]
@@ -333,7 +333,8 @@ def test_a_batch_draws_its_frames_in_two_philox_calls(monkeypatch):
     ctx = build_context("toy-conv-m2-l8")
     channels = [tb.ChannelParams(ebn0_db=e, rate=ctx.rate, seed=5) for e in (1.0, 2.0, 3.0)]
     points, frames = [0, 0, 1, 2, 2], [3, 4, 0, 1, 9]
-    batched = montecarlo._make_frames(ctx, [channels[p] for p in points], np.array(points), frames, False)
+    sigma2 = np.array([channels[p].sigma2 for p in points])
+    batched = montecarlo._make_frames(ctx, 5, sigma2, points, frames, False)
     for row, (point, f) in enumerate(zip(points, frames)):
         alone = montecarlo._make_frame(ctx, channels[point], point, f, False)
         for a, b in zip((batched[0], batched[1], batched[2].r), (alone[0], alone[1], alone[2].r)):
@@ -369,13 +370,35 @@ def test_batch_byte_model_counts_what_a_batch_keeps(monkeypatch):
     size = decoder.batch_frames(ridx)
     assert size >= 80
     params = tb.ChannelParams(ebn0_db=4.0, rate=ctx.rate, seed=5)
-    weights = tb.edge_weights(ridx.trellis, montecarlo._make_frames(ctx, params, 0, range(size), False)[2])
+    sigma2 = np.full(size, params.sigma2)
+    received = montecarlo._make_frames(ctx, params.seed, sigma2, [0] * size, range(size), False)[2]
+    weights = tb.edge_weights(ridx.trellis, received)
     p1 = phase1(ridx, weights)
     assert "surv" not in vars(p1)
     kept = sum(a.nbytes for a in p1.cost + p1.pred_edge + [p1.delta_finals, p1.surv_finals, weights.values])
     monkeypatch.setattr(decoder, "PHASE1_BATCH_BYTES", 10**9)
     modelled = 10**9 / decoder.batch_frames(ridx)
     assert abs(kept / size - modelled) <= 0.1 * modelled
+
+
+def test_simulate_passes_hold_fewer_open_frames_than_a_batch(monkeypatch):
+    # a pass keeps list state per open frame that a phase-1 batch does not,
+    # so a low-SNR mem6 run, whose 80-frame batches leave most frames open,
+    # decides them in passes of pool_frames (20) frames
+    ridx = build_context("mem6-circle48").ridx
+    cap = decoder.pool_frames(ridx)
+    assert cap == 20 < decoder.batch_frames(ridx)
+    passes = []
+    decode_open = decoder._decode_open
+
+    def recording(ridx, weights, p1, *args):
+        passes.append(p1.delta_finals.shape[0])
+        return decode_open(ridx, weights, p1, *args)
+
+    monkeypatch.setattr(decoder, "_decode_open", recording)
+    tb.run_monte_carlo(_config(code="mem6-circle48", ebn0_db=(0.0,), frames=90, decoders=("two-phase-L1",)))
+    assert sum(passes) > 2 * cap
+    assert max(passes) == cap and passes[:-1] == [cap] * (len(passes) - 1)
 
 
 @pytest.mark.parametrize("genie_zero", [False, True])
@@ -386,7 +409,8 @@ def test_batched_frames_equal_numpy_generator_frames(code, genie_zero):
     ctx = build_context(code)
     params = tb.ChannelParams(ebn0_db=2.0, rate=ctx.rate, seed=2**63 + 3)
     frames = [0, 1, 7, 2**32 - 1]
-    msgs, words, received = montecarlo._make_frames(ctx, params, 5, frames, genie_zero)
+    sigma2 = np.full(len(frames), params.sigma2)
+    msgs, words, received = montecarlo._make_frames(ctx, params.seed, sigma2, [5] * len(frames), frames, genie_zero)
     encode = tb.encode_conv_tailbiting if ctx.error_bits == "message" else tb.encode_block
 
     def generator(stream):
