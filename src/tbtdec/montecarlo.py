@@ -253,10 +253,10 @@ def _run_chunk(config: SimConfig, lo: int, hi: int):
     span several points.  Frames are generated and swept by phase 1 in
     batches of ``batch_frames`` consecutive positions: a batch draws all its
     frames in one ``_make_frames`` call, each frame with its own point's
-    channel, even where it straddles a point boundary, and weighs them in
+    noise variance, even where it straddles a point boundary, and weighs them in
     one ``edge_weights`` call.  ``_decode_batches`` yields each batch's settled
     frames at once and pools the open frames of successive batches, up to
-    the same cap and across points, for one pass of every decoder; each
+    ``pool_frames`` and across points, for one pass of every decoder; each
     group it yields is tallied as it comes (``_tally``), every frame to its
     own point.  Every per-frame result is the same as decoding the frame
     alone, and tallies are integer sums, so the grouping changes no output.
