@@ -34,6 +34,10 @@ swept, and a frame phase 1 settled needs no sweep at all.  The full per-start
 sweep (``parallel_start_costs``, ``all_pairs_start_final_distances``) stays
 out of the decode path, as the oracle of the audits, witnesses and tests.
 
+Phase 1, ``viterbi_subtrellis``, the phase1-only fallbacks and exact ML's
+winners run one survivor-keeping sweep (``_sweep``), seeded at every start
+or at one start per row; exact ML's race keeps costs only (``_start_costs``).
+
 ``decode_frames`` runs each phase at most once per frame and derives every
 requested decoder's decision from that shared state.  Phase 1, its stop test
 and the traceback of the frames it settles run over a whole batch of frames
@@ -522,53 +526,62 @@ def phase1(ridx: ReachIndex, weights: WeightAssignment) -> Phase1State:
 
     Batched weights, (F, K) values, sweep F frames at once and give a
     batched state; row f is bit for bit the sweep of frame f alone, because
-    the frames share no arithmetic.  The sweep runs on flat arrays holding
-    the frames one after another, with each frame's indices shifted into its
-    own block.  Each section's weights are gathered from the values when the
-    sweep reaches it, and the survivor starts are carried from one index to
-    the next and kept at the finals only.
+    the frames share no arithmetic (``_sweep``).
     """
     _check_weights(ridx, weights)
+    finals, num_edges = ridx.trellis.finals, ridx.trellis.num_edges
+    cost, pred_edge, surv = _sweep(ridx, weights.values, weights.index, np.arange(ridx.t))
+    return Phase1State(
+        cost, pred_edge, comparisons=num_edges, edge_visits=num_edges,
+        delta_finals=cost[-1][..., finals], surv_finals=surv[..., finals], ridx=ridx,
+    )
+
+
+def _sweep(
+    ridx: ReachIndex, values: np.ndarray, index: list[np.ndarray], starts: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """The min-plus forward sweep keeping survivors, over one row or R rows at once.
+
+    Row r adds the label table ``values[r]``, (R, K), or ``values``, (K,),
+    for one row, gathered by ``index[p]`` at section p, and starts at cost 0
+    from the starts numbered ``starts[r]``, (R, S), or ``starts``, (S,), for
+    every row.  Each vertex keeps its first least candidate in edge order,
+    and each row runs on its own block of flat arrays, sharing no arithmetic.
+    Returns each index's costs and pred edges, (V,) or (R, V), and the
+    survivor starts at the last index.  A sweep from start i alone needs no
+    membership mask: along a start-i..final-i path every in-edge with a
+    finite candidate is a member edge of subtrellis i.
+    """
     trellis = ridx.trellis
-    t = ridx.t
-    batch = weights.values.shape[:-1]
-    n_frames = prod(batch)
-    values = weights.values.reshape(-1) if n_frames == 1 else weights.values.reshape(n_frames, -1)
-    shift = np.arange(n_frames)[:, None]
+    batch = values.shape[:-1]
+    n_rows = prod(batch)
+    values = values.reshape(-1) if n_rows == 1 else values.reshape(n_rows, -1)
+    shift = np.arange(n_rows)[:, None]
     v0 = trellis.v_counts[0]
-    cost = [np.full(n_frames * v0, np.inf)]
-    surv = np.zeros(n_frames * v0, dtype=np.int32)
+    cost = [np.full(n_rows * v0, np.inf)]
+    surv = np.zeros(n_rows * v0, dtype=np.int32)
     pred_edge: list[np.ndarray] = []
-    starts = (trellis.starts + v0 * shift).ravel()
-    cost[0][starts] = 0.0
-    surv[starts] = np.tile(np.arange(t, dtype=np.int32), n_frames)
-    for p, index in enumerate(weights.index):
+    seeds = trellis.starts[starts] + v0 * shift
+    cost[0][seeds] = 0.0
+    surv[seeds] = starts
+    for p, section in enumerate(index):
         frm = ridx.frm[p]
-        if n_frames == 1:
-            w = values[index]
+        if n_rows == 1:
+            w = values[section]
         else:
             frm = (frm + trellis.v_counts[p] * shift).ravel()
-            w = values.take(index, axis=1).reshape(-1)  # frame after frame, as cand
+            w = values.take(section, axis=1).reshape(-1)  # row after row, as cand
         cand = cost[p][frm]
         cand += w
-        win = _grouped_first_min(cand if n_frames == 1 else cand.reshape(n_frames, -1), ridx, p)
-        at = win if n_frames == 1 else (win + len(index) * shift).ravel()  # into cand
+        win = _grouped_first_min(cand if n_rows == 1 else cand.reshape(n_rows, -1), ridx, p)
+        at = win if n_rows == 1 else (win + len(section) * shift).ravel()  # into cand
         cost.append(cand[at])
         surv = surv[frm[at]]
         pred_edge.append(win.astype(np.int32))
     if batch:
         cost, pred_edge = ([a.reshape(*batch, -1) for a in arrays] for arrays in (cost, pred_edge))
         surv = surv.reshape(*batch, -1)
-    num_edges = trellis.num_edges
-    return Phase1State(
-        cost=cost,
-        pred_edge=pred_edge,
-        comparisons=num_edges,
-        edge_visits=num_edges,
-        delta_finals=cost[-1][..., trellis.finals],
-        surv_finals=surv[..., trellis.finals],
-        ridx=ridx,
-    )
+    return cost, pred_edge, surv
 
 
 def _phase1_stops(ridx: ReachIndex, p1: Phase1State) -> list[DecodeOutcome | None]:
@@ -653,9 +666,10 @@ def final_decision(
     Candidates: finals phase 1 closed as codewords (at their phase-1 cost) and
     finals phase 2 assigned a finite metric.  Ties prefer phase 1, then the
     lowest subtrellis index.  If the pool is empty — possible only when
-    membership starves every participant — run a single restricted Viterbi
-    sweep on the most promising subtrellis so a codeword is always returned.
-    This decides one frame; ``_final_decisions`` decides a batch.
+    membership starves every participant — the frame falls back to the
+    restricted Viterbi sweep from its cheapest final's start, so a codeword
+    is always returned.  This decides one frame; ``_final_decisions``
+    decides a batch.
     """
     walks = _Walks()
     decisions = _final_decisions(ridx, weights, p1, p2, walks)
@@ -676,12 +690,13 @@ def _final_decisions(
     (``Phase1State.closed_finals``) at its phase-1 cost.  Its phase-2
     candidate, the first least phase-2 final (rank 0 of the list sweep at
     L = 1), wins only if strictly cheaper, at the path dist the sweep carried
-    to that final.  Both wait in ``walks`` for their codewords.  A frame
-    with neither falls back to one restricted sweep of its cheapest final's
-    subtrellis.
+    to that final.  Both wait in ``walks`` for their codewords.  The frames
+    with neither fall back to a restricted sweep from their cheapest final's
+    start, one ``_sweep`` row each, all in one call, and each waits in
+    ``walks`` like any other decision.  A fallback whose subtrellis has no
+    start-to-final path raises NoPathError.
     """
     closed, j, weight = p1.closed_finals
-    batched = p1.delta_finals.ndim == 2
     decisions: list[DecodeOutcome | None] = [None] * len(j)
     comparisons, edge_visits = [p1.comparisons] * len(j), p1.edge_visits
     if p2 is not None:
@@ -694,17 +709,24 @@ def _final_decisions(
         for f, k, w in zip(won.tolist(), i[won].tolist(), dist.tolist()):
             outcome = DecodeOutcome(None, None, w, "phase2", k, comparisons[f], edge_visits)
             decisions[f] = walks.add(outcome, p2.pred_edge, f, k)
-    bound = p1.delta_finals.reshape(closed.shape)
+    fallback = []
     for f in [f for f, d in enumerate(decisions) if d is None]:
         if closed[f].any():
             outcome = DecodeOutcome(None, None, float(weight[f]), "phase1", int(j[f]), comparisons[f], edge_visits)
             decisions[f] = walks.add(outcome, p1.pred_edge, f, j[f])
         else:
-            cheapest = int(bound[f].argmin())
-            sub = viterbi_subtrellis(ridx, weights.frame(f) if batched else weights, cheapest)
-            decisions[f] = DecodeOutcome(
-                sub.codeword, sub.path, sub.weight, "fallback", cheapest, comparisons[f], edge_visits, sub.comparisons
-            )
+            fallback.append(f)
+    if fallback:  # one restricted sweep per frame, from its cheapest final's start, all in one call
+        i = p1.delta_finals.reshape(closed.shape)[fallback].argmin(axis=1)
+        values = weights.values.reshape(len(j), -1)[fallback]
+        cost, pred_edge, _ = _sweep(ridx, values, weights.index, i[:, None])
+        found = cost[-1][np.arange(len(i)), ridx.trellis.finals[i]]
+        missing = ~np.isfinite(found)
+        if missing.any():  # the first such frame's, as deciding the frames one by one would raise
+            raise NoPathError(f"subtrellis {i[missing.argmax()]} has no start-to-final path")
+        for row, (f, k, w) in enumerate(zip(fallback, i.tolist(), found.tolist())):
+            outcome = DecodeOutcome(None, None, w, "fallback", k, comparisons[f], edge_visits, int(ridx.member_counts[k]))
+            decisions[f] = walks.add(outcome, pred_edge, row, k)
     return decisions
 
 
@@ -1168,8 +1190,9 @@ def decode_phase1_only(ridx: ReachIndex, weights: WeightAssignment) -> DecodeOut
 
     Useful as a baseline showing how much the revision phase recovers.  When
     no final's survivor came from its own start there is no codeword to trace,
-    so a single restricted sweep on the most promising subtrellis stands in
-    (stage "fallback").
+    so the restricted sweep from the cheapest final's start stands in (stage
+    "fallback"), walked with the pass's other decisions; if that subtrellis
+    has no start-to-final path, NoPathError.
     """
     return decode_frame(ridx, weights, ("phase1-only",)).outcomes["phase1-only"]
 
@@ -1178,25 +1201,15 @@ def decode_phase1_only(ridx: ReachIndex, weights: WeightAssignment) -> DecodeOut
 # Exhaustive references
 
 def viterbi_subtrellis(ridx: ReachIndex, weights: WeightAssignment, i: int) -> SubtrellisResult:
-    """Standard Viterbi from start i over edges that belong to subtrellis i."""
+    """Standard Viterbi from start i over edges that belong to subtrellis i: ``_sweep`` from start i alone."""
     _check_weights(ridx, weights)
-    trellis = ridx.trellis
-    cost = np.full(trellis.v_counts[0], np.inf)
-    cost[trellis.starts[i]] = 0.0
-    preds: list[np.ndarray] = []
-    comparisons = 0
-    for p in range(trellis.n_sections):
-        ok = ridx.membership[p][:, i]
-        cand = np.where(ok, cost[ridx.frm[p]] + weights.values.take(weights.index[p], axis=-1), np.inf)
-        win = _grouped_first_min(cand, ridx, p)
-        cost = cand[win]
-        preds.append(win.astype(np.int32))
-        comparisons += int(ok.sum())
-    if not np.isfinite(cost[trellis.finals[i]]):
+    final = ridx.trellis.finals[i]
+    cost, pred_edge, _ = _sweep(ridx, weights.values, weights.index, np.array([i]))
+    if not np.isfinite(cost[-1][final]):
         raise NoPathError(f"subtrellis {i} has no start-to-final path")
-    paths, bits = _walk(ridx, [(preds, None, (), [trellis.finals[i]])])
+    paths, bits = _walk(ridx, [(pred_edge, None, (), [final])])
     return SubtrellisResult(
-        weight=float(cost[trellis.finals[i]]), path=paths[0], codeword=bits[0], comparisons=comparisons
+        weight=float(cost[-1][final]), path=paths[0], codeword=bits[0], comparisons=int(ridx.member_counts[i])
     )
 
 
@@ -1230,29 +1243,6 @@ def _start_costs(
     return costs
 
 
-def _start_pred_edges(
-    ridx: ReachIndex,
-    weights: WeightAssignment,
-    costs: list[np.ndarray],
-    k: np.ndarray,
-    frames: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Survivor edges of rows ``k`` of a start sweep, (K, V) per section, recomputed from its costs.
-
-    ``frames`` names each row's frame as in ``_start_costs``.  Along any
-    start-i..final-i path every in-edge with a finite candidate is a member
-    edge of subtrellis i, so tracing these back from final i, for the row
-    swept from start i, gives the same path as ``viterbi_subtrellis(ridx,
-    weights, i)``.
-    """
-    column = k[:, None]
-    values = weights.values if frames is None else weights.values[frames]
-    return [
-        _grouped_first_min(costs[p][column, ridx.frm[p]] + values.take(index, axis=-1), ridx, p)
-        for p, index in enumerate(weights.index)
-    ]
-
-
 def all_pairs_start_final_distances(
     ridx: ReachIndex, weights: WeightAssignment
 ) -> DistanceTable:
@@ -1283,8 +1273,9 @@ def _exact_decisions(
     The first argmin over a frame's closed weights and swept diagonals is then
     the first argmin of its full diagonal, at that weight.  A closed winner is
     (w*, j) and waits in ``walks`` on phase 1's pred edges, the path its own
-    sweep would pick; a swept winner waits on its row's pred edges,
-    recomputed from the row's costs, and only the winners' are kept.
+    sweep would pick.  The joint sweep keeps costs only; the swept winners'
+    rows are swept again by ``_sweep``, which keeps pred edges, and each
+    waits on its row's.
     """
     t = ridx.t
     finals = ridx.trellis.finals
@@ -1302,12 +1293,12 @@ def _exact_decisions(
     decisions: list[DecodeOutcome] = [None] * len(bound)
     for part in _exact_chunks(ridx, frames):
         f, i = frames[part], rows[part]
-        costs = _start_costs(ridx, weights, i, f if batched else None)
-        weight[f, i] = costs[-1][np.arange(len(i)), finals[i]]
+        weight[f, i] = _start_costs(ridx, weights, i, f if batched else None)[-1][np.arange(len(i)), finals[i]]
         k = np.flatnonzero(weight[f].argmin(axis=1) == i)  # rows that won their frame
         if len(k):
-            pred_edge = _start_pred_edges(ridx, weights, costs, k, f[k] if batched else None)
-            for row, (frame, sub) in enumerate(zip(f[k].tolist(), i[k].tolist())):
+            f, i = f[k], i[k]
+            _, pred_edge, _ = _sweep(ridx, weights.values.reshape(len(bound), -1)[f], weights.index, i[:, None])
+            for row, (frame, sub) in enumerate(zip(f.tolist(), i.tolist())):
                 outcome = DecodeOutcome(None, None, float(weight[frame, sub]), "exact", sub, **work)
                 decisions[frame] = walks.add(outcome, pred_edge, row, sub)
     if not np.isfinite(weight.min(axis=1)).all():

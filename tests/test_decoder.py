@@ -246,16 +246,24 @@ def test_viterbi_subtrellis_matches_enumeration(ridx_block6):
 
 
 def test_exact_ml_traces_the_restricted_viterbi_path(ridx_block6, ridx_conv_m2):
-    # exact ML traces its codeword back through the joint sweep's costs
-    # instead of rerunning the restricted sweep; both must find the same path
+    # exact ML sweeps its winner's row again to trace its codeword, with the
+    # sweep ``viterbi_subtrellis`` runs too; both must find the path of the
+    # scalar restricted sweep, which shares no code with them
     for ridx in (ridx_block6, ridx_conv_m2):
         for frame in range(40):
             _, weights = _weights_of(ridx, seed=71, frame=frame)
             out = tb.decode_exact_ml(ridx, weights)
-            sub = tb.viterbi_subtrellis(ridx, weights, out.subtrellis)
+            i = out.subtrellis
+            sub = tb.viterbi_subtrellis(ridx, weights, i)
             assert np.array_equal(out.path, sub.path)
             assert np.array_equal(out.codeword, sub.codeword)
             assert out.weight == sub.weight
+            final = ridx.trellis.finals[i]
+            costs, preds, _ = _scalar_start_sweep(ridx, weights, i, restricted=True)
+            path, edges = _scalar_walk(ridx, preds, final)
+            assert out.path.tolist() == path
+            assert np.array_equal(out.codeword, _codeword(ridx, edges))
+            assert out.weight == costs[-1][final]
 
 
 def _exact_rows(p1):
@@ -712,26 +720,48 @@ def test_phase1_only_fallback_on_starved_phase1():
 
 
 def test_batched_phase1_only_falls_back_mid_batch():
-    # three open frames of the square trellis, the middle one with no final
-    # closed in phase 1: the batch traces the outer two together and sweeps a
-    # fallback for the middle one, each equal to decoding that frame alone
+    # four open frames of the square trellis, the second and the fourth with
+    # no final closed in phase 1: the batch traces the other two together and
+    # sweeps one fallback row for each of those two, from final 0 and final 1,
+    # each equal to decoding that frame alone and counting its subtrellis's
+    # member edges
     ridx = tb.build_reach_index(_square_trellis())
     # edge order: s0->a, s1->a, s0->b, s1->b, then a->f0, b->f0, a->f1, b->f1
     frames = [
         ([2.0, 5.0, 0.0, 5.0], [0.0, 9.0, 9.0, 1.0]),  # f0 closes at 2, f1 crosses at 1
-        ([1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]),  # both finals cross: no codeword to trace
+        ([1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]),  # both finals cross at 0: no codeword to trace
         ([5.0, 0.0, 5.0, 3.0], [0.5, 9.0, 9.0, 0.0]),  # f1 closes at 3, f0 crosses at 0.5
+        ([1.0, 0.0, 0.0, 1.0], [0.5, 1.0, 1.0, 0.0]),  # both cross, f1 the cheaper at 0
     ]
     weights = tb.WeightAssignment(sections=[np.array(section) for section in zip(*frames)])
     names = ("phase1-only", "exact-ml", "two-phase-L1")
     decoded = list(tb.decode_frames(ridx, weights, names))
-    assert [d.outcomes["phase1-only"].stage for d in decoded] == ["phase1", "fallback", "phase1"]
-    assert [d.outcomes["phase1-only"].subtrellis for d in decoded] == [0, 0, 1]
-    assert decoded[1].outcomes["phase1-only"].fallback_comparisons > 0
+    outs = [d.outcomes["phase1-only"] for d in decoded]
+    assert [out.stage for out in outs] == ["phase1", "fallback", "phase1", "fallback"]
+    assert [out.subtrellis for out in outs] == [0, 0, 1, 1]
+    for out in outs[1::2]:
+        assert out.fallback_comparisons == ridx.member_counts[out.subtrellis] > 0
     for d, (first, second) in zip(decoded, frames):
         one = tb.decode_frame(ridx, tb.WeightAssignment(sections=[np.array(first), np.array(second)]), names)
         for name in names:
             _same_outcome(d.outcomes[name], one.outcomes[name])
+
+
+def test_phase1_only_fallback_without_a_path_raises_no_path_error():
+    # no final closes and the cheapest final, f0, has no path from s0 inside
+    # subtrellis 0 (s0->b and a->f0 cost inf), so the fallback has nothing to
+    # return: a NoPathError, alone or in a batch, never an IndexError
+    ridx = tb.build_reach_index(_square_trellis())
+    # edge order: s0->a, s1->a, s0->b, s1->b, then a->f0, b->f0, a->f1, b->f1
+    starved = ([0.0, 0.0, np.inf, 0.0], [np.inf, 0.0, 0.0, 0.0])
+    closed = ([2.0, 5.0, 0.0, 5.0], [0.0, 9.0, 9.0, 1.0])
+    message = "subtrellis 0 has no start-to-final path"
+    alone = tb.WeightAssignment(sections=[np.array(section) for section in starved])
+    with pytest.raises(tb.NoPathError, match=message):
+        tb.decode_phase1_only(ridx, alone)
+    batch = tb.WeightAssignment(sections=[np.array(section) for section in zip(closed, starved, closed)])
+    with pytest.raises(tb.NoPathError, match=message):
+        list(tb.decode_frames(ridx, batch, ("phase1-only",)))
 
 
 def test_closed_final_at_inf_cost_is_the_phase1_answer():
@@ -765,7 +795,7 @@ def _recording_walk(monkeypatch, calls):
         ]
         for start, path in zip(starts, paths):
             start.path = path
-        calls.append(SimpleNamespace(walks=starts, fallback=False))
+        calls.append(SimpleNamespace(walks=starts))
         return paths, bits
 
     monkeypatch.setattr(decoder, "_walk", recording)
@@ -817,29 +847,23 @@ def test_no_closed_codeword_is_walked_twice(monkeypatch, ridx_block6, ridx_conv_
 
 def test_each_pass_walks_once_and_only_returned_codewords(monkeypatch, ridx_block6, ridx_conv_m2):
     # every decoder decides on its sweep's weights before any walk, so each
-    # pass over open frames calls the walker once, a one-frame decode calls it
-    # once in all (a fallback's restricted sweep walks its own codeword), and
+    # pass over open frames calls the walker once, a phase1-only fallback's
+    # restricted sweep included, a one-frame decode calls it once in all, and
     # every walk is the path some decoder returns: no list candidate that lost
     # to the single-candidate decision is walked
     calls, passes = [], []
     _recording_walk(monkeypatch, calls)
-    decode_open, viterbi_subtrellis = decoder._decode_open, decoder.viterbi_subtrellis
+    decode_open = decoder._decode_open
 
     def recording_open(*args):
         before = len(calls)
         result = decode_open(*args)
-        passes.append(sum(not call.fallback for call in calls[before:]))
+        passes.append(len(calls) - before)
         return result
 
-    def recording_fallback(*args):
-        sub = viterbi_subtrellis(*args)
-        calls[-1].fallback = True
-        return sub
-
     monkeypatch.setattr(decoder, "_decode_open", recording_open)
-    monkeypatch.setattr(decoder, "viterbi_subtrellis", recording_fallback)
     names = tb.DECODER_NAMES + ("two-phase-L3",)
-    lost = 0
+    lost = fallbacks = 0
     for ridx, batch in ((ridx, batch) for ridx in (ridx_block6, ridx_conv_m2) for batch in (1, 7)):
         for first in range(0, 35, batch):
             received = [random_received(ridx, seed=107, frame=f) for f in range(first, first + batch)]
@@ -850,11 +874,13 @@ def test_each_pass_walks_once_and_only_returned_codewords(monkeypatch, ridx_bloc
             decoded = list(tb.decode_frames(ridx, weights, names))
             assert passes == ([1] if any(d.p2 is not None for d in decoded) else [])
             if batch == 1:
-                assert sum(not call.fallback for call in calls) == 1
+                assert len(calls) == 1
             returned = {o.path.ctypes.data for d in decoded for o in d.outcomes.values()}
             assert all(walk.path.ctypes.data in returned for call in calls for walk in call.walks)
             lost += sum(d.p2 is not None and d.outcomes["two-phase-L3"].stage != "phase2" for d in decoded)
+            fallbacks += sum(d.outcomes["phase1-only"].stage == "fallback" for d in decoded)
     assert lost  # some open frame's list candidate was not returned
+    assert fallbacks  # and some frame fell back in phase1-only, walked in its pass's one walk
 
 
 def test_open_frame_won_by_phase2_walks_once(monkeypatch, ridx_block6):

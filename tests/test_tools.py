@@ -1,6 +1,7 @@
 """Tests of the helper scripts under tools/."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -77,3 +78,17 @@ def test_bench_ab_unresolved_when_the_parents_spread_exceeds_the_bound():
         assert entry["unresolved"] is unresolved, name
     quiet = {"name": "frame_us_p99", "better": "lower", "bound": 0.5}
     assert bench_ab.summarize(_pairs(parent, parent), [quiet])["frame_us_p99"]["unresolved"] is False
+
+
+def test_timeit_ab_times_every_call_of_the_repo_against_itself(tmp_path):
+    # both sides load this checkout's package, each under its own module name
+    timeit_ab = _load("timeit_ab")
+    repo = TOOLS.parent
+    out = tmp_path / "timeit.json"
+    assert timeit_ab.main(["--parent", str(repo), "--change", str(repo), "--rounds", "2", "--frames", "1",
+                           "--codes", "mem4-circle20", "--out", str(out)]) == 0
+    results = json.loads(out.read_text(encoding="utf-8"))["results"]
+    assert [(r["code"], r["call"]) for r in results] == [("mem4-circle20", call) for call in timeit_ab.CALLS]
+    for r in results:
+        for side in ("parent", "change"):
+            assert 0 < r[f"{side}_min_us"] <= r[f"{side}_median_us"]

@@ -1,0 +1,146 @@
+"""Time one-frame decoder calls of two checkouts, interleaved in one process.
+
+    python3 tools/timeit_ab.py --parent DIR --change DIR [--rounds 200] \
+        [--frames 4] [--ebn0 1] [--codes mem4-circle20,mem6-circle48] \
+        [--calls phase1,_phase1_stops,decode_exact_ml,viterbi_subtrellis] [--out FILE.json]
+
+Each checkout is a directory holding ``src/tbtdec``, such as a ``git
+archive`` of a commit.  Both packages are imported into this one process
+under their own module names (``tbtdec_parent``, ``tbtdec_change``), so both
+sides run on the same interpreter, numpy and machine state.  Per code, the
+frames are the first ``--frames`` noisy all-zero frames at ``--ebn0`` that
+phase 1 leaves open, so exact ML has subtrellises to sweep, except for
+``_phase1_stops``, which takes the first that phase 1 settles, so the stop
+test walks its codeword.  Each side builds its own trellis and edge weights
+from the same samples.  Every named call
+is then timed ``--rounds`` times on every frame, one call at a time, the two
+sides alternating and the side that goes first alternating by round, with
+the garbage collector off.  The report gives, per code and call, each side's
+min and median µs per call and the change's median over the parent's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+CALLS = ("phase1", "_phase1_stops", "decode_exact_ml", "viterbi_subtrellis")
+CODES = ("mem4-circle20", "mem6-circle48")
+
+
+def load(checkout: Path, name: str):
+    """``checkout``'s ``src/tbtdec`` imported as the package ``name``."""
+    package = checkout / "src" / "tbtdec"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its relative imports resolve under ``name``
+    spec.loader.exec_module(module)
+    return module
+
+
+def frame_samples(tb, code: str, ebn0: float, count: int, limit: int = 10_000) -> dict[str, list[np.ndarray]]:
+    """The received samples of the first ``count`` all-zero frames at ``ebn0`` that phase 1 leaves open, and settles."""
+    ctx = tb.build_context(code)
+    params = tb.ChannelParams(ebn0_db=ebn0, rate=ctx.rate, seed=1)
+    signal = tb.bpsk_modulate(np.zeros(ctx.ridx.trellis.n_sections * ctx.ridx.trellis.label_width, dtype=np.uint8))
+    samples = {"open": [], "settled": []}
+    for stream in range(limit):
+        received = tb.awgn_transmit(signal, params, stream)
+        weights = tb.edge_weights(ctx.ridx.trellis, received)
+        kind = "open" if tb.phase1_decision(ctx.ridx, tb.phase1(ctx.ridx, weights), weights) is None else "settled"
+        if len(samples[kind]) < count:
+            samples[kind].append(received.r)
+        if all(len(s) == count for s in samples.values()):
+            return samples
+    raise SystemExit(f"{code}: fewer than {count} open and {count} settled frames among {limit} at {ebn0} dB")
+
+
+def bind(tb, code: str, samples: list[np.ndarray], name: str) -> list:
+    """One zero-argument function per frame, making call ``name`` on that frame."""
+    ridx = tb.build_context(code).ridx
+    calls = []
+    for r in samples:
+        weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=r))
+        if name == "phase1":
+            calls.append(lambda w=weights: tb.phase1(ridx, w))
+        elif name == "_phase1_stops":
+            p1 = tb.phase1(ridx, weights)
+            calls.append(lambda p1=p1: tb.decoder._phase1_stops(ridx, p1))
+        elif name == "decode_exact_ml":
+            calls.append(lambda w=weights: tb.decode_exact_ml(ridx, w))
+        elif name == "viterbi_subtrellis":  # the subtrellis of the cheapest final, as a fallback sweeps
+            i = int(np.argmin(tb.phase1(ridx, weights).delta_finals))
+            calls.append(lambda w=weights, i=i: tb.viterbi_subtrellis(ridx, w, i))
+        else:
+            raise SystemExit(f"unknown call {name!r}; available: {', '.join(CALLS)}")
+    return calls
+
+
+def interleave(sides: dict[str, list], rounds: int) -> dict[str, list[float]]:
+    """µs per call of each side's calls, frame by frame, the sides taking turns to go first."""
+    names = list(sides)
+    times = {side: [] for side in names}
+    gc.disable()
+    try:
+        for k in range(rounds):
+            order = names if k % 2 == 0 else names[::-1]
+            for frame in range(len(sides[names[0]])):
+                for side in order:
+                    call = sides[side][frame]
+                    start = time.perf_counter_ns()
+                    call()
+                    times[side].append((time.perf_counter_ns() - start) / 1e3)
+    finally:
+        gc.enable()
+    return times
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--rounds", type=int, default=200)
+    parser.add_argument("--frames", type=int, default=4)
+    parser.add_argument("--ebn0", type=float, default=1.0)
+    parser.add_argument("--codes", default=",".join(CODES))
+    parser.add_argument("--calls", default=",".join(CALLS))
+    parser.add_argument("--out", type=Path, default=None, help="also write the report as JSON here")
+    args = parser.parse_args(argv)
+    packages = {side: load(path, f"tbtdec_{side}") for side, path in (("parent", args.parent), ("change", args.change))}
+    report = {"what": f"{args.rounds} interleaved rounds over {args.frames} frames at {args.ebn0:g} dB",
+              "results": []}
+    for code in args.codes.split(","):
+        samples = frame_samples(packages["change"], code, args.ebn0, args.frames)
+        for name in args.calls.split(","):
+            frames = samples["settled" if name == "_phase1_stops" else "open"]
+            sides = {side: bind(tb, code, frames, name) for side, tb in packages.items()}
+            for calls in sides.values():  # warm both sides' lazy state before timing
+                for call in calls:
+                    call()
+            times = interleave(sides, args.rounds)
+            row = {"code": code, "call": name}
+            for side, values in times.items():
+                row[f"{side}_min_us"] = round(min(values), 1)
+                row[f"{side}_median_us"] = round(statistics.median(values), 1)
+            row["median_ratio"] = round(row["change_median_us"] / row["parent_median_us"], 3)
+            report["results"].append(row)
+            print(f"{code:16} {name:20} parent min {row['parent_min_us']:9.1f} median {row['parent_median_us']:9.1f}"
+                  f"  change min {row['change_min_us']:9.1f} median {row['change_median_us']:9.1f}"
+                  f"  ratio {row['median_ratio']:.3f}", flush=True)
+    if args.out is not None:
+        args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
