@@ -36,7 +36,9 @@ out of the decode path, as the oracle of the audits, witnesses and tests.
 
 Phase 1, ``viterbi_subtrellis``, the phase1-only fallbacks and exact ML's
 winners run one survivor-keeping sweep (``_sweep``), seeded at every start
-or at one start per row; exact ML's race keeps costs only (``_start_costs``).
+or at one start per row.  Exact ML's race keeps costs only: ``_start_costs``
+yields them index by index, the race keeps the last index's and the oracle
+all of them.
 
 ``decode_frames`` runs each phase at most once per frame and derives every
 requested decoder's decision from that shared state.  Phase 1, its stop test
@@ -47,8 +49,8 @@ frames' label tables when the sweep reaches section p.  Every decoder then decid
 batched pass over just those frames, pooled across successive batches by
 ``_decode_batches`` up to ``pool_frames`` frames a pass: phase 2, its final
 decision and one list sweep per larger list size; exact ML, whose remaining
-(frame, subtrellis) rows of all open frames are swept jointly, each over its
-own frame's weights; and phase1-only.  Phase 1's closed decision, each
+(frame, subtrellis) rows of all open frames are swept in one call, each over
+its own frame's weights; and phase1-only.  Phase 1's closed decision, each
 frame's cheapest final that closed its own loop, is made in one place
 (``Phase1State.closed_finals``) for the stop test, phase 2's participants
 and every decoder.  Every decoder decides by comparing weights its own
@@ -79,7 +81,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .channel import ReceivedVector, WeightAssignment
-from .errors import CatalogError, LengthMismatchError, NoPathError
+from .errors import CatalogError, LengthMismatchError, NoPathError, ShapeMismatchError
 from .trellis import ReachIndex
 
 __all__ = [
@@ -352,8 +354,13 @@ class FrameDecode:
 # ---------------------------------------------------------------------------
 # Shared sweep machinery
 
-def _check_weights(ridx: ReachIndex, weights: WeightAssignment) -> None:
-    """Every section's weights must be as wide as its edge count, and every section needs weights."""
+def _check_weights(ridx: ReachIndex, weights: WeightAssignment, batch: bool = True) -> None:
+    """Every section's weights must be as wide as its edge count, and every section needs weights.
+
+    Without ``batch`` the values must be one frame's, (K,), not a batch's.
+    """
+    if not batch and weights.values.ndim != 1:
+        raise ShapeMismatchError(f"expected one frame's weights, got values of shape {weights.values.shape}")
     widths = tuple([len(index) for index in weights.index])
     counts = ridx.trellis.edge_counts
     if widths != counts:
@@ -485,7 +492,6 @@ class _Walks:
 
 PHASE1_BATCH_BYTES = 3 << 20  # phase-1 state and weights of the frames one batch sweeps together
 POOL_BYTES = 1 << 20  # one list rank's state of the open frames every decoder decides in one pass
-EXACT_ROWS_BYTES = 1 << 20  # costs of the subtrellis rows exact ML sweeps together
 
 
 def batch_frames(ridx: ReachIndex) -> int:
@@ -1202,7 +1208,7 @@ def decode_phase1_only(ridx: ReachIndex, weights: WeightAssignment) -> DecodeOut
 
 def viterbi_subtrellis(ridx: ReachIndex, weights: WeightAssignment, i: int) -> SubtrellisResult:
     """Standard Viterbi from start i over edges that belong to subtrellis i: ``_sweep`` from start i alone."""
-    _check_weights(ridx, weights)
+    _check_weights(ridx, weights, batch=False)
     final = ridx.trellis.finals[i]
     cost, pred_edge, _ = _sweep(ridx, weights.values, weights.index, np.array([i]))
     if not np.isfinite(cost[-1][final]):
@@ -1220,35 +1226,38 @@ def parallel_start_costs(ridx: ReachIndex, weights: WeightAssignment) -> list[np
     sweep from start i; used as the oracle for phase-1 exactness and for the
     per-subtrellis lower bounds in the invariant audits.
     """
-    _check_weights(ridx, weights)
-    return _start_costs(ridx, weights, np.arange(ridx.t))
+    _check_weights(ridx, weights, batch=False)
+    return list(_start_costs(ridx, weights, np.arange(ridx.t)))
 
 
 def _start_costs(
     ridx: ReachIndex, weights: WeightAssignment, rows: np.ndarray, frames: np.ndarray | None = None
-) -> list[np.ndarray]:
-    """The sweeps from starts ``rows``, row k from start rows[k]; each row is swept alone.
+) -> Iterator[np.ndarray]:
+    """The sweeps from starts ``rows``, row k from start rows[k]; yields each index's (rows, V) costs in turn.
 
-    Row k adds the weights of frame frames[k] of a batch, or of the one frame
-    ``weights`` holds when ``frames`` is None.
+    Each row is swept alone.  Row k adds the weights of frame frames[k] of a
+    batch, or of the one frame ``weights`` holds when ``frames`` is None.
+    Each index's costs are made from the previous index's only, so a caller
+    that keeps just the last holds two indices' costs at a time.
     """
     trellis = ridx.trellis
     values = weights.values if frames is None else weights.values[frames]
     cost = np.full((len(rows), trellis.v_counts[0]), np.inf)
     cost[np.arange(len(rows)), trellis.starts[rows]] = 0.0
-    costs = [cost]
+    yield cost
     for p, index in enumerate(weights.index):
-        cand = costs[p][:, ridx.frm[p]] + values.take(index, axis=-1)
-        costs.append(_group_min(cand, ridx, p))
-    return costs
+        cost = _group_min(cost[:, ridx.frm[p]] + values.take(index, axis=-1), ridx, p)
+        yield cost
 
 
 def all_pairs_start_final_distances(
     ridx: ReachIndex, weights: WeightAssignment
 ) -> DistanceTable:
     """Start-to-final distance table; diagonal entries are codeword weights."""
-    costs = parallel_start_costs(ridx, weights)
-    return DistanceTable(d=costs[-1][:, ridx.trellis.finals])
+    _check_weights(ridx, weights, batch=False)
+    for cost in _start_costs(ridx, weights, np.arange(ridx.t)):  # only the last index is read
+        pass
+    return DistanceTable(d=cost[:, ridx.trellis.finals])
 
 
 def _exact_decisions(
@@ -1269,13 +1278,13 @@ def _exact_decisions(
     monotonicity it is at least the sweep's weight at final j, itself at least
     the ML weight; a dropped row weighs more than the ceiling and cannot be
     the first argmin.  The remaining (frame, subtrellis) rows of every frame
-    are swept jointly, each over its own frame's weights (``_exact_chunks``).
-    The first argmin over a frame's closed weights and swept diagonals is then
-    the first argmin of its full diagonal, at that weight.  A closed winner is
-    (w*, j) and waits in ``walks`` on phase 1's pred edges, the path its own
-    sweep would pick.  The joint sweep keeps costs only; the swept winners'
-    rows are swept again by ``_sweep``, which keeps pred edges, and each
-    waits on its row's.
+    are swept in one ``_start_costs`` call, each over its own frame's weights,
+    and only its last index's costs are kept.  Each frame's first argmin over
+    its closed weights and swept diagonals is then the first argmin of its
+    full diagonal, at that weight.  A closed winner is (w*, j) and waits in
+    ``walks`` on phase 1's pred edges, the path its own sweep would pick.  The
+    swept winners' rows are swept again, in one ``_sweep`` call, which keeps
+    pred edges, and each waits on its row's.
     """
     t = ridx.t
     finals = ridx.trellis.finals
@@ -1288,45 +1297,24 @@ def _exact_decisions(
     if ceiling is not None:
         race &= bound <= ceiling[:, None]
     frames, rows = np.nonzero(race)
-    batched = p1.delta_finals.ndim == 2
-    work = _exact_work(ridx)
-    decisions: list[DecodeOutcome] = [None] * len(bound)
-    for part in _exact_chunks(ridx, frames):
-        f, i = frames[part], rows[part]
-        weight[f, i] = _start_costs(ridx, weights, i, f if batched else None)[-1][np.arange(len(i)), finals[i]]
-        k = np.flatnonzero(weight[f].argmin(axis=1) == i)  # rows that won their frame
-        if len(k):
-            f, i = f[k], i[k]
-            _, pred_edge, _ = _sweep(ridx, weights.values.reshape(len(bound), -1)[f], weights.index, i[:, None])
-            for row, (frame, sub) in enumerate(zip(f.tolist(), i.tolist())):
-                outcome = DecodeOutcome(None, None, float(weight[frame, sub]), "exact", sub, **work)
-                decisions[frame] = walks.add(outcome, pred_edge, row, sub)
-    if not np.isfinite(weight.min(axis=1)).all():
+    if len(rows):  # every race row in one sweep, of which only the last index's costs are read
+        for cost in _start_costs(ridx, weights, rows, frames if p1.delta_finals.ndim == 2 else None):
+            pass
+        weight[frames, rows] = cost[np.arange(len(rows)), finals[rows]]
+    least = weight.min(axis=1)
+    if not np.isfinite(least).all():
         raise NoPathError("no subtrellis contains a start-to-final path")
-    for f in [f for f, d in enumerate(decisions) if d is None]:  # no swept row beat the cheapest closed final
-        outcome = DecodeOutcome(None, None, float(best[f]), "exact", int(j[f]), **work)
-        decisions[f] = walks.add(outcome, p1.pred_edge, f, j[f])
+    won = weight.argmin(axis=1)
+    swept = race[np.arange(len(won)), won]
+    if swept.any():  # the swept winners again, one row each in one call, keeping pred edges
+        pred_edge = _sweep(ridx, weights.values.reshape(len(won), -1)[swept], weights.index, won[swept, None])[1]
+    at = np.cumsum(swept) - 1  # each swept winner's row in that sweep
+    work = _exact_work(ridx)
+    decisions = []
+    for f, (i, w) in enumerate(zip(won.tolist(), least.tolist())):
+        source = (pred_edge, at[f]) if swept[f] else (p1.pred_edge, f)  # a closed winner is (w*, j), on phase 1's
+        decisions.append(walks.add(DecodeOutcome(None, None, w, "exact", i, **work), *source, i))
     return decisions
-
-
-def _exact_chunks(ridx: ReachIndex, frames: np.ndarray) -> Iterator[slice]:
-    """Runs of whole frames in ``frames`` (sorted) whose swept rows fit EXACT_ROWS_BYTES.
-
-    A row keeps a float64 cost per vertex: 41 mem6-circle48 rows a run.
-    Each run holds as many frames as fit, and at least one: a frame's rows
-    are swept together, so its winner is known once its run is swept and no
-    other run's costs need keeping.
-    """
-    size = EXACT_ROWS_BYTES // (8 * sum(ridx.trellis.v_counts))
-    ends = (np.flatnonzero(frames[1:] != frames[:-1]) + 1).tolist() + [len(frames)]  # past each frame's rows
-    lo = last = 0
-    for end in ends:
-        if end - lo > size and last > lo:
-            yield slice(lo, last)
-            lo = last
-        last = end
-    if lo < len(frames):
-        yield slice(lo, len(frames))
 
 
 def _exact_work(ridx: ReachIndex) -> dict[str, int]:

@@ -22,7 +22,7 @@ class LengthMismatchError(ToolkitError):
 
 
 class ShapeMismatchError(ToolkitError):
-    """Two trellises cannot be combined (section count or label width differ)."""
+    """Two trellises cannot be combined (section count or label width differ), or a one-frame call got a batch."""
 
 
 class TooLargeError(ToolkitError):

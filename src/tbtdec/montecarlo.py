@@ -321,9 +321,10 @@ def _tally(
     (message) matrix at once, and so are its codewords with exact ML's,
     which counts ``ml_mismatches``; the per-frame counts are then summed
     into each point's tallies.  Reports are built only for the mismatch
-    rows, in group order, each with its own point's Eb/N0, and each frame's
-    ``FrameDecode`` is dropped from ``group`` once its reports are written,
-    so at most one frame's all-pairs table is alive at a time.
+    rows and only when a log is named, in group order, each with its own
+    point's Eb/N0, and each frame's ``FrameDecode`` is dropped from
+    ``group`` once its reports are written, so at most one frame's all-pairs
+    table is alive at a time.
     """
     points = np.array([batch.points[f] for batch, f in rows])
     by_point = [(int(point), points == point) for point in np.unique(points)]
@@ -354,11 +355,12 @@ def _tally(
                 fallbacks=int(np.count_nonzero(fallbacks & mine)),
                 comparisons=int(comparisons[mine].sum()),
             ))
+    reported = mismatched if config.mismatch_log else {}  # run_monte_carlo writes reports to a log only
     for k, (batch, f) in enumerate(rows):
         decoded = group[k][2]
         exact = decoded.outcomes.get("exact-ml")
         point = int(batch.points[f])
-        for name, wrong_rows in mismatched.items():
+        for name, wrong_rows in reported.items():
             if not wrong_rows[k]:
                 continue
             outcome = decoded.outcomes[name]

@@ -1,6 +1,7 @@
 """Two-phase decoder tests: exactness, dominance, lists, fallback."""
 
 import warnings
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -367,29 +368,50 @@ def test_exact_ml_skips_rows_above_the_other_decoders_weights(
     assert dropped
 
 
-@pytest.mark.parametrize("rows_per_chunk", [0, 3])
-def test_exact_ml_chunks_hold_whole_frames(monkeypatch, ridx_block6, ridx_conv_m2, rows_per_chunk):
-    # with EXACT_ROWS_BYTES shrunk to a few rows' costs the open frames'
-    # rows are swept in several calls, each holding whole frames and no more
-    # rows than fit unless it holds one frame only; every outcome equals the
-    # unchunked run's and the all-pairs oracle's
-    for ridx in (ridx_block6, ridx_conv_m2):
-        received = [random_received(ridx, seed=79, frame=f) for f in range(21)]
-        received[1::3] = [tb.ReceivedVector(r=np.round(rec.r)) for rec in received[1::3]]
-        weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=np.stack([rec.r for rec in received])))
-        whole = [d.outcomes["exact-ml"] for d in tb.decode_frames(ridx, weights, ("exact-ml",))]
-        swept = []
-        with monkeypatch.context() as patch:
-            _recording_start_costs(patch, swept)
-            patch.setattr(decoder, "EXACT_ROWS_BYTES", rows_per_chunk * 8 * sum(ridx.trellis.v_counts))
-            chunked = [d.outcomes["exact-ml"] for d in tb.decode_frames(ridx, weights, ("exact-ml",))]
-        assert len(swept) > 1
-        frames = [sorted({f for f, _ in rows}) for rows in swept]
-        assert sum(len(f) for f in frames) == len(set().union(*frames))  # no frame split between sweeps
-        assert all(len(rows) <= rows_per_chunk or len(f) == 1 for rows, f in zip(swept, frames))
-        for rec, a, b in zip(received, chunked, whole):
-            _same_outcome(a, b)
-            _matches_all_pairs_oracle(ridx, tb.edge_weights(ridx.trellis, rec), a)
+@pytest.fixture(scope="module")
+def mem6_open_pass():
+    """Weights of 20 mem6-circle48 frames at 0 and 1 dB that phase 1 leaves open, as one batch."""
+    ctx = montecarlo.build_context("mem6-circle48")
+    points = np.repeat([0, 1], 20)
+    sigma2 = np.array([tb.ChannelParams(ebn0_db=ebn0, rate=ctx.rate, seed=7).sigma2 for ebn0 in (0.0, 1.0)])
+    _, _, received = montecarlo._make_frames(ctx, 7, sigma2[points], points, [*range(20)] * 2, False)
+    weights = tb.edge_weights(ctx.ridx.trellis, received)
+    stops = _phase1_stops(ctx.ridx, tb.phase1(ctx.ridx, weights))
+    open_rows = [f for f, stop in enumerate(stops) if stop is None][:20]
+    assert len(open_rows) == 20
+    return ctx.ridx, weights.take(open_rows)
+
+
+def test_exact_ml_races_a_whole_pass_in_one_call(monkeypatch, mem6_open_pass):
+    # exact ML alone decides a pass of 20 open frames with one start sweep of
+    # every race row, more rows than the 41 mem6 rows a 1 MB cost budget held,
+    # and each outcome equals its frame's one-frame decode
+    ridx, weights = mem6_open_pass
+    swept = []
+    with monkeypatch.context() as patch:
+        _recording_start_costs(patch, swept)
+        decoded = list(tb.decode_frames(ridx, weights, ("exact-ml",)))
+    assert len(swept) == 1 and len(swept[0]) > 41
+    for f, d in enumerate(decoded):
+        _same_outcome(d.outcomes["exact-ml"], tb.decode_exact_ml(ridx, weights.frame(f)))
+
+
+def test_exact_ml_race_keeps_two_indices_costs_at_most(monkeypatch, mem6_open_pass):
+    # the race reads the last index's costs only: when the start sweep yields
+    # an index's costs, those of the index before the previous one are gone
+    ridx, weights = mem6_open_pass
+    start_costs = decoder._start_costs
+    alive = []
+
+    def recording(*args):
+        for cost in start_costs(*args):
+            alive.append(weakref.ref(cost))
+            assert sum(ref() is not None for ref in alive) <= 2
+            yield cost
+
+    monkeypatch.setattr(decoder, "_start_costs", recording)
+    list(tb.decode_frames(ridx, weights, ("exact-ml",)))
+    assert len(alive) == ridx.trellis.n_sections + 1
 
 
 def test_open_frames_pool_across_batches(monkeypatch, ridx_block6, ridx_conv_m2):
@@ -913,6 +935,25 @@ def test_weights_shape_checked(ridx_block4):
     bad = tb.WeightAssignment(sections=[np.zeros(3)] * 4)
     with pytest.raises(tb.LengthMismatchError):
         tb.phase1(ridx_block4, bad)
+
+
+@pytest.mark.parametrize("n_frames", [16, 3])
+def test_one_frame_entry_points_reject_batched_weights(n_frames):
+    # mem4-circle20 has 16 starts, so a batch of 16 frames once came back from
+    # parallel_start_costs as a table whose row i used frame i's weights
+    ridx = montecarlo.build_context("mem4-circle20").ridx
+    assert ridx.t == 16
+    rows = np.stack([random_received(ridx, seed=83, frame=f).r for f in range(n_frames)])
+    weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=rows))
+    p1 = tb.phase1(ridx, weights.frame(0))
+    for call in (
+        lambda: tb.viterbi_subtrellis(ridx, weights, 0),
+        lambda: tb.parallel_start_costs(ridx, weights),
+        lambda: tb.all_pairs_start_final_distances(ridx, weights),
+        lambda: tb.audit_decode_invariants(ridx, weights, p1, None),
+    ):
+        with pytest.raises(tb.ShapeMismatchError, match="one frame's weights"):
+            call()
 
 
 def test_weights_check_names_the_first_bad_section(ridx_block8):

@@ -466,6 +466,24 @@ def test_simulate_builds_cost_tables_only_for_mismatch_frames(monkeypatch, tmp_p
     assert len(calls) == len(mismatch_frames)
 
 
+def test_simulate_builds_no_report_without_a_log(monkeypatch):
+    # reports are written to a named log only, so a run without one builds no
+    # all-pairs table and no crossing witness, though it counts mismatches
+    calls = []
+
+    def counting(name, function):
+        def wrapped(*args):
+            calls.append(name)
+            return function(*args)
+        return wrapped
+
+    monkeypatch.setattr(decoder, "parallel_start_costs", counting("table", tb.parallel_start_costs))
+    monkeypatch.setattr(montecarlo, "crossing_pair_witness", counting("witness", tb.crossing_pair_witness))
+    rows = tb.run_monte_carlo(_config(ebn0_db=(1.0, 2.0), frames=60))
+    assert sum(row.ml_mismatches for row in rows) > 0
+    assert calls == []
+
+
 def test_simulate_keeps_one_cost_table_alive_at_a_time(monkeypatch, tmp_path):
     # a batch's mismatch reports are written frame by frame, and each frame's
     # decode, with its all-pairs table, is dropped before the next one's table

@@ -92,3 +92,14 @@ def test_timeit_ab_times_every_call_of_the_repo_against_itself(tmp_path):
     for r in results:
         for side in ("parent", "change"):
             assert 0 < r[f"{side}_min_us"] <= r[f"{side}_median_us"]
+    # the pass is one call that decodes all the open frames as one batch
+    tb = timeit_ab.load(repo, "tbtdec_change")
+    samples = timeit_ab.frame_samples(tb, "mem4-circle20", 1.0, 3)["open"]
+    calls = timeit_ab.bind(tb, "mem4-circle20", samples, "decode_frames_exact_ml")
+    assert len(calls) == 1
+    decoded = calls[0]()
+    assert len(decoded) == 3
+    ridx = tb.build_context("mem4-circle20").ridx
+    for d, r in zip(decoded, samples):
+        alone = tb.decode_exact_ml(ridx, tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=r)))
+        assert (d.outcomes["exact-ml"].weight, d.outcomes["exact-ml"].subtrellis) == (alone.weight, alone.subtrellis)

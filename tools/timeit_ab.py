@@ -1,8 +1,9 @@
-"""Time one-frame decoder calls of two checkouts, interleaved in one process.
+"""Time decoder calls of two checkouts on the same frames, interleaved in one process.
 
     python3 tools/timeit_ab.py --parent DIR --change DIR [--rounds 200] \
         [--frames 4] [--ebn0 1] [--codes mem4-circle20,mem6-circle48] \
-        [--calls phase1,_phase1_stops,decode_exact_ml,viterbi_subtrellis] [--out FILE.json]
+        [--calls phase1,_phase1_stops,decode_exact_ml,viterbi_subtrellis,decode_frames_exact_ml] \
+        [--out FILE.json]
 
 Each checkout is a directory holding ``src/tbtdec``, such as a ``git
 archive`` of a commit.  Both packages are imported into this one process
@@ -12,9 +13,12 @@ frames are the first ``--frames`` noisy all-zero frames at ``--ebn0`` that
 phase 1 leaves open, so exact ML has subtrellises to sweep, except for
 ``_phase1_stops``, which takes the first that phase 1 settles, so the stop
 test walks its codeword.  Each side builds its own trellis and edge weights
-from the same samples.  Every named call
-is then timed ``--rounds`` times on every frame, one call at a time, the two
-sides alternating and the side that goes first alternating by round, with
+from the same samples.  Every call takes one frame, except
+``decode_frames_exact_ml``: one ``decode_frames`` call with exact ML alone on
+all the open frames as one batch, so one pass whose race sweeps every
+frame's rows together.  Every named call is then timed ``--rounds`` times on
+every frame (the pass once a round), one call at a time, the two sides
+alternating and the side that goes first alternating by round, with
 the garbage collector off.  The report gives, per code and call, each side's
 min and median µs per call and the change's median over the parent's.
 """
@@ -32,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-CALLS = ("phase1", "_phase1_stops", "decode_exact_ml", "viterbi_subtrellis")
+CALLS = ("phase1", "_phase1_stops", "decode_exact_ml", "viterbi_subtrellis", "decode_frames_exact_ml")
 CODES = ("mem4-circle20", "mem6-circle48")
 
 
@@ -66,8 +70,11 @@ def frame_samples(tb, code: str, ebn0: float, count: int, limit: int = 10_000) -
 
 
 def bind(tb, code: str, samples: list[np.ndarray], name: str) -> list:
-    """One zero-argument function per frame, making call ``name`` on that frame."""
+    """One zero-argument function per frame, making call ``name`` on that frame; one for all of them for a pass."""
     ridx = tb.build_context(code).ridx
+    if name == "decode_frames_exact_ml":
+        weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=np.stack(samples)))
+        return [lambda: list(tb.decode_frames(ridx, weights, ("exact-ml",)))]
     calls = []
     for r in samples:
         weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=r))
