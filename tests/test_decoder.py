@@ -383,9 +383,9 @@ def mem6_open_pass():
 
 
 def test_exact_ml_races_a_whole_pass_in_one_call(monkeypatch, mem6_open_pass):
-    # exact ML alone decides a pass of 20 open frames with one start sweep of
-    # every race row, more rows than the 41 mem6 rows a 1 MB cost budget held,
-    # and each outcome equals its frame's one-frame decode
+    # exact ML alone decides a pass of 20 open low-SNR frames with one start
+    # sweep of all its race rows, over 41 of them, and each outcome equals its
+    # frame's one-frame decode
     ridx, weights = mem6_open_pass
     swept = []
     with monkeypatch.context() as patch:
@@ -939,8 +939,8 @@ def test_weights_shape_checked(ridx_block4):
 
 @pytest.mark.parametrize("n_frames", [16, 3])
 def test_one_frame_entry_points_reject_batched_weights(n_frames):
-    # mem4-circle20 has 16 starts, so a batch of 16 frames once came back from
-    # parallel_start_costs as a table whose row i used frame i's weights
+    # mem4-circle20 has 16 starts, so with 16 frames a batch's sweep has the
+    # shape of a one-frame all-pairs table, and only the check can tell them apart
     ridx = montecarlo.build_context("mem4-circle20").ridx
     assert ridx.t == 16
     rows = np.stack([random_received(ridx, seed=83, frame=f).r for f in range(n_frames)])
