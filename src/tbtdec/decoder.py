@@ -5,9 +5,10 @@ The decoder makes two Viterbi-like passes over the trellis:
 * Phase 1 (estimation) relaxes every edge once with *all* starts seeded at
   cost zero.  Afterwards ``cost[v]`` is the cheapest way to reach v from any
   start — a lower bound obtained on the semi-codeword space — and each vertex
-  remembers which start its survivor came from (the sweep carries that
-  start from index to index and keeps it at the finals only; the other
-  indices' are worked out from the pred edges when read).  If the cheapest
+  remembers which start its survivor came from, the start at index 0 of its
+  pred-edge path.  A one-frame sweep carries that start from index to index
+  and keeps it at the finals; a batched sweep carries none, and the finals'
+  are traced back along the pred edges on first read.  If the cheapest
   final's survivor is its own paired start, that survivor is already the
   cheapest path overall and decoding stops: nothing, codeword or not, can
   beat it.
@@ -35,10 +36,11 @@ sweep (``parallel_start_costs``, ``all_pairs_start_final_distances``) stays
 out of the decode path, as the oracle of the audits, witnesses and tests.
 
 Phase 1, ``viterbi_subtrellis``, the phase1-only fallbacks and exact ML's
-winners run one survivor-keeping sweep (``_sweep``), seeded at every start
-or at one start per row.  Exact ML's race keeps costs only: ``_start_costs``
-yields them index by index, the race keeps the last index's and the oracle
-all of them.
+winners run one sweep (``_sweep``), seeded at every start or at one start
+per row: one row on (V,) arrays, carrying survivor starts, and two or more
+rows on (V, R) arrays with the rows last, carrying none.  Exact ML's race
+keeps costs only: ``_start_costs`` yields them index by index, the race
+keeps the last index's and the oracle all of them.
 
 ``decode_frames`` runs each phase at most once per frame and derives every
 requested decoder's decision from that shared state.  Phase 1, its stop test
@@ -116,13 +118,15 @@ __all__ = [
 
 @dataclass
 class Phase1State:
-    """Multi-source sweep results: per-index cost and pred-edge arrays, and the finals' survivor starts.
+    """Multi-source sweep results: per-index cost and pred-edge arrays, and the finals' costs.
 
     Arrays of one frame's sweep are (V,) per index; a batch of F frames swept
-    together has (F, V) arrays whose row f is frame f's state.  ``comparisons``
-    and ``edge_visits`` count one frame's work.  The sweep keeps each
-    vertex's survivor start only until the next index is swept, and stores
-    the finals' (``surv_finals``); ``surv`` works out every index's from the
+    together has (F, V) arrays whose row f is frame f's state, transposed
+    views of the sweep's (V, F) arrays.  ``comparisons`` and ``edge_visits``
+    count one frame's work.  The finals' survivor starts (``surv_finals``)
+    are kept by a one-row sweep, which carries each vertex's start to the
+    next index; a batched sweep carries none, and they are traced back along
+    the pred edges on first read.  ``surv`` works out every index's from the
     pred edges when first read, for traces and tests.
     """
 
@@ -131,8 +135,8 @@ class Phase1State:
     comparisons: int
     edge_visits: int
     delta_finals: np.ndarray  # (t,) cost at final i
-    surv_finals: np.ndarray  # (t,) survivor start at final i
     ridx: ReachIndex = field(repr=False)  # the trellis swept, whose ``frm`` the pred edges index
+    known_surv: np.ndarray | None = field(default=None, repr=False)  # ``surv_finals`` if the sweep carried them
 
     def frame(self, f: int) -> "Phase1State":
         """Frame f of a batched sweep as row views; one frame's state is itself."""
@@ -140,14 +144,15 @@ class Phase1State:
 
     def take(self, rows) -> "Phase1State":
         """Rows ``rows`` of a batched sweep: one frame's state for an int, a batch for an array."""
+        known = self._surv_so_far
         return Phase1State(
             cost=[a[rows] for a in self.cost],
             pred_edge=[a[rows] for a in self.pred_edge],
             comparisons=self.comparisons,
             edge_visits=self.edge_visits,
             delta_finals=self.delta_finals[rows],
-            surv_finals=self.surv_finals[rows],
             ridx=self.ridx,
+            known_surv=None if known is None else known[rows],
         )
 
     @staticmethod
@@ -157,14 +162,15 @@ class Phase1State:
         def stack(arrays):
             return np.concatenate([a.reshape(-1, a.shape[-1]) for a in arrays])
 
+        known = [s._surv_so_far for s in states]
         return Phase1State(
             cost=[stack(a) for a in zip(*(s.cost for s in states))],
             pred_edge=[stack(a) for a in zip(*(s.pred_edge for s in states))],
             comparisons=states[0].comparisons,
             edge_visits=states[0].edge_visits,
             delta_finals=stack([s.delta_finals for s in states]),
-            surv_finals=stack([s.surv_finals for s in states]),
             ridx=states[0].ridx,
+            known_surv=None if any(k is None for k in known) else stack(known),
         )
 
     @cached_property
@@ -172,16 +178,49 @@ class Phase1State:
         """Each vertex's survivor start, (V,) or (F, V) per index, worked out from the pred edges on first read.
 
         Index 0 holds each start's own number (0 elsewhere), and index p+1
-        takes the survivor start of its pred edge's source, as the sweep did:
-        ``surv[p+1] = surv[p][frm[pred_edge[p]]]``.
+        takes the survivor start of its pred edge's source, as a one-row
+        sweep carries it: ``surv[p+1] = surv[p][frm[pred_edge[p]]]``.
         """
-        trellis = self.ridx.trellis
-        first = np.zeros(trellis.v_counts[0], dtype=np.int32)
-        first[trellis.starts] = np.arange(self.ridx.t, dtype=np.int32)
-        surv = [np.tile(first, (*self.delta_finals.shape[:-1], 1))]
+        surv = [np.tile(_start_numbers(self.ridx), (*self.delta_finals.shape[:-1], 1))]
         for frm, edge in zip(self.ridx.frm, self.pred_edge):
             surv.append(np.take_along_axis(surv[-1], frm[edge], axis=-1))
         return surv
+
+    @cached_property
+    def surv_finals(self) -> np.ndarray:
+        """(t,) or (F, t): survivor start at final i, as the sweep carried it or traced on first read."""
+        if self.known_surv is not None:
+            return self.known_surv
+        return self._trace(np.broadcast_to(np.arange(self.ridx.t), self.delta_finals.shape))
+
+    @property
+    def _surv_so_far(self) -> np.ndarray | None:
+        """``surv_finals`` if the sweep carried them or a read traced them, else None (reads trace nothing)."""
+        return vars(self).get("surv_finals", self.known_surv)
+
+    def starts_of(self, finals: np.ndarray) -> np.ndarray:
+        """The survivor start of final ``finals[f]`` of each frame f, (F,) (F = 1 for one frame's state).
+
+        Read from ``surv_finals`` when the sweep carried them or a read traced
+        them, and otherwise traced from these finals alone.
+        """
+        known = self._surv_so_far
+        if known is not None:
+            return known.reshape(len(finals), -1)[np.arange(len(finals)), finals]
+        return self._trace(finals if self.delta_finals.ndim == 1 else finals[:, None]).reshape(-1)
+
+    def _trace(self, finals: np.ndarray) -> np.ndarray:
+        """Survivor starts of the finals numbered ``finals``, walked back vertex by vertex along the pred edges.
+
+        The start a vertex's survivor came from is the one at index 0 of its
+        pred-edge path, since each index takes its pred edge's source's start
+        (``surv``); a walk needs no edge ids or labels, only the vertices.
+        """
+        v = self.ridx.trellis.finals[finals]
+        lead = () if self.delta_finals.ndim == 1 else (np.arange(len(v))[:, None],)
+        for frm, edge in zip(self.ridx.frm[::-1], self.pred_edge[::-1]):
+            v = frm[edge[(*lead, v)]]
+        return _start_numbers(self.ridx)[v]
 
     @cached_property
     def closed_finals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,15 +232,23 @@ class Phase1State:
         left to right.  ``j`` (F,) is each frame's cheapest closed
         final in (cost, index) order, a closed final at cost inf still
         counting, and ``weight`` its cost: inf where no final closed, and
-        ``j`` then names none.  The stop test, phase 2's participants and
-        every decoder read it from here.
+        ``j`` then names none.  Phase 2's participants and every decoder read
+        it from here; a batch pays for ``surv_finals`` only here, so only on
+        the frames phase 1 leaves open.
         """
-        t = self.surv_finals.shape[-1]
+        t = self.ridx.t
         closed = self.surv_finals.reshape(-1, t) == np.arange(t, dtype=self.surv_finals.dtype)
         cost = np.where(closed, self.delta_finals.reshape(-1, t), np.inf)
         weight = cost.min(axis=1)
         # at weight inf every closed final costs inf, or none closed: take the first closed final, if any
         return closed, np.where(weight < np.inf, cost.argmin(axis=1), closed.argmax(axis=1)), weight
+
+
+def _start_numbers(ridx: ReachIndex) -> np.ndarray:
+    """Each index-0 vertex's survivor start before any section: a start's own number, 0 elsewhere (int32)."""
+    first = np.zeros(ridx.trellis.v_counts[0], dtype=np.int32)
+    first[ridx.trellis.starts] = np.arange(ridx.t, dtype=np.int32)
+    return first
 
 
 @dataclass
@@ -379,31 +426,44 @@ def _group_min(cand: np.ndarray, ridx: ReachIndex, p: int) -> np.ndarray:
     return best
 
 
-def _grouped_first_min(values: np.ndarray, ridx: ReachIndex, p: int) -> np.ndarray:
-    """Each vertex's first in-edge attaining its minimum candidate (ties: lowest edge id).
+def _grouped_first_min(values: np.ndarray, ridx: ReachIndex, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's least candidate and its first in-edge attaining it (ties: lowest edge id), along axis 0.
 
-    ``values`` holds section p's candidates along its last axis, (E_p,) for
-    one frame or (F, E_p) for F; the result is (V,) or (F, V) edge ids within
-    the section.  The candidates are laid out row by row of the in-edge table
-    ``in_edges[p]``, so slot k of every vertex is the strided slice k::g;
-    with every in-degree equal to g that is their own order and needs no
-    gather.  The slots are compared in turn, a later one winning only when
-    strictly cheaper, so a pad slot, a repeat of its row's first edge, never
-    wins, and the winner is the row's first edge plus its slot.
+    The candidates are section p's, one per slot of the in-edge table
+    ``in_edges[p]``: (E_p,) in edge order for one row, where slot k of every
+    vertex is the strided slice k::g (after a gather by the table where
+    in-degrees differ), or (g * V, R) for R rows, gathered slot by slot
+    (``ReachIndex.in_slots``), where slot k of every vertex is the k-th block
+    of V whole rows.  The results are (V,) or (V, R): the minima, and the
+    edge ids within the section, int32 for R rows and intp for one row,
+    whose sweep gathers with them.  The slots are compared in turn, a later
+    one winning only when strictly cheaper, so a pad slot, a repeat of its
+    row's first edge, never wins, and the winner is the row's first edge
+    plus its slot.  For R rows the minimum of the slots is the winner's
+    candidate, as costs are never NaN and never -0.0, so an equal slot is
+    the same float; for one row, gathering the winners' candidates is
+    cheaper.
     """
     in_edges = ridx.in_edges[p]
-    g = in_edges.shape[1]
+    v, g = in_edges.shape
+    one_row = values.ndim == 1
     if g == 1:  # each vertex's one in-edge wins
-        return np.broadcast_to(in_edges[:, 0], values.shape)
-    slots = values if ridx.in_real[p] is None else values[..., in_edges.ravel()]
-    best, off = slots[..., 0::g], 0
+        return values, in_edges[:, 0] if one_row else np.repeat(ridx.in_first[p][:, None], values.shape[1], axis=1)
+    if one_row:  # slot k is slots[k::g]
+        slots, block, step = (values if ridx.in_real[p] is None else values[in_edges.ravel()]), 1, g
+    else:  # slot k is block k
+        slots, block, step = values, v, 1
+    best, off = slots[: v * step : step], 0
     for k in range(1, g):
-        cand = slots[..., k::g]
+        cand = slots[k * block : k * block + v * step : step]
         better = cand < best
         off = better if k == 1 else np.where(better, k, off)
-        if k + 1 < g:
+        if k + 1 < g or not one_row:
             best = np.minimum(best, cand)
-    return in_edges[:, 0] + off
+    if one_row:
+        win = in_edges[:, 0] + off
+        return values[win], win
+    return best, np.add(ridx.in_first[p][:, None], off, dtype=np.int32)
 
 
 def _walk(ridx: ReachIndex, sources) -> tuple[np.ndarray, np.ndarray]:
@@ -532,80 +592,103 @@ def phase1(ridx: ReachIndex, weights: WeightAssignment) -> Phase1State:
 
     Batched weights, (F, K) values, sweep F frames at once and give a
     batched state; row f is bit for bit the sweep of frame f alone, because
-    the frames share no arithmetic (``_sweep``).
+    the frames share no arithmetic (``_sweep``).  A batch of two or more
+    frames carries no survivor starts: its ``surv_finals`` are traced on
+    first read.
     """
     _check_weights(ridx, weights)
     finals, num_edges = ridx.trellis.finals, ridx.trellis.num_edges
     cost, pred_edge, surv = _sweep(ridx, weights.values, weights.index, np.arange(ridx.t))
     return Phase1State(
         cost, pred_edge, comparisons=num_edges, edge_visits=num_edges,
-        delta_finals=cost[-1][..., finals], surv_finals=surv[..., finals], ridx=ridx,
+        delta_finals=np.ascontiguousarray(cost[-1][..., finals]), ridx=ridx,
+        known_surv=None if surv is None else surv[..., finals],
     )
 
 
 def _sweep(
     ridx: ReachIndex, values: np.ndarray, index: list[np.ndarray], starts: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """The min-plus forward sweep keeping survivors, over one row or R rows at once.
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
+    """The min-plus forward sweep over one row or R rows at once.
 
     Row r adds the label table ``values[r]``, (R, K), or ``values``, (K,),
     for one row, gathered by ``index[p]`` at section p, and starts at cost 0
     from the starts numbered ``starts[r]``, (R, S), or ``starts``, (S,), for
-    every row.  Each vertex keeps its first least candidate in edge order,
-    and each row runs on its own block of flat arrays, sharing no arithmetic.
-    Returns each index's costs and pred edges, (V,) or (R, V), and the
-    survivor starts at the last index.  A sweep from start i alone needs no
-    membership mask: along a start-i..final-i path every in-edge with a
+    every row.  Each vertex keeps its first least candidate in edge order
+    (``_grouped_first_min``), and the rows share no arithmetic.  Returns each
+    index's costs and int32 pred edges, (V,) or (R, V), and the survivor
+    starts at the last index.
+
+    One row is swept on (V,) arrays and carries each vertex's survivor start
+    from index to index.  R >= 2 rows are swept on (V, R) arrays with the
+    rows last, over a (K, R) copy of their label tables, so every gather
+    copies whole rows: a section's candidates are ``cost[frm]`` plus
+    ``values.T[index[p]]``, taken in slot order (``ReachIndex.in_slots``),
+    so that each in-edge slot of every vertex is one contiguous block.  They
+    carry no survivor starts (None is returned) and give their costs and
+    pred edges as (R, V) transposed views.  A sweep from start i alone needs
+    no membership mask: along a start-i..final-i path every in-edge with a
     finite candidate is a member edge of subtrellis i.
     """
     trellis = ridx.trellis
     batch = values.shape[:-1]
     n_rows = prod(batch)
-    values = values.reshape(-1) if n_rows == 1 else values.reshape(n_rows, -1)
-    shift = np.arange(n_rows)[:, None]
     v0 = trellis.v_counts[0]
-    cost = [np.full(n_rows * v0, np.inf)]
-    surv = np.zeros(n_rows * v0, dtype=np.int32)
+    seeds = trellis.starts[starts]
     pred_edge: list[np.ndarray] = []
-    seeds = trellis.starts[starts] + v0 * shift
-    cost[0][seeds] = 0.0
-    surv[seeds] = starts
+    if n_rows == 1:
+        values = values.reshape(-1)
+        cost = [np.full(v0, np.inf)]
+        surv = np.zeros(v0, dtype=np.int32)
+        cost[0][seeds] = 0.0
+        surv[seeds] = starts
+        for p, section in enumerate(index):
+            frm = ridx.frm[p]
+            cand = cost[p][frm]
+            cand += values[section]
+            best, win = _grouped_first_min(cand, ridx, p)
+            cost.append(best)
+            surv = surv[frm[win]]
+            pred_edge.append(win.astype(np.int32))
+        if batch:
+            cost, pred_edge = ([a.reshape(*batch, -1) for a in arrays] for arrays in (cost, pred_edge))
+            surv = surv.reshape(*batch, -1)
+        return cost, pred_edge, surv
+    values_t = np.ascontiguousarray(values.reshape(n_rows, -1).T)  # (K, R): section weights are whole rows
+    cost = [np.full((v0, n_rows), np.inf)]
+    cost[0][seeds, np.arange(n_rows)[:, None]] = 0.0
     for p, section in enumerate(index):
-        frm = ridx.frm[p]
-        if n_rows == 1:
-            w = values[section]
-        else:
-            frm = (frm + trellis.v_counts[p] * shift).ravel()
-            w = values.take(section, axis=1).reshape(-1)  # row after row, as cand
-        cand = cost[p][frm]
-        cand += w
-        win = _grouped_first_min(cand if n_rows == 1 else cand.reshape(n_rows, -1), ridx, p)
-        at = win if n_rows == 1 else (win + len(section) * shift).ravel()  # into cand
-        cost.append(cand[at])
-        surv = surv[frm[at]]
-        pred_edge.append(win.astype(np.int32))
-    if batch:
-        cost, pred_edge = ([a.reshape(*batch, -1) for a in arrays] for arrays in (cost, pred_edge))
-        surv = surv.reshape(*batch, -1)
-    return cost, pred_edge, surv
+        slots = ridx.in_slots[p]
+        cand = cost[p].take(ridx.frm[p][slots], axis=0)  # take copies whole rows faster than indexing
+        cand += values_t.take(section[slots], axis=0)
+        best, win = _grouped_first_min(cand, ridx, p)
+        cost.append(best)
+        pred_edge.append(win)
+    cost, pred_edge = ([a.T.reshape(*batch, -1) for a in arrays] for arrays in (cost, pred_edge))
+    return cost, pred_edge, None
 
 
 def _phase1_stops(ridx: ReachIndex, p1: Phase1State) -> list[DecodeOutcome | None]:
     """The stop test on every frame of a sweep, with one walk for all that stop.
 
-    A frame stops when its cheapest closed final is its cheapest final; its
-    entry is that codeword's outcome, at its final's cost, and the others'
-    are None.
+    A frame stops when its cheapest final, the first argmin of its final
+    costs, closed its own loop.  Then that final is also its cheapest closed
+    final in (cost, index) order, ties and a closed final at cost inf
+    included, so this is ``closed_finals``' test without working out every
+    final's survivor: a batch's survivor starts are traced back from the
+    cheapest finals alone, vertex by vertex (``Phase1State.starts_of``).  A
+    stopped frame's entry is that codeword's outcome, at its final's cost,
+    and the others' are None.
     """
-    closed, j, weight = p1.closed_finals
-    cheapest = p1.delta_finals.reshape(-1, ridx.t).argmin(axis=1)
-    stopped = np.flatnonzero(closed.any(axis=1) & (j == cheapest))
-    decisions: list[DecodeOutcome | None] = [None] * len(j)
+    cost = p1.delta_finals.reshape(-1, ridx.t)
+    cheapest = cost.argmin(axis=1)
+    stopped = np.flatnonzero(p1.starts_of(cheapest) == cheapest)
+    decisions: list[DecodeOutcome | None] = [None] * len(cheapest)
     if len(stopped):
-        i = j[stopped]
+        i = cheapest[stopped]
         lead = (stopped,) if p1.delta_finals.ndim == 2 else ()
         paths, bits = _walk(ridx, [(p1.pred_edge, None, lead, ridx.trellis.finals[i])])
-        for f, k, w, path, codeword in zip(stopped.tolist(), i.tolist(), weight[stopped].tolist(), paths, bits):
+        for f, k, w, path, codeword in zip(stopped.tolist(), i.tolist(), cost[stopped, i].tolist(), paths, bits):
             decisions[f] = DecodeOutcome(codeword, path, w, "phase1", k, p1.comparisons, p1.edge_visits)
     return decisions
 
@@ -615,7 +698,8 @@ def phase1_decision(
 ) -> DecodeOutcome | None:
     """Stop if the cheapest final's survivor closed its own subtrellis (one frame).
 
-    The stop's weight is its final's phase-1 cost, so ``weights`` is not read.
+    The stop's weight is its final's phase-1 cost, so ``weights`` is not read;
+    a batched state's survivor is traced from that final alone.
     """
     return _phase1_stops(ridx, p1)[0]
 
@@ -1236,17 +1320,20 @@ def _start_costs(
     """The sweeps from starts ``rows``, row k from start rows[k]; yields each index's (rows, V) costs in turn.
 
     Each row is swept alone.  Row k adds the weights of frame frames[k] of a
-    batch, or of the one frame ``weights`` holds when ``frames`` is None.
-    Each index's costs are made from the previous index's only, so a caller
-    that keeps just the last holds two indices' costs at a time.
+    batch, or of the one frame ``weights`` holds when ``frames`` is None,
+    gathered from the frames' label tables when the sweep reaches each
+    section: every frame's section weights, then each row's frame's, so no
+    row holds a copy of its frame's table.  Each index's costs are made from
+    the previous index's only, so a caller that keeps just the last holds
+    two indices' costs at a time.
     """
     trellis = ridx.trellis
-    values = weights.values if frames is None else weights.values[frames]
     cost = np.full((len(rows), trellis.v_counts[0]), np.inf)
     cost[np.arange(len(rows)), trellis.starts[rows]] = 0.0
     yield cost
     for p, index in enumerate(weights.index):
-        cost = _group_min(cost[:, ridx.frm[p]] + values.take(index, axis=-1), ridx, p)
+        w = weights.values.take(index, axis=-1)
+        cost = _group_min(cost[:, ridx.frm[p]] + (w if frames is None else w.take(frames, axis=0)), ridx, p)
         yield cost
 
 

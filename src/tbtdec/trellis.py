@@ -265,7 +265,11 @@ class ReachIndex:
     in-degree: row v lists v's in-edges in edge order, and a vertex with fewer
     than g pads its row with its first edge, marked False in ``in_real[p]``
     (None when every vertex has g in-edges, and row v is then edges v*g to
-    v*g + g - 1).  Every sweep takes its per-vertex minima over this table.
+    v*g + g - 1).  Every sweep takes its per-vertex minima over this table:
+    ``in_slots[p]`` reads it column by column, ``in_edges[p].T.ravel()``, so
+    a batched sweep gathers slot k of every vertex into one contiguous
+    block, and ``in_first[p]`` keeps its first column as int32, the dtype
+    of the sweeps' pred edges.
     ``list_slots`` keeps the list sweep's slot grids, built from these tables
     on first use, by list size.
     """
@@ -295,6 +299,8 @@ class ReachIndex:
             real = k < sizes[:, None]
             self.in_edges.append(np.where(real, starts_[:, None] + k, starts_[:, None]))
             self.in_real.append(None if real.all() else real)
+        self.in_slots = [in_edges.T.ravel() for in_edges in self.in_edges]
+        self.in_first = [in_edges[:, 0].astype(np.int32) for in_edges in self.in_edges]
         self.member_counts = sum(table.sum(axis=0) for table in self.membership)
         self.frm = [sec.frm.astype(np.intp) for sec in trellis.sections]
         labels = np.concatenate([sec.labels for sec in trellis.sections]).astype(np.int64)

@@ -93,6 +93,37 @@ def test_noiseless_frame_stops_in_phase1(conv_m2, ridx_conv_m2):
     assert np.array_equal(out.codeword, c)
 
 
+def test_a_batch_that_all_stops_never_works_out_final_survivors(monkeypatch, conv_m2, ridx_conv_m2):
+    # a batched sweep carries no survivor starts, and the stop test traces
+    # each frame's cheapest final alone, so a batch whose every frame stops
+    # never reads surv_finals or closed_finals; a batch with an open frame
+    # works them out for its pass
+    ridx = ridx_conv_m2
+    reads = []
+    for name in ("surv_finals", "closed_finals"):
+        cached = vars(decoder.Phase1State).get(name)
+        if cached is None:  # a field every sweep fills, not worked out on read
+            continue
+        monkeypatch.setattr(decoder.Phase1State, name, property(
+            lambda self, name=name, cached=cached: reads.append(name) or cached.func(self)))
+    messages = np.random.default_rng(5).integers(0, 2, (6, 8)).astype(np.uint8)
+    codewords = [tb.encode_conv_tailbiting(conv_m2, m) for m in messages]
+    weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=tb.bpsk_modulate(np.stack(codewords))))
+    stops = _phase1_stops(ridx, tb.phase1(ridx, weights))
+    decoded = list(tb.decode_frames(ridx, weights, ("two-phase-L1", "exact-ml")))
+    assert all(s is not None and s.weight == 0.0 for s in stops)
+    assert [d.outcomes["two-phase-L1"].stage for d in decoded] == ["phase1"] * 6
+    for c, s, d in zip(codewords, stops, decoded):
+        assert np.array_equal(s.codeword, c) and np.array_equal(d.outcomes["exact-ml"].codeword, c)
+    assert reads == []
+    noisy = next(w for w in (_weights_of(ridx, seed=23, frame=f)[1] for f in range(50))
+                 if tb.phase1_decision(ridx, tb.phase1(ridx, w), w) is None)
+    reads.clear()
+    batch = tb.WeightAssignment(values=np.vstack([weights.values, noisy.values]), index=weights.index)
+    list(tb.decode_frames(ridx, batch, ("two-phase-L1",)))
+    assert "surv_finals" in reads and "closed_finals" in reads
+
+
 def test_crossing_frame_defers_to_phase2(ridx_block4):
     _, weights = _weights_of(ridx_block4, seed=23, frame=0)
     p1 = tb.phase1(ridx_block4, weights)
@@ -606,6 +637,15 @@ def _check_sweeps_against_scalar(ridx, weights):
     trellis = ridx.trellis
     p1 = tb.phase1(ridx, weights)
     _same_arrays(p1.cost + p1.surv + p1.pred_edge, sum(_scalar_phase1(ridx, weights), []))
+    # two rows, the weights and their rounded copy (many ties), swept as a
+    # batch: the rows-last sweep carries no survivors, so each row's are traced
+    rows = np.stack([weights.values, np.round(weights.values)])
+    batch = tb.phase1(ridx, tb.WeightAssignment(values=rows, index=weights.index))
+    for row, values in enumerate(rows):
+        cost, surv, pred_edge = _scalar_phase1(ridx, tb.WeightAssignment(values=values, index=weights.index))
+        state = batch.frame(row)
+        _same_arrays(state.cost + state.pred_edge + state.surv, cost + pred_edge + surv)
+        _same_arrays([batch.surv_finals[row], batch.delta_finals[row]], [surv[-1][trellis.finals], cost[-1][trellis.finals]])
     for prune in (True, False):
         p2 = tb.phase2(ridx, weights, p1, prune)
         metric, tr, dist, pred_edge, comparisons = _scalar_phase2(ridx, weights, p1, p2.participants)

@@ -88,7 +88,9 @@ def test_timeit_ab_times_every_call_of_the_repo_against_itself(tmp_path):
     assert timeit_ab.main(["--parent", str(repo), "--change", str(repo), "--rounds", "2", "--frames", "1",
                            "--codes", "mem4-circle20", "--out", str(out)]) == 0
     results = json.loads(out.read_text(encoding="utf-8"))["results"]
+    # mem4-circle20 has one bench workload, so simulate times one call a round
     assert [(r["code"], r["call"]) for r in results] == [("mem4-circle20", call) for call in timeit_ab.CALLS]
+    assert [r.get("workload") for r in results if r["call"] == "simulate"] == ["mem4-sweep-1to3dB"]
     for r in results:
         for side in ("parent", "change"):
             assert 0 < r[f"{side}_min_us"] <= r[f"{side}_median_us"]
@@ -103,3 +105,30 @@ def test_timeit_ab_times_every_call_of_the_repo_against_itself(tmp_path):
     for d, r in zip(decoded, samples):
         alone = tb.decode_exact_ml(ridx, tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=r)))
         assert (d.outcomes["exact-ml"].weight, d.outcomes["exact-ml"].subtrellis) == (alone.weight, alone.subtrellis)
+
+
+def test_timeit_ab_times_a_phase1_batch_and_compares_simulate_outputs(tmp_path):
+    timeit_ab = _load("timeit_ab")
+    repo = TOOLS.parent
+    tb = timeit_ab.load(repo, "tbtdec_batch")  # a name of its own: a reloaded package lacks its submodule attributes
+    # phase1_batch sweeps one batch of batch_frames frames, open or not, and runs its stop test
+    ridx = tb.build_context("mem4-circle20").ridx
+    samples = timeit_ab.batch_samples(tb, "mem4-circle20", 3.0)
+    assert len(samples) == tb.decoder.batch_frames(ridx)
+    calls = timeit_ab.bind(tb, "mem4-circle20", samples, "phase1_batch")
+    assert len(calls) == 1
+    stops = calls[0]()
+    assert len(stops) == len(samples) and 0 < sum(s is None for s in stops) < len(stops)
+    # simulate runs the workload's own call in process, and a side whose bytes differ is told apart
+    assert list(timeit_ab.workloads("mem4-circle20")) == ["mem4-sweep-1to3dB"]
+    wl = timeit_ab.workloads("mem4-circle20")["mem4-sweep-1to3dB"]
+    dirs = {side: tmp_path / side for side in ("parent", "change")}
+    for side, d in dirs.items():
+        d.mkdir()
+        (call,) = timeit_ab.bind_simulate(tb, wl, d)
+        call()
+    assert sorted(p.name for p in dirs["change"].iterdir()) == ["mismatch.jsonl", "out.csv"]
+    assert timeit_ab.same_outputs(dirs)
+    csv = dirs["change"] / "out.csv"
+    csv.write_text(csv.read_text(encoding="utf-8") + "# edited\n", encoding="utf-8")
+    assert not timeit_ab.same_outputs(dirs)
