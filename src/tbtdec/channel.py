@@ -235,4 +235,4 @@ def edge_weights(trellis, received: ReceivedVector) -> WeightAssignment:
         (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)[None, :]) & 1
     )
     table = ((r[..., None, :] - signs) ** 2).sum(axis=-1)
-    return WeightAssignment(values=table.reshape(*table.shape[:-2], -1), index=trellis.label_index)
+    return WeightAssignment(values=table.reshape(*r.shape[:-2], trellis.n_sections << width), index=trellis.label_index)

@@ -6,12 +6,11 @@ The decoder makes two Viterbi-like passes over the trellis:
   cost zero.  Afterwards ``cost[v]`` is the cheapest way to reach v from any
   start — a lower bound obtained on the semi-codeword space — and each vertex
   remembers which start its survivor came from, the start at index 0 of its
-  pred-edge path.  A one-frame sweep carries that start from index to index
-  and keeps it at the finals; a batched sweep carries none, and the finals'
-  are traced back along the pred edges on first read.  If the cheapest
-  final's survivor is its own paired start, that survivor is already the
-  cheapest path overall and decoding stops: nothing, codeword or not, can
-  beat it.
+  pred-edge path.  No sweep carries that start: it is traced back along the
+  pred edges, for the finals on first read and for the stop test from each
+  frame's cheapest final alone.  If the cheapest final's survivor is its own
+  paired start, that survivor is already the cheapest path overall and
+  decoding stops: nothing, codeword or not, can beat it.
 
 * Phase 2 (revision) re-walks the trellis restricted to paths that stay
   inside a single subtrellis, using the membership table for an O(1) edge
@@ -37,8 +36,8 @@ out of the decode path, as the oracle of the audits, witnesses and tests.
 
 Phase 1, ``viterbi_subtrellis``, the phase1-only fallbacks and exact ML's
 winners run one sweep (``_sweep``), seeded at every start or at one start
-per row: one row on (V,) arrays, carrying survivor starts, and two or more
-rows on (V, R) arrays with the rows last, carrying none.  Exact ML's race
+per row: one row on (V,) arrays, and two or more rows on (V, R) arrays with
+the rows last; both keep costs and pred edges only.  Exact ML's race
 keeps costs only: ``_start_costs`` yields them index by index, the race
 keeps the last index's and the oracle all of them.
 
@@ -123,11 +122,9 @@ class Phase1State:
     Arrays of one frame's sweep are (V,) per index; a batch of F frames swept
     together has (F, V) arrays whose row f is frame f's state, transposed
     views of the sweep's (V, F) arrays.  ``comparisons`` and ``edge_visits``
-    count one frame's work.  The finals' survivor starts (``surv_finals``)
-    are kept by a one-row sweep, which carries each vertex's start to the
-    next index; a batched sweep carries none, and they are traced back along
-    the pred edges on first read.  ``surv`` works out every index's from the
-    pred edges when first read, for traces and tests.
+    count one frame's work.  No sweep carries survivor starts: the finals'
+    (``surv_finals``) are traced back along the pred edges on first read, and
+    ``surv`` works out every index's, for traces and tests.
     """
 
     cost: list[np.ndarray]
@@ -136,7 +133,6 @@ class Phase1State:
     edge_visits: int
     delta_finals: np.ndarray  # (t,) cost at final i
     ridx: ReachIndex = field(repr=False)  # the trellis swept, whose ``frm`` the pred edges index
-    known_surv: np.ndarray | None = field(default=None, repr=False)  # ``surv_finals`` if the sweep carried them
 
     def frame(self, f: int) -> "Phase1State":
         """Frame f of a batched sweep as row views; one frame's state is itself."""
@@ -144,7 +140,6 @@ class Phase1State:
 
     def take(self, rows) -> "Phase1State":
         """Rows ``rows`` of a batched sweep: one frame's state for an int, a batch for an array."""
-        known = self._surv_so_far
         return Phase1State(
             cost=[a[rows] for a in self.cost],
             pred_edge=[a[rows] for a in self.pred_edge],
@@ -152,7 +147,6 @@ class Phase1State:
             edge_visits=self.edge_visits,
             delta_finals=self.delta_finals[rows],
             ridx=self.ridx,
-            known_surv=None if known is None else known[rows],
         )
 
     @staticmethod
@@ -162,7 +156,6 @@ class Phase1State:
         def stack(arrays):
             return np.concatenate([a.reshape(-1, a.shape[-1]) for a in arrays])
 
-        known = [s._surv_so_far for s in states]
         return Phase1State(
             cost=[stack(a) for a in zip(*(s.cost for s in states))],
             pred_edge=[stack(a) for a in zip(*(s.pred_edge for s in states))],
@@ -170,7 +163,6 @@ class Phase1State:
             edge_visits=states[0].edge_visits,
             delta_finals=stack([s.delta_finals for s in states]),
             ridx=states[0].ridx,
-            known_surv=None if any(k is None for k in known) else stack(known),
         )
 
     @cached_property
@@ -178,8 +170,8 @@ class Phase1State:
         """Each vertex's survivor start, (V,) or (F, V) per index, worked out from the pred edges on first read.
 
         Index 0 holds each start's own number (0 elsewhere), and index p+1
-        takes the survivor start of its pred edge's source, as a one-row
-        sweep carries it: ``surv[p+1] = surv[p][frm[pred_edge[p]]]``.
+        takes the survivor start of its pred edge's source:
+        ``surv[p+1] = surv[p][frm[pred_edge[p]]]``.
         """
         surv = [np.tile(_start_numbers(self.ridx), (*self.delta_finals.shape[:-1], 1))]
         for frm, edge in zip(self.ridx.frm, self.pred_edge):
@@ -188,38 +180,23 @@ class Phase1State:
 
     @cached_property
     def surv_finals(self) -> np.ndarray:
-        """(t,) or (F, t): survivor start at final i, as the sweep carried it or traced on first read."""
-        if self.known_surv is not None:
-            return self.known_surv
-        return self._trace(np.broadcast_to(np.arange(self.ridx.t), self.delta_finals.shape))
-
-    @property
-    def _surv_so_far(self) -> np.ndarray | None:
-        """``surv_finals`` if the sweep carried them or a read traced them, else None (reads trace nothing)."""
-        return vars(self).get("surv_finals", self.known_surv)
-
-    def starts_of(self, finals: np.ndarray) -> np.ndarray:
-        """The survivor start of final ``finals[f]`` of each frame f, (F,) (F = 1 for one frame's state).
-
-        Read from ``surv_finals`` when the sweep carried them or a read traced
-        them, and otherwise traced from these finals alone.
-        """
-        known = self._surv_so_far
-        if known is not None:
-            return known.reshape(len(finals), -1)[np.arange(len(finals)), finals]
-        return self._trace(finals if self.delta_finals.ndim == 1 else finals[:, None]).reshape(-1)
+        """(t,) or (F, t): survivor start at final i, traced back along the pred edges on first read."""
+        return self._trace(np.arange(self.ridx.t))
 
     def _trace(self, finals: np.ndarray) -> np.ndarray:
         """Survivor starts of the finals numbered ``finals``, walked back vertex by vertex along the pred edges.
 
-        The start a vertex's survivor came from is the one at index 0 of its
-        pred-edge path, since each index takes its pred edge's source's start
-        (``surv``); a walk needs no edge ids or labels, only the vertices.
+        ``finals`` is (k,), the same finals for every frame, or, for a batch,
+        (F, k), each frame's own; the result is (k,) for one frame's state
+        and (F, k) for a batch's.  The start a vertex's survivor came from is
+        the one at index 0 of its pred-edge path, since each index takes its
+        pred edge's source's start (``surv``); a walk needs no edge ids or
+        labels, only the vertices.
         """
         v = self.ridx.trellis.finals[finals]
-        lead = () if self.delta_finals.ndim == 1 else (np.arange(len(v))[:, None],)
+        lead = () if self.delta_finals.ndim == 1 else (np.arange(len(self.delta_finals))[:, None],)
         for frm, edge in zip(self.ridx.frm[::-1], self.pred_edge[::-1]):
-            v = frm[edge[(*lead, v)]]
+            v = frm[edge[(*lead, v)].astype(np.intp)]  # int32 indices gather slowly
         return _start_numbers(self.ridx)[v]
 
     @cached_property
@@ -233,8 +210,8 @@ class Phase1State:
         final in (cost, index) order, a closed final at cost inf still
         counting, and ``weight`` its cost: inf where no final closed, and
         ``j`` then names none.  Phase 2's participants and every decoder read
-        it from here; a batch pays for ``surv_finals`` only here, so only on
-        the frames phase 1 leaves open.
+        it from here; the stop test reads neither it nor ``surv_finals``, so
+        only the frames phase 1 leaves open pay for tracing every final.
         """
         t = self.ridx.t
         closed = self.surv_finals.reshape(-1, t) == np.arange(t, dtype=self.surv_finals.dtype)
@@ -404,10 +381,11 @@ class FrameDecode:
 def _check_weights(ridx: ReachIndex, weights: WeightAssignment, batch: bool = True) -> None:
     """Every section's weights must be as wide as its edge count, and every section needs weights.
 
-    Without ``batch`` the values must be one frame's, (K,), not a batch's.
+    The values must be one frame's, (K,), or with ``batch`` also a batch's, (F, K).
     """
-    if not batch and weights.values.ndim != 1:
-        raise ShapeMismatchError(f"expected one frame's weights, got values of shape {weights.values.shape}")
+    if weights.values.ndim > 1 + batch:
+        expected = "one frame's or a batch's" if batch else "one frame's"
+        raise ShapeMismatchError(f"expected {expected} weights, got values of shape {weights.values.shape}")
     widths = tuple([len(index) for index in weights.index])
     counts = ridx.trellis.edge_counts
     if widths != counts:
@@ -592,23 +570,21 @@ def phase1(ridx: ReachIndex, weights: WeightAssignment) -> Phase1State:
 
     Batched weights, (F, K) values, sweep F frames at once and give a
     batched state; row f is bit for bit the sweep of frame f alone, because
-    the frames share no arithmetic (``_sweep``).  A batch of two or more
-    frames carries no survivor starts: its ``surv_finals`` are traced on
-    first read.
+    the frames share no arithmetic (``_sweep``).  The sweep carries no
+    survivor starts: ``surv_finals`` are traced on first read.
     """
     _check_weights(ridx, weights)
     finals, num_edges = ridx.trellis.finals, ridx.trellis.num_edges
-    cost, pred_edge, surv = _sweep(ridx, weights.values, weights.index, np.arange(ridx.t))
+    cost, pred_edge = _sweep(ridx, weights.values, weights.index, np.arange(ridx.t))
     return Phase1State(
         cost, pred_edge, comparisons=num_edges, edge_visits=num_edges,
         delta_finals=np.ascontiguousarray(cost[-1][..., finals]), ridx=ridx,
-        known_surv=None if surv is None else surv[..., finals],
     )
 
 
 def _sweep(
     ridx: ReachIndex, values: np.ndarray, index: list[np.ndarray], starts: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The min-plus forward sweep over one row or R rows at once.
 
     Row r adds the label table ``values[r]``, (R, K), or ``values``, (K,),
@@ -616,19 +592,18 @@ def _sweep(
     from the starts numbered ``starts[r]``, (R, S), or ``starts``, (S,), for
     every row.  Each vertex keeps its first least candidate in edge order
     (``_grouped_first_min``), and the rows share no arithmetic.  Returns each
-    index's costs and int32 pred edges, (V,) or (R, V), and the survivor
-    starts at the last index.
+    index's costs and int32 pred edges, (V,) or (R, V); no sweep carries
+    survivor starts, which ``Phase1State`` traces from the pred edges.
 
-    One row is swept on (V,) arrays and carries each vertex's survivor start
-    from index to index.  R >= 2 rows are swept on (V, R) arrays with the
-    rows last, over a (K, R) copy of their label tables, so every gather
-    copies whole rows: a section's candidates are ``cost[frm]`` plus
-    ``values.T[index[p]]``, taken in slot order (``ReachIndex.in_slots``),
-    so that each in-edge slot of every vertex is one contiguous block.  They
-    carry no survivor starts (None is returned) and give their costs and
-    pred edges as (R, V) transposed views.  A sweep from start i alone needs
-    no membership mask: along a start-i..final-i path every in-edge with a
-    finite candidate is a member edge of subtrellis i.
+    One row is swept on (V,) arrays.  Any other number of rows is swept on
+    (V, R) arrays with the rows last, over a (K, R) copy of their label
+    tables, so every gather copies whole rows: a section's candidates are
+    ``cost[frm]`` plus ``values.T[index[p]]``, taken in slot order
+    (``ReachIndex.in_slots``), so that each in-edge slot of every vertex is
+    one contiguous block, and the costs and pred edges are given as (R, V)
+    transposed views.  The two forms differ only in layout.  A sweep from
+    start i alone needs no membership mask: along a start-i..final-i path
+    every in-edge with a finite candidate is a member edge of subtrellis i.
     """
     trellis = ridx.trellis
     batch = values.shape[:-1]
@@ -639,22 +614,17 @@ def _sweep(
     if n_rows == 1:
         values = values.reshape(-1)
         cost = [np.full(v0, np.inf)]
-        surv = np.zeros(v0, dtype=np.int32)
         cost[0][seeds] = 0.0
-        surv[seeds] = starts
         for p, section in enumerate(index):
-            frm = ridx.frm[p]
-            cand = cost[p][frm]
+            cand = cost[p][ridx.frm[p]]
             cand += values[section]
             best, win = _grouped_first_min(cand, ridx, p)
             cost.append(best)
-            surv = surv[frm[win]]
             pred_edge.append(win.astype(np.int32))
         if batch:
-            cost, pred_edge = ([a.reshape(*batch, -1) for a in arrays] for arrays in (cost, pred_edge))
-            surv = surv.reshape(*batch, -1)
-        return cost, pred_edge, surv
-    values_t = np.ascontiguousarray(values.reshape(n_rows, -1).T)  # (K, R): section weights are whole rows
+            cost, pred_edge = ([a.reshape(*batch, len(a)) for a in arrays] for arrays in (cost, pred_edge))
+        return cost, pred_edge
+    values_t = np.ascontiguousarray(values.reshape(n_rows, values.shape[-1]).T)  # (K, R): section weights are whole rows
     cost = [np.full((v0, n_rows), np.inf)]
     cost[0][seeds, np.arange(n_rows)[:, None]] = 0.0
     for p, section in enumerate(index):
@@ -664,8 +634,8 @@ def _sweep(
         best, win = _grouped_first_min(cand, ridx, p)
         cost.append(best)
         pred_edge.append(win)
-    cost, pred_edge = ([a.T.reshape(*batch, -1) for a in arrays] for arrays in (cost, pred_edge))
-    return cost, pred_edge, None
+    cost, pred_edge = ([a.T.reshape(*batch, len(a)) for a in arrays] for arrays in (cost, pred_edge))
+    return cost, pred_edge
 
 
 def _phase1_stops(ridx: ReachIndex, p1: Phase1State) -> list[DecodeOutcome | None]:
@@ -675,14 +645,22 @@ def _phase1_stops(ridx: ReachIndex, p1: Phase1State) -> list[DecodeOutcome | Non
     costs, closed its own loop.  Then that final is also its cheapest closed
     final in (cost, index) order, ties and a closed final at cost inf
     included, so this is ``closed_finals``' test without working out every
-    final's survivor: a batch's survivor starts are traced back from the
-    cheapest finals alone, vertex by vertex (``Phase1State.starts_of``).  A
-    stopped frame's entry is that codeword's outcome, at its final's cost,
-    and the others' are None.
+    final's survivor: the survivor starts are traced back from the cheapest
+    finals alone, vertex by vertex.  One frame's single final is walked over
+    Python ints, which costs less than the array calls of a vectorised trace
+    (``Phase1State._trace``).  A stopped frame's entry is that codeword's
+    outcome, at its final's cost, and the others' are None.
     """
     cost = p1.delta_finals.reshape(-1, ridx.t)
     cheapest = cost.argmin(axis=1)
-    stopped = np.flatnonzero(p1.starts_of(cheapest) == cheapest)
+    if p1.delta_finals.ndim == 1:
+        v = int(ridx.trellis.finals[cheapest[0]])
+        for frm, edge in zip(ridx.frm[::-1], p1.pred_edge[::-1]):
+            v = frm.item(edge.item(v))
+        starts = _start_numbers(ridx)[[v]]
+    else:
+        starts = p1._trace(cheapest[:, None])[:, 0]
+    stopped = np.flatnonzero(starts == cheapest)
     decisions: list[DecodeOutcome | None] = [None] * len(cheapest)
     if len(stopped):
         i = cheapest[stopped]
@@ -699,7 +677,7 @@ def phase1_decision(
     """Stop if the cheapest final's survivor closed its own subtrellis (one frame).
 
     The stop's weight is its final's phase-1 cost, so ``weights`` is not read;
-    a batched state's survivor is traced from that final alone.
+    its survivor is traced from that final alone.
     """
     return _phase1_stops(ridx, p1)[0]
 
@@ -733,7 +711,7 @@ def phase2(
     participants = ~closed
     if participation_prune:
         participants &= p1.delta_finals.reshape(closed.shape) <= weight[:, None]
-    participants = participants.reshape(p1.surv_finals.shape)
+    participants = participants.reshape(p1.delta_finals.shape)
     sweep = _phase2_list(ridx, weights, p1, 1, participants)
     return Phase2State(
         sweep=sweep,
@@ -809,7 +787,7 @@ def _final_decisions(
     if fallback:  # one restricted sweep per frame, from its cheapest final's start, all in one call
         i = p1.delta_finals.reshape(closed.shape)[fallback].argmin(axis=1)
         values = weights.values.reshape(len(j), -1)[fallback]
-        cost, pred_edge, _ = _sweep(ridx, values, weights.index, i[:, None])
+        cost, pred_edge = _sweep(ridx, values, weights.index, i[:, None])
         found = cost[-1][np.arange(len(i)), ridx.trellis.finals[i]]
         missing = ~np.isfinite(found)
         if missing.any():  # the first such frame's, as deciding the frames one by one would raise
@@ -1294,7 +1272,7 @@ def viterbi_subtrellis(ridx: ReachIndex, weights: WeightAssignment, i: int) -> S
     """Standard Viterbi from start i over edges that belong to subtrellis i: ``_sweep`` from start i alone."""
     _check_weights(ridx, weights, batch=False)
     final = ridx.trellis.finals[i]
-    cost, pred_edge, _ = _sweep(ridx, weights.values, weights.index, np.array([i]))
+    cost, pred_edge = _sweep(ridx, weights.values, weights.index, np.array([i]))
     if not np.isfinite(cost[-1][final]):
         raise NoPathError(f"subtrellis {i} has no start-to-final path")
     paths, bits = _walk(ridx, [(pred_edge, None, (), [final])])

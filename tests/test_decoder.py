@@ -94,10 +94,10 @@ def test_noiseless_frame_stops_in_phase1(conv_m2, ridx_conv_m2):
 
 
 def test_a_batch_that_all_stops_never_works_out_final_survivors(monkeypatch, conv_m2, ridx_conv_m2):
-    # a batched sweep carries no survivor starts, and the stop test traces
-    # each frame's cheapest final alone, so a batch whose every frame stops
-    # never reads surv_finals or closed_finals; a batch with an open frame
-    # works them out for its pass
+    # no sweep carries survivor starts, and the stop test traces each
+    # frame's cheapest final alone, so a batch whose every frame stops never
+    # reads surv_finals or closed_finals; a batch with an open frame works
+    # them out for its pass, and so does a batch of one
     ridx = ridx_conv_m2
     reads = []
     for name in ("surv_finals", "closed_finals"):
@@ -122,6 +122,11 @@ def test_a_batch_that_all_stops_never_works_out_final_survivors(monkeypatch, con
     batch = tb.WeightAssignment(values=np.vstack([weights.values, noisy.values]), index=weights.index)
     list(tb.decode_frames(ridx, batch, ("two-phase-L1",)))
     assert "surv_finals" in reads and "closed_finals" in reads
+    for one, settled in [(weights.frame(f), True) for f in range(6)] + [(noisy, False)]:
+        reads.clear()
+        out = tb.decode_frame(ridx, one, ("two-phase-L1", "exact-ml")).outcomes["two-phase-L1"]
+        assert (out.stage == "phase1") is settled
+        assert (reads == []) if settled else ({"surv_finals", "closed_finals"} <= set(reads))
 
 
 def test_crossing_frame_defers_to_phase2(ridx_block4):
@@ -636,9 +641,11 @@ def _check_sweeps_against_scalar(ridx, weights):
     """Every sweep equals its scalar edge-order relaxation bit for bit, dtypes included."""
     trellis = ridx.trellis
     p1 = tb.phase1(ridx, weights)
-    _same_arrays(p1.cost + p1.surv + p1.pred_edge, sum(_scalar_phase1(ridx, weights), []))
+    cost, surv, pred_edge = _scalar_phase1(ridx, weights)
+    _same_arrays(p1.cost + p1.surv + p1.pred_edge, cost + surv + pred_edge)
+    _same_arrays([p1.surv_finals], [surv[-1][trellis.finals]])
     # two rows, the weights and their rounded copy (many ties), swept as a
-    # batch: the rows-last sweep carries no survivors, so each row's are traced
+    # batch: no sweep carries survivors, so each row's are traced
     rows = np.stack([weights.values, np.round(weights.values)])
     batch = tb.phase1(ridx, tb.WeightAssignment(values=rows, index=weights.index))
     for row, values in enumerate(rows):
@@ -994,6 +1001,28 @@ def test_one_frame_entry_points_reject_batched_weights(n_frames):
     ):
         with pytest.raises(tb.ShapeMismatchError, match="one frame's weights"):
             call()
+
+
+def test_an_empty_batch_decodes_to_no_frames():
+    ridx = montecarlo.build_context("mem4-circle20").ridx
+    trellis = ridx.trellis
+    weights = tb.edge_weights(trellis, tb.ReceivedVector(r=np.empty((0, trellis.n_sections * trellis.label_width))))
+    assert weights.values.shape == (0, trellis.n_sections << trellis.label_width)
+    p1 = tb.phase1(ridx, weights)
+    assert p1.delta_finals.shape == p1.surv_finals.shape == (0, ridx.t)
+    assert [a.shape for a in p1.cost] == [(0, v) for v in trellis.v_counts]
+    assert _phase1_stops(ridx, p1) == []
+    assert list(tb.decode_frames(ridx, weights, tb.DECODER_NAMES)) == []
+
+
+def test_weights_with_two_batch_axes_rejected():
+    # values are (K,) for one frame or (F, K) for a batch, nothing else
+    ridx = montecarlo.build_context("mem4-circle20").ridx
+    rows = np.stack([random_received(ridx, seed=89, frame=f).r for f in range(6)])
+    weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=rows))
+    stacked = tb.WeightAssignment(values=weights.values.reshape(2, 3, -1), index=weights.index)
+    with pytest.raises(tb.ShapeMismatchError, match="one frame's or a batch's weights"):
+        list(tb.decode_frames(ridx, stacked, ("two-phase-L1", "exact-ml")))
 
 
 def test_weights_check_names_the_first_bad_section(ridx_block8):

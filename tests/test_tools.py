@@ -80,7 +80,7 @@ def test_bench_ab_unresolved_when_the_parents_spread_exceeds_the_bound():
     assert bench_ab.summarize(_pairs(parent, parent), [quiet])["frame_us_p99"]["unresolved"] is False
 
 
-def test_timeit_ab_times_every_call_of_the_repo_against_itself(tmp_path):
+def test_timeit_ab_times_every_call_of_the_repo_against_itself(tmp_path, monkeypatch):
     # both sides load this checkout's package, each under its own module name
     timeit_ab = _load("timeit_ab")
     repo = TOOLS.parent
@@ -95,8 +95,9 @@ def test_timeit_ab_times_every_call_of_the_repo_against_itself(tmp_path):
         for side in ("parent", "change"):
             assert 0 < r[f"{side}_min_us"] <= r[f"{side}_median_us"]
     # the pass is one call that decodes all the open frames as one batch
-    tb = timeit_ab.load(repo, "tbtdec_change")
-    samples = timeit_ab.frame_samples(tb, "mem4-circle20", 1.0, 3)["open"]
+    tb = timeit_ab.load(repo, "tbtdec_calls")  # a name of its own: a reloaded package lacks its submodule attributes
+    frames = timeit_ab.frame_samples(tb, "mem4-circle20", 1.0, 3)
+    samples = frames["open"]
     calls = timeit_ab.bind(tb, "mem4-circle20", samples, "decode_frames_exact_ml")
     assert len(calls) == 1
     decoded = calls[0]()
@@ -105,6 +106,23 @@ def test_timeit_ab_times_every_call_of_the_repo_against_itself(tmp_path):
     for d, r in zip(decoded, samples):
         alone = tb.decode_exact_ml(ridx, tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=r)))
         assert (d.outcomes["exact-ml"].weight, d.outcomes["exact-ml"].subtrellis) == (alone.weight, alone.subtrellis)
+    # decode_two_phase is the L1 decoder on a frame phase 1 leaves open
+    for call, r in zip(timeit_ab.bind(tb, "mem4-circle20", samples, "decode_two_phase"), samples):
+        weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=r))
+        assert tb.phase1_decision(ridx, tb.phase1(ridx, weights), weights) is None
+        out, alone = call(), tb.decode_two_phase(ridx, weights)
+        assert (out.weight, out.stage, out.subtrellis) == (alone.weight, alone.stage, alone.subtrellis)
+    # phase1_frame sweeps a fresh one-frame state every call and stops its settled frame
+    swept = []
+    phase1 = tb.phase1
+    monkeypatch.setattr(tb, "phase1", lambda *args: swept.append(phase1(*args)) or swept[-1])
+    calls = timeit_ab.bind(tb, "mem4-circle20", frames["settled"], "phase1_frame")
+    for _ in range(2):
+        for call in calls:
+            (stop,) = call()
+            assert stop.stage == "phase1"
+    assert len(swept) == 6 and len({id(p1) for p1 in swept}) == 6
+    assert all(p1.delta_finals.ndim == 1 for p1 in swept)
 
 
 def test_timeit_ab_times_a_phase1_batch_and_compares_simulate_outputs(tmp_path):

@@ -2,7 +2,7 @@
 
     python3 tools/timeit_ab.py --parent DIR --change DIR [--rounds 200] \
         [--frames 4] [--ebn0 1] [--codes mem4-circle20,mem6-circle48] \
-        [--calls phase1,_phase1_stops,decode_exact_ml,viterbi_subtrellis,decode_frames_exact_ml,phase1_batch,simulate] \
+        [--calls phase1,phase1_frame,decode_two_phase,decode_exact_ml,viterbi_subtrellis,decode_frames_exact_ml,phase1_batch,simulate] \
         [--out FILE.json]
 
 Each checkout is a directory holding ``src/tbtdec``, such as a ``git
@@ -10,10 +10,14 @@ archive`` of a commit.  Both packages are imported into this one process
 under their own module names (``tbtdec_parent``, ``tbtdec_change``), so both
 sides run on the same interpreter, numpy and machine state.  Per code, the
 frames are the first ``--frames`` noisy all-zero frames at ``--ebn0`` that
-phase 1 leaves open, so exact ML has subtrellises to sweep, except for
-``_phase1_stops``, which takes the first that phase 1 settles, so the stop
-test walks its codeword.  Each side builds its own trellis and edge weights
-from the same samples.  Every call takes one frame, except:
+phase 1 leaves open, so phase 2 runs and exact ML has subtrellises to
+sweep, except for ``phase1_frame``, which takes the first that phase 1
+settles.  ``phase1_frame`` is ``phase1`` and its stop test
+(``_phase1_stops``) on a fresh one-frame state per call, so it pays for
+all that a settled one-frame decode works out, and ``decode_two_phase`` is
+the plain two-phase decoder (L1), the path of the open frames behind
+``frame_us_p99``.  Each side builds its own trellis and edge weights from
+the same samples.  Every call takes one frame, except:
 
 * ``decode_frames_exact_ml``: one ``decode_frames`` call with exact ML alone
   on all the open frames as one batch, so one pass whose race sweeps every
@@ -51,8 +55,8 @@ from pathlib import Path
 import numpy as np
 
 CALLS = (
-    "phase1", "_phase1_stops", "decode_exact_ml", "viterbi_subtrellis", "decode_frames_exact_ml", "phase1_batch",
-    "simulate",
+    "phase1", "phase1_frame", "decode_two_phase", "decode_exact_ml", "viterbi_subtrellis", "decode_frames_exact_ml",
+    "phase1_batch", "simulate",
 )
 CODES = ("mem4-circle20", "mem6-circle48")
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.json"
@@ -109,9 +113,10 @@ def bind(tb, code: str, samples, name: str) -> list:
         weights = tb.edge_weights(ridx.trellis, tb.ReceivedVector(r=r))
         if name == "phase1":
             calls.append(lambda w=weights: tb.phase1(ridx, w))
-        elif name == "_phase1_stops":
-            p1 = tb.phase1(ridx, weights)
-            calls.append(lambda p1=p1: tb.decoder._phase1_stops(ridx, p1))
+        elif name == "phase1_frame":
+            calls.append(lambda w=weights: tb.decoder._phase1_stops(ridx, tb.phase1(ridx, w)))
+        elif name == "decode_two_phase":
+            calls.append(lambda w=weights: tb.decode_two_phase(ridx, w))
         elif name == "decode_exact_ml":
             calls.append(lambda w=weights: tb.decode_exact_ml(ridx, w))
         elif name == "viterbi_subtrellis":  # the subtrellis of the cheapest final, as a fallback sweeps
@@ -199,7 +204,7 @@ def main(argv=None) -> int:
                                                       for side, tb in packages.items()}))
                 else:
                     frames = (batch_samples(packages["change"], code, args.ebn0) if name == "phase1_batch"
-                              else samples["settled" if name == "_phase1_stops" else "open"])
+                              else samples["settled" if name == "phase1_frame" else "open"])
                     cases = [(None, None, {side: bind(tb, code, frames, name) for side, tb in packages.items()})]
                 for workload, dirs, sides in cases:
                     for calls in sides.values():  # warm both sides' lazy state before timing
